@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .clocks import (
     ClockKey,
-    ExtensionTrajectory,
     IndependenceReport,
     SubtreeSpec,
     clock_sample,
@@ -38,16 +37,12 @@ from .errors import (
     RwreError,
 )
 from .quenched import (
+    BetaMomentReport,
     BetaValue,
-    GammaValue,
-    GeometricVisitsReport,
-    beta_at_depth,
-    beta_moment_samples,
     beta_root,
     effectively_converged,
     gamma_vertex,
     geometric_moment_bound,
-    geometric_visits_check,
     negative_moment_of_beta,
 )
 from .regen import (
@@ -65,17 +60,14 @@ from .stats import (
     SpeedEstimate,
     StabilityReport,
     TailFit,
-    chi_square_gof,
     chi_square_independence,
     direct_sigma,
     doubling_stability,
-    empirical_moment,
     estimate_sigma,
     estimate_speed,
     fit_geometric_tail,
     kolmogorov_sf,
     ks_normality_test,
-    ks_two_sample,
 )
 from .tree import ROOT, SENTINEL, child, is_sentinel, level, parent
 from .walk import (

@@ -19,7 +19,14 @@ The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
 on demand, and cumulative sums are advanced incrementally, so memory and
 time are proportional to the number of distinct visited vertices plus the
-number of steps.
+number of steps.  The k = 0 race at a fresh vertex is one routine,
+``_k0_clocks``, shared by the engine, ``first_child`` and
+``walk.step_walk``, so single steps and full runs agree by construction.
+
+Every run, full-tree walk or subtree extension alike, is recorded as one
+``Trajectory``: the per-step levels (an int64 array), the per-step vertex
+ids, and the per-vertex discovery structure from which vertex paths and
+digests are rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -201,31 +208,39 @@ def edge_disjoint(a: SubtreeSpec, b: SubtreeSpec) -> bool:
     return not (va & vb)
 
 
-class RawRun:
-    """Low-level record of one engine run: per-step levels and vertex ids,
-    plus the per-id tree structure needed to reconstruct paths lazily."""
+class Trajectory:
+    """One engine run: per-step levels and vertex ids, plus the per-vertex
+    discovery structure (parent id, child digit, depth, digest) from which
+    paths are rebuilt lazily.  Memory is proportional to the number of steps
+    plus the number of distinct visited vertices.
 
-    __slots__ = ("b", "anchor", "levels", "ids", "par", "dig", "dep", "dgs",
-                 "weights", "fresh", "stop_reason", "truncated", "key_log")
+    ``fresh`` lists (step, vertex id) at first visits; ``stop_reason`` is
+    ``level``, ``sentinel`` or ``steps``, and ``truncated`` marks a run that
+    hit its step budget before a requested level.
+    """
 
-    def __init__(self, b: int, anchor: VertexPath):
-        self.b = b
+    __slots__ = ("anchor", "levels", "ids", "par", "dig", "dep", "dgs",
+                 "fresh", "stop_reason", "truncated")
+
+    def __init__(self, anchor: VertexPath):
         self.anchor = anchor
-        self.levels: List[int] = []
+        self.levels: np.ndarray = np.zeros(0, dtype=np.int64)
         self.ids: List[int] = []
         self.par: List[int] = []
         self.dig: List[int] = []
         self.dep: List[int] = []
         self.dgs: List[bytes] = []
-        self.weights: List[Optional[Tuple[float, ...]]] = []
         self.fresh: List[Tuple[int, int]] = []
         self.stop_reason = ""
         self.truncated = False
-        self.key_log: Optional[List[Tuple[bytes, int, int]]] = None
 
     @property
     def steps_taken(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def max_level_attained(self) -> int:
+        return int(self.levels.max())
 
     def path_of(self, vid: int) -> Vertex:
         if vid == _SENTINEL_ID:
@@ -242,11 +257,71 @@ class RawRun:
     def visited_digest_sequence(self) -> List[bytes]:
         return [self.digest_of(i) for i in self.ids]
 
-    def visit_counts_by_id(self) -> Dict[int, int]:
+    def vertex_path_at_step(self, step: int) -> Vertex:
+        return self.path_of(self.ids[step])
+
+    def fresh_vertex_times(self) -> List[Tuple[int, VertexPath]]:
+        """(step, vertex) pairs at first visits, in step order."""
+        return [(step, self.path_of(vid)) for step, vid in self.fresh]
+
+    def visit_counts(self) -> Dict[Vertex, int]:
         counts: Dict[int, int] = {}
         for i in self.ids:
             counts[i] = counts.get(i, 0) + 1
-        return counts
+        return {self.path_of(vid): c for vid, c in counts.items()}
+
+    def first_passage_steps(self) -> np.ndarray:
+        """T_n for n = 0..max level: the first step at which level n is hit."""
+        lv = self.levels
+        out = np.full(int(lv.max()) + 1, -1, dtype=np.int64)
+        running = -1
+        for step, l in enumerate(lv):
+            if l > running:
+                running = l
+                if l >= 0:
+                    out[l] = step
+        return out
+
+    def distinct_per_level(self) -> np.ndarray:
+        """Number of distinct visited vertices at each level 0..max."""
+        top = int(self.levels.max())
+        out = np.zeros(top + 1, dtype=np.int64)
+        for _, vid in self.fresh:
+            d = self.dep[vid]
+            if d <= top:
+                out[d] += 1
+        return out
+
+
+def _k0_clocks(digest: bytes, walk8: bytes, weights: Sequence[float],
+               slots: Sequence[int]) -> List[float]:
+    """The k = 0 race at a fresh vertex: rate-scaled first clocks of the
+    allowed ``slots`` (0 toward the parent, i toward child i), ``inf`` for
+    every other slot.  The walk leaves through the smallest entry; ties go
+    to the smaller slot, which is what ``list.index(min(...))`` returns."""
+    log = math.log
+    s = [_INF] * (len(weights) + 1)
+    blk: Sequence[float] = ()
+    blk_m = -1
+    for j in slots:
+        m = j >> 3
+        if m != blk_m:
+            blk = streams.clock_init_block(digest, walk8, m)
+            blk_m = m
+        y = -log(blk[j & 7])
+        s[j] = y if j == 0 else y / weights[j - 1]
+    return s
+
+
+def _first_move(spec: EnvSpec, v: VertexPath, walk_index: int,
+                slots: Sequence[int]) -> int:
+    """Slot through which a walk first leaves ``v`` when only ``slots`` are
+    open: the winner of the k = 0 race there."""
+    validate_path(v, spec.b)
+    dg = streams.vertex_digest(spec.seed, v)
+    s = _k0_clocks(dg, streams.walk_token(walk_index),
+                   make_weight_sampler(spec)(dg), slots)
+    return s.index(min(s))
 
 
 def _simulate(
@@ -257,8 +332,7 @@ def _simulate(
     max_steps: int,
     max_level: Optional[int] = None,
     stop_at_sentinel: bool = False,
-    record_keys: bool = False,
-) -> RawRun:
+) -> Trajectory:
     """Run the clock-driven walk restricted to ``subtree``.
 
     Stops at the first of: absolute level == max_level, arrival at the
@@ -313,20 +387,17 @@ def _simulate(
             anchor = root_of
         anchor_slots = path_slots.get(anchor, ())
 
-    run = RawRun(b, anchor)
-    if record_keys:
-        run.key_log = []
-    klog = run.key_log
-
-    log = math.log
+    run = Trajectory(anchor)
     anchor_level = len(anchor)
+    log = math.log
 
     # Per-vertex state, indexed by discovery order.
     par = run.par
     dig = run.dig
     dep = run.dep
     dgs = run.dgs
-    weights = run.weights
+    fresh = run.fresh
+    weights: List[Optional[Tuple[float, ...]]] = []
     children: List[List[int]] = []
     S: List[Optional[List[float]]] = []
     K: List[Optional[List[int]]] = []
@@ -345,7 +416,7 @@ def _simulate(
         S.append(None)
         K.append(None)
         slots_of.append(slots)
-        run.fresh.append((step, vid))
+        fresh.append((step, vid))
         return vid
 
     anchor_digest = streams.vertex_digest(seed, anchor)
@@ -354,7 +425,7 @@ def _simulate(
     if rel_of is not None:
         rel_of.append(anchor)
 
-    levels = run.levels
+    levels: List[int] = []
     ids = run.ids
     lap = levels.append
     iap = ids.append
@@ -364,16 +435,16 @@ def _simulate(
     lvl = -1 if start_at_sentinel else anchor_level
     lap(lvl)
     iap(_SENTINEL_ID if at_sentinel else 0)
-    if not start_at_sentinel and max_level is not None and lvl == max_level:
-        run.stop_reason = "level"
-        return run
+    # Levels never go below -1, so -2 stands for "no level target".
+    target = -2 if max_level is None else max_level
+    # A run anchored at its target level stops before its first step.
+    reason = "level" if not start_at_sentinel and lvl == target else ""
+    limit = 0 if reason else max_steps
 
     advbuf: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-    init_block = streams.clock_init_block
     adv_block = streams.clock_advance_block
-    reason = ""
     steps = 0
-    while steps < max_steps:
+    while steps < limit:
         steps += 1
         if at_sentinel:
             at_sentinel = False
@@ -381,33 +452,17 @@ def _simulate(
             lvl = anchor_level
             lap(lvl)
             iap(0)
-            if max_level is not None and lvl == max_level:
+            if lvl == target:
                 reason = "level"
                 break
             continue
         s = S[cur]
         if s is None:
-            dgv = dgs[cur]
-            w = weights[cur]
-            if w is None:
-                w = sampler(dgv)
-                weights[cur] = w
-            s = [_INF] * (b + 1)
-            blk = None
-            blk_m = -1
-            for j in slots_of[cur]:
-                m = j >> 3
-                if m != blk_m:
-                    blk = init_block(dgv, w8, m)
-                    blk_m = m
-                y = -log(blk[j & 7])
-                s[j] = y if j == 0 else y / w[j - 1]
-                if klog is not None:
-                    klog.append((dgv, j, 0))
-            S[cur] = s
+            w = sampler(dgs[cur])
+            weights[cur] = w
+            s = S[cur] = _k0_clocks(dgs[cur], w8, w, slots_of[cur])
             K[cur] = [0] * (b + 1)
-        m_val = min(s)
-        j = s.index(m_val)
+        j = s.index(min(s))
         kv = K[cur]
         k = kv[j] + 1
         kv[j] = k
@@ -417,8 +472,6 @@ def _simulate(
             advbuf[bkey] = adv_block(dgs[cur], w8, j, (k - 1) >> 3)
         y = -log(advbuf[bkey][pos])
         s[j] += y if j == 0 else y / weights[cur][j - 1]
-        if klog is not None:
-            klog.append((dgs[cur], j, k))
         if j == 0:
             p = par[cur]
             if p == -1:
@@ -448,30 +501,13 @@ def _simulate(
             lvl += 1
         lap(lvl)
         iap(cur)
-        if max_level is not None and lvl == max_level:
+        if lvl == target:
             reason = "level"
             break
+    run.levels = np.asarray(levels, dtype=np.int64)
     run.stop_reason = reason or "steps"
     run.truncated = reason == "" and max_level is not None
     return run
-
-
-@dataclass
-class ExtensionTrajectory:
-    """Trajectory of a walk restricted to a subtree."""
-
-    subtree: SubtreeSpec
-    levels: np.ndarray
-    steps_taken: int
-    truncated: bool
-    stop_reason: str
-    run: RawRun
-
-    def visited_digest_sequence(self) -> List[bytes]:
-        return self.run.visited_digest_sequence()
-
-    def vertex_path_at_step(self, step: int) -> Vertex:
-        return self.run.path_of(self.run.ids[step])
 
 
 def run_extension(
@@ -479,25 +515,15 @@ def run_extension(
     subtree: SubtreeSpec,
     stop: "StopRule",
     walk_index: int = 0,
-    record_keys: bool = False,
-) -> ExtensionTrajectory:
+) -> Trajectory:
     """Clock-driven walk on ``subtree`` starting at the subtree root."""
-    run = _simulate(
+    return _simulate(
         spec,
         subtree,
         walk_index=walk_index,
         max_steps=stop.max_steps,
         max_level=stop.max_level,
         stop_at_sentinel=stop.stop_at_sentinel,
-        record_keys=record_keys,
-    )
-    return ExtensionTrajectory(
-        subtree=subtree,
-        levels=np.asarray(run.levels, dtype=np.int64),
-        steps_taken=run.steps_taken,
-        truncated=run.truncated,
-        stop_reason=run.stop_reason,
-        run=run,
     )
 
 
@@ -506,28 +532,10 @@ def first_child(spec: EnvSpec, v: VertexPath, walk_index: int = 0) -> VertexPath
     the walk's first descent from ``v`` always goes there."""
     if v is SENTINEL:
         raise InvalidInputError("the sentinel has no children to race")
-    validate_path(v, spec.b)
-    b = spec.b
-    dg = streams.vertex_digest(spec.seed, v)
-    w = make_weight_sampler(spec)(dg)
-    w8 = streams.walk_token(walk_index)
-    best = math.inf
-    best_i = 1
-    blk = None
-    blk_m = -1
-    for i in range(1, b + 1):
-        m = i >> 3
-        if m != blk_m:
-            blk = streams.clock_init_block(dg, w8, m)
-            blk_m = m
-        val = -math.log(blk[i & 7]) / w[i - 1]
-        if val < best:  # ties broken toward the smaller index
-            best = val
-            best_i = i
-    return v + (best_i,)
+    return v + (_first_move(spec, v, walk_index, range(1, spec.b + 1)),)
 
 
-def lambda_restriction_sequence(run: RawRun, nu: VertexPath) -> List[bytes]:
+def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     """Digest sequence of the full walk's jumps along edges of the subtree
     around ``nu`` (its parent edge plus everything below it), in step order.
 
@@ -554,7 +562,7 @@ def lambda_restriction_sequence(run: RawRun, nu: VertexPath) -> List[bytes]:
 
     seq: List[bytes] = []
     ids = run.ids
-    levels = run.levels
+    levels = run.levels.tolist()
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
         deeper = c if levels[t] > levels[t - 1] else a

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class EnvSpec:
             raise InvalidInputError("branching numbers above 255 are not supported")
         parse_descriptor(self.kind)  # validates
         streams.seed_bytes(self.seed)
-
-    def with_seed(self, seed: int) -> "EnvSpec":
-        return replace(self, seed=seed)
 
     def subseed(self, tag: bytes, index: int) -> "EnvSpec":
         """Spec for an independent replica, derived reproducibly."""

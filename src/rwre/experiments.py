@@ -7,7 +7,7 @@ any report is reproducible from the master seed alone.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,16 +23,14 @@ from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_ga
 from .stats import (
     FcltReport,
     NormalityReport,
-    SigmaEstimate,
     SpeedEstimate,
     direct_sigma,
-    doubling_stability,
     estimate_sigma,
     estimate_speed,
     fclt_increment_test,
     ks_normality_test,
 )
-from .walk import EscapeEstimate, StopRule, escape_probability, run_walk
+from .walk import StopRule, run_walk
 
 
 @dataclass(frozen=True)
@@ -194,135 +192,6 @@ def fclt_report(
 
 
 @dataclass(frozen=True)
-class SigmaRow:
-    n: int
-    sigma_direct: float
-    sigma_blocks: float
-
-    @property
-    def rel_diff(self) -> float:
-        return abs(self.sigma_direct - self.sigma_blocks) / self.sigma_blocks
-
-
-@dataclass(frozen=True)
-class SigmaConsistencyReport:
-    v_hat: float
-    sigma_blocks: float
-    rows: Tuple[SigmaRow, ...]
-
-    @property
-    def max_rel_diff(self) -> float:
-        return max(r.rel_diff for r in self.rows)
-
-
-def sigma_consistency(
-    spec: EnvSpec,
-    ns: Sequence[int] = (2000, 5000, 10000),
-    n_walks: int = 500,
-    gap_target: int = 6000,
-    guard: int = 100,
-) -> SigmaConsistencyReport:
-    """One regeneration-block scale estimate against direct endpoint-variance
-    estimates at several walk lengths, all from independent ensembles."""
-    sr = speed_report(spec, n_gaps=gap_target, guard=guard, tag=b"sigma-fit")
-    v = sr.estimate.v_hat
-    blocks = estimate_sigma(sr.harvest.gaps, v).sigma_hat
-    rows = []
-    for n in ns:
-        fl = final_distances(spec, n_walks, n, tag=b"sigma-n%d" % n)
-        d = direct_sigma(fl, n, v).sigma_hat
-        rows.append(SigmaRow(n=n, sigma_direct=d, sigma_blocks=blocks))
-    return SigmaConsistencyReport(v_hat=v, sigma_blocks=blocks,
-                                  rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class EscapeGrowthReport:
-    estimates: Tuple[EscapeEstimate, ...]
-
-    @property
-    def scaled(self) -> np.ndarray:
-        return np.array([e.scaled_estimate for e in self.estimates])
-
-    @property
-    def strictly_increasing(self) -> bool:
-        s = self.scaled
-        return bool(np.all(np.diff(s) > 0))
-
-
-def escape_growth(
-    spec: EnvSpec,
-    ns: Sequence[int] = (2, 4, 6, 8),
-    trials: int = 100_000,
-) -> EscapeGrowthReport:
-    """Branching-rate-scaled escape estimates over increasing depths."""
-    if list(ns) != sorted(set(ns)):
-        raise InvalidInputError("depths must be strictly increasing")
-    ests = tuple(escape_probability(spec, n, trials) for n in ns)
-    return EscapeGrowthReport(estimates=ests)
-
-
-def root_visit_counts(
-    spec: EnvSpec,
-    trials: int,
-    max_level: int = 80,
-    tag: bytes = b"root-visits",
-    max_steps: int = 400_000,
-) -> np.ndarray:
-    """Total visits to the root before the walk first reaches ``max_level``,
-    one fresh walk per trial.
-
-    For a transient walk the total over the infinite future is finite, and
-    any visit after the walk first sits ``max_level`` levels deep has
-    vanishing probability, so the truncation at that depth is immaterial.
-    """
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    out = np.empty(trials, dtype=np.float64)
-    stop = StopRule(max_level=max_level, max_steps=max_steps)
-    for t in range(trials):
-        traj = run_walk(spec.subseed(tag, t), stop)
-        if traj.stop_reason != "level":
-            raise DataQualityError(
-                "walk exhausted its step cap before the cutoff depth; "
-                "the environment may be recurrent or nearly so")
-        out[t] = float((traj.levels == 0).sum())
-    return out
-
-
-def first_regen_times(
-    spec: EnvSpec,
-    trials: int,
-    guard: int = 100,
-    margin: int = 80,
-    tag: bytes = b"first-regen",
-    max_steps: int = 800_000,
-) -> np.ndarray:
-    """Step index of the first regeneration after time zero, one fresh walk
-    per trial.  Each walk runs ``guard + margin`` levels deep so that any
-    record at level up to ``margin`` is guard-confirmed."""
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    out = np.empty(trials, dtype=np.float64)
-    stop = StopRule(max_level=guard + margin, max_steps=max_steps)
-    bad = 0
-    for t in range(trials):
-        traj = run_walk(spec.subseed(tag, t), stop)
-        recs = detect_regenerations(traj, guard=guard)
-        found = next((r for r in recs if r.m >= 1 and r.confirmed), None)
-        if found is None:
-            bad += 1
-            out[t] = np.nan
-            continue
-        out[t] = float(found.time)
-    if bad > max(1, trials // 100):
-        raise DataQualityError(
-            f"{bad}/{trials} walks had no confirmed regeneration below the "
-            "margin; increase margin")
-    return out[np.isfinite(out)]
-
-
-@dataclass(frozen=True)
 class MomentHarvest:
     """Per-walk root-visit totals and first-regeneration times drawn from a
     single ensemble (the two diagnostics tolerate shared walks)."""
@@ -396,33 +265,6 @@ def moment_harvest(
 
 
 @dataclass(frozen=True)
-class StabilizationRow:
-    """Sample-doubling stabilization outcome for one empirical moment."""
-
-    name: str
-    power: float
-    n_samples: int
-    estimate: float
-    half_estimate: float
-    drift: float
-    passed: bool
-
-
-def stabilization_row(name: str, samples: np.ndarray, power: float,
-                      rel_tol: float = 0.05) -> StabilizationRow:
-    rep = doubling_stability(samples, power, rel_tol=rel_tol)
-    return StabilizationRow(
-        name=name,
-        power=power,
-        n_samples=rep.n_samples,
-        estimate=rep.estimate,
-        half_estimate=rep.half_estimate,
-        drift=rep.drift,
-        passed=rep.passed,
-    )
-
-
-@dataclass(frozen=True)
 class CouplingReport:
     """Exact-identity audit between direct walks, whole-tree extensions and
     subtree extensions, over independent seeds."""
@@ -469,7 +311,7 @@ def coupling_suite(
                 and direct.visited_digest_sequence()
                 == ext.visited_digest_sequence()):
             full_ok += 1
-        restr = lambda_restriction_sequence(direct.raw_run, nu)
+        restr = lambda_restriction_sequence(direct, nu)
         if len(restr) > restriction_cap:
             restr = restr[:restriction_cap]
         if restr:

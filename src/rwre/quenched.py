@@ -1,6 +1,6 @@
 """Quenched quantities of a fixed environment: the non-return probability
-beta at the root, the never-return-to-either quantity gamma, the geometric
-law of sentinel visit counts, and moment bounds for geometric variables.
+beta at the root, the never-return-to-either quantity gamma, their negative
+moments over environments, and moment bounds for geometric variables.
 
 beta is computed by the bottom-up fixed-point recursion
 
@@ -8,16 +8,14 @@ beta is computed by the bottom-up fixed-point recursion
 
 on the depth-D truncation with boundary value one.  Boundary-one makes the
 depth-D value exactly the quenched probability of reaching depth D before
-the parent sentinel, which decreases monotonically to beta as D grows, and
-which a walk stopped at level D can verify in exact law (no truncation
-bias), so Monte Carlo cross-checks compare like with like.
+the parent sentinel, which decreases monotonically to beta as D grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +34,6 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .stats import chi_square_gof
-from .walk import StopRule, run_walk
 
 DEPTH_CAP = 2 ** 14
 NODE_BUDGET = 2_000_000
@@ -61,11 +57,6 @@ class BetaValue:
     converged: bool
     child_values: Tuple[float, ...]
     probs: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    value: float
 
 
 def _nodes_with_weights(b: int, depth: int) -> int:
@@ -152,27 +143,6 @@ class _TruncationLadder:
         return float(beta[0]), child_vals, transition_probs(tuple(self._weights[0][0]))
 
 
-def beta_at_depth(spec: EnvSpec, depth: int) -> BetaValue:
-    """The boundary-one truncated value at one exact depth.
-
-    This equals, in exact law, the probability that a walk from the root
-    reaches level ``depth`` before the parent sentinel.
-    """
-    if depth < 1:
-        raise InvalidInputError("depth must be at least 1")
-    ladder = _TruncationLadder(spec)
-    if not ladder.scalar and _nodes_with_weights(spec.b, depth) > NODE_BUDGET:
-        raise InvalidInputError("depth exceeds the node budget for exact evaluation")
-    if ladder.scalar:
-        for _ in range(depth):
-            v, children, probs = ladder.advance()
-    else:
-        ladder.depth = depth - 1
-        v, children, probs = ladder.advance()
-    return BetaValue(value=v, depth=depth, upper_gap=float("nan"), converged=True,
-                     child_values=children, probs=probs)
-
-
 def beta_root(spec: EnvSpec, depth: int = 1, tol: float = 1e-6,
               depth_cap: int = DEPTH_CAP, node_budget: int = NODE_BUDGET,
               rel_tol: float = 0.0) -> BetaValue:
@@ -210,7 +180,7 @@ def beta_root(spec: EnvSpec, depth: int = 1, tol: float = 1e-6,
                      converged=converged, child_values=children, probs=probs)
 
 
-def gamma_vertex(probs: Sequence[float], child_betas: Sequence[float]) -> GammaValue:
+def gamma_vertex(probs: Sequence[float], child_betas: Sequence[float]) -> float:
     """Probability of escaping through a child and never coming back:
     gamma = sum_i omega(child_i) * beta_child_i."""
     if len(probs) != len(child_betas) + 1:
@@ -218,8 +188,7 @@ def gamma_vertex(probs: Sequence[float], child_betas: Sequence[float]) -> GammaV
     for x in child_betas:
         if not 0.0 <= x <= 1.0:
             raise InvalidInputError("child betas must lie in [0, 1]")
-    g = float(np.dot(probs[1:], child_betas))
-    return GammaValue(value=g)
+    return float(np.dot(probs[1:], child_betas))
 
 
 def effectively_converged(bv: BetaValue, rel_tol: float = 0.02) -> bool:
@@ -231,53 +200,6 @@ def effectively_converged(bv: BetaValue, rel_tol: float = 0.02) -> bool:
     if bv.converged:
         return True
     return bv.value > 0.0 and bv.upper_gap <= rel_tol * bv.value
-
-
-@dataclass(frozen=True)
-class GeometricVisitsReport:
-    beta: float
-    depth: int
-    trials: int
-    statistic: float
-    p_value: float
-    dof: int
-    skipped: bool
-    reason: str = ""
-
-
-def geometric_visits_check(spec: EnvSpec, trials: int = 10_000,
-                           max_level: int = 12) -> GeometricVisitsReport:
-    """Chi-square fit of sentinel visit counts to the geometric law.
-
-    One environment is fixed; ``trials`` independent walks run until they
-    reach ``max_level``.  The number of sentinel visits before that is
-    geometric with success parameter equal to the matched-depth truncated
-    beta, exactly, so the test needs no truncation-bias allowance.
-    """
-    if trials < 1000:
-        raise InsufficientDataError("need at least 1000 trials")
-    cls = beta_root(spec, tol=1e-6, rel_tol=0.02)
-    if not effectively_converged(cls) or cls.value < 0.02:
-        return GeometricVisitsReport(
-            beta=cls.value, depth=cls.depth, trials=0, statistic=float("nan"),
-            p_value=float("nan"), dof=0, skipped=True,
-            reason="non-return probability did not converge above the floor")
-    bv = beta_at_depth(spec, max_level)
-    beta = bv.value
-    counts: dict = {}
-    stop = StopRule(max_level=max_level, max_steps=10 ** 7)
-    for t in range(trials):
-        traj = run_walk(spec, stop, walk_index=t)
-        k = int((traj.levels == -1).sum())
-        counts[k] = counts.get(k, 0) + 1
-    kmax = max(counts)
-    observed = np.array([counts.get(k, 0) for k in range(kmax + 1)], dtype=np.float64)
-    q = 1.0 - beta
-    probs = beta * q ** np.arange(kmax + 1)
-    probs[-1] += q ** (kmax + 1)  # fold the unobserved tail into the last bin
-    stat, p, dof = chi_square_gof(observed, probs * trials)
-    return GeometricVisitsReport(beta=beta, depth=max_level, trials=trials,
-                                 statistic=stat, p_value=p, dof=dof, skipped=False)
 
 
 def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
@@ -313,15 +235,24 @@ def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
     return exact, bound
 
 
-def beta_moment_samples(spec: EnvSpec, p: float, n_envs: int = 200,
-                        depth: int = 1, tol: float = 1e-4,
-                        variant: str = "beta", epsilon: float = 0.3,
-                        max_nonconverged: float = 0.01,
-                        rel_tol: float = 0.05) -> np.ndarray:
-    """Per-environment samples of beta^(-p), or of the cutoff variant
-    gamma^(-p) 1{omega(parent) <= 1 - epsilon}, one value per sub-seeded
-    environment, in draw order.
+@dataclass(frozen=True)
+class BetaMomentReport(MomentReport):
+    """A moment estimate plus the per-environment solutions behind it, in
+    draw order; environments that did not converge are listed here but
+    left out of the estimate."""
 
+    betas: Tuple[BetaValue, ...] = ()
+
+
+def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
+                            depth: int = 1, tol: float = 1e-4,
+                            variant: str = "beta", epsilon: float = 0.3,
+                            max_nonconverged: float = 0.01,
+                            rel_tol: float = 0.05) -> BetaMomentReport:
+    """Monte Carlo E[beta^(-p)] over environments, or the cutoff variant
+    E[gamma^(-p) 1{omega(parent) <= 1 - epsilon}].
+
+    Environments are drawn by sub-seed; each is solved by ``beta_root``.
     More than ``max_nonconverged`` of environments failing to converge is
     a data-quality error rather than a silently biased estimate.
     """
@@ -332,47 +263,30 @@ def beta_moment_samples(spec: EnvSpec, p: float, n_envs: int = 200,
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise InvalidInputError("epsilon must lie in (0, 1/3)")
     vals = np.empty(n_envs, dtype=np.float64)
+    betas: List[BetaValue] = []
     bad = 0
     for i in range(n_envs):
         sub = spec.subseed(b"beta-env", i)
         bv = beta_root(sub, depth=depth, tol=tol, rel_tol=0.4 * rel_tol)
+        betas.append(bv)
         if not effectively_converged(bv, rel_tol):
             bad += 1
             vals[i] = np.nan
-            continue
-        if variant == "beta":
+        elif variant == "beta":
             vals[i] = bv.value ** (-p)
+        elif bv.probs[0] > 1.0 - epsilon:
+            vals[i] = 0.0
         else:
-            if bv.probs[0] > 1.0 - epsilon:
-                vals[i] = 0.0
-            else:
-                g = gamma_vertex(bv.probs, bv.child_values).value
-                vals[i] = g ** (-p)
+            vals[i] = gamma_vertex(bv.probs, bv.child_values) ** (-p)
     if bad > max_nonconverged * n_envs:
         raise DataQualityError(
             f"{bad}/{n_envs} environments failed to converge")
-    return vals[np.isfinite(vals)]
-
-
-def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
-                            depth: int = 1, tol: float = 1e-4,
-                            variant: str = "beta", epsilon: float = 0.3,
-                            max_nonconverged: float = 0.01,
-                            rel_tol: float = 0.05) -> MomentReport:
-    """Monte Carlo E[beta^(-p)] over environments, or the cutoff variant
-    E[gamma^(-p) 1{omega(parent) <= 1 - epsilon}].
-
-    Environments are drawn by sub-seed; each is solved by ``beta_root``.
-    """
-    vals = beta_moment_samples(spec, p, n_envs, depth=depth, tol=tol,
-                               variant=variant, epsilon=epsilon,
-                               max_nonconverged=max_nonconverged,
-                               rel_tol=rel_tol)
+    vals = vals[np.isfinite(vals)]
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
     share, drift = moment_diagnostics(vals)
     name = "E[beta^-p]" if variant == "beta" else "E[gamma^-p; omega_parent <= 1-eps]"
-    return MomentReport(
+    return BetaMomentReport(
         quantity=name,
         estimate=est,
         std_error=se,
@@ -381,4 +295,5 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
         suspect_divergence=bool(share > 0.5 or drift > 0.25),
         max_batch_share=share,
         half_drift=drift,
+        betas=tuple(betas),
     )

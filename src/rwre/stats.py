@@ -1,6 +1,6 @@
 """Statistics over gap samples and level processes: speed, diffusion
-constant, geometric tail fits, normality tests, chi-square tests, and
-empirical moments with divergence diagnostics.
+constant, geometric tail fits, normality tests, chi-square tests, and the
+sample-doubling stability check for empirical moments.
 
 The Kolmogorov-Smirnov p-values use the asymptotic Kolmogorov
 distribution; every caller here has n >= 100, where the asymptotic
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.stats
 
-from .env import MomentReport, moment_diagnostics
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -26,10 +25,6 @@ from .regen import GapSample
 
 _Z99 = 2.5758293035489004
 _SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -215,57 +210,7 @@ def ks_normality_test(samples: Sequence[float]) -> NormalityReport:
     return NormalityReport(ks_statistic=d, p_value=kolmogorov_sf(math.sqrt(n) * d), n=n)
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> NormalityReport:
-    """Two-sample KS test; p-value from the asymptotic distribution."""
-    x = np.sort(np.asarray(a, dtype=np.float64))
-    y = np.sort(np.asarray(b, dtype=np.float64))
-    m, n = len(x), len(y)
-    if m < 30 or n < 30:
-        raise InsufficientDataError("need at least 30 samples per side")
-    pooled = np.concatenate([x, y])
-    cx = np.searchsorted(x, pooled, side="right") / m
-    cy = np.searchsorted(y, pooled, side="right") / n
-    d = float(np.abs(cx - cy).max())
-    lam = math.sqrt(m * n / (m + n)) * d
-    return NormalityReport(ks_statistic=d, p_value=kolmogorov_sf(lam), n=m + n)
-
-
 # ---------------------------------------------------------------- chi-square
-
-
-def chi_square_gof(observed: Sequence[float], expected: Sequence[float],
-                   n_fitted: int = 0, min_expected: float = 5.0) -> Tuple[float, float, int]:
-    """Goodness-of-fit statistic, p-value, and dof, pooling sparse bins.
-
-    Bins are pooled right to left until every expected count reaches
-    ``min_expected``; dof = bins - 1 - n_fitted after pooling.
-    """
-    obs = np.asarray(observed, dtype=np.float64)
-    exp = np.asarray(expected, dtype=np.float64)
-    if len(obs) != len(exp) or len(obs) < 2:
-        raise InvalidInputError("observed and expected must align, length >= 2")
-    o: List[float] = []
-    e: List[float] = []
-    acc_o = acc_e = 0.0
-    for i in range(len(obs) - 1, -1, -1):
-        acc_o += obs[i]
-        acc_e += exp[i]
-        if acc_e >= min_expected:
-            o.append(acc_o)
-            e.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0.0 and e:
-        o[-1] += acc_o
-        e[-1] += acc_e
-    if len(e) < 2:
-        raise DegenerateDataError("fewer than 2 bins after pooling")
-    oa = np.array(o)
-    ea = np.array(e)
-    stat = float(((oa - ea) ** 2 / ea).sum())
-    dof = len(e) - 1 - n_fitted
-    if dof < 1:
-        raise DegenerateDataError("no degrees of freedom left")
-    return stat, float(scipy.stats.chi2.sf(stat, dof)), dof
 
 
 def chi_square_independence(table: Sequence[Sequence[float]]) -> Tuple[float, float, int]:
@@ -347,34 +292,6 @@ def fclt_increment_test(levels_at_times: np.ndarray, n: int, v: float,
 
 
 # ---------------------------------------------------------------- moments
-
-
-def empirical_moment(samples: Sequence[float], p: float,
-                     quantity: str = "E[|x|^p]") -> MomentReport:
-    """Mean of |x|^p with the shared divergence diagnostics.
-
-    The heuristics flag heavy-tailed samples whose p-th moment is infinite
-    or barely finite; see ``env.moment_diagnostics``.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) < 100:
-        raise InsufficientDataError("need at least 100 samples")
-    if p <= 0:
-        raise InvalidInputError("p must be positive")
-    vals = np.abs(x) ** p
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    share, drift = moment_diagnostics(vals)
-    return MomentReport(
-        quantity=quantity,
-        estimate=est,
-        std_error=se,
-        n_samples=len(vals),
-        method="mc",
-        suspect_divergence=bool(share > 0.5 or drift > 0.25),
-        max_batch_share=share,
-        half_drift=drift,
-    )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .errors import InvalidInputError
 from .tree import SENTINEL, Vertex
@@ -203,19 +203,3 @@ def walk_token(walk_index: int) -> bytes:
     if not isinstance(walk_index, int) or walk_index < 0:
         raise InvalidInputError("walk_index must be a non-negative integer")
     return walk_index.to_bytes(8, "little")
-
-
-def batch_uniforms(seed: int, label: bytes, n: int) -> "list[float]":
-    """n uniforms from a labeled stream, for bulk Monte Carlo estimators."""
-    s = labeled_stream(seed, label)
-    return [s.uniform() for _ in range(n)]
-
-
-def stream_union_is_disjoint(keys: Iterable[bytes]) -> bool:
-    """True when no label repeats; used by instrumentation tests."""
-    seen = set()
-    for k in keys:
-        if k in seen:
-            return False
-        seen.add(k)
-    return True

@@ -1,10 +1,12 @@
-"""The main walk on the lazily generated tree, and its trajectory record.
+"""The main walk on the lazily generated tree.
 
 The walk starts at the root, steps to neighbors with the weight-determined
 probabilities, and reflects off the sentinel above the root.  It is run as
 the full-tree case of the clock engine, so the exact-coupling and
 restriction identities with subtree extensions hold by construction rather
-than by a separate code path.
+than by a separate code path.  ``run_walk`` returns the engine's own
+record, ``clocks.Trajectory`` (re-exported here), the same type every
+subtree extension returns.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, IO, List, Optional, Tuple
+from typing import IO, Optional
 
-import numpy as np
-
-from . import clocks, streams
-from .clocks import RawRun, SubtreeSpec, _simulate
-from .env import EnvSpec, make_weight_sampler
+from .clocks import SubtreeSpec, Trajectory, _first_move, _simulate
+from .env import EnvSpec
 from .errors import InvalidInputError
-from .tree import ROOT, SENTINEL, Vertex, VertexPath, validate_path
+from .tree import ROOT, SENTINEL, Vertex
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -42,70 +41,9 @@ class StopRule:
             raise InvalidInputError("max_steps must be at least 1")
 
 
-class Trajectory:
-    """Levels of one walk plus lazy access to visited-vertex data.
-
-    Only the level sequence and the per-vertex discovery structure are kept,
-    so memory is proportional to the number of distinct visited vertices.
-    Vertex paths are rebuilt on demand.
-    """
-
-    def __init__(self, run: RawRun):
-        self._run = run
-        self.levels = np.asarray(run.levels, dtype=np.int64)
-        self.steps_taken = run.steps_taken
-        self.truncated = run.truncated
-        self.stop_reason = run.stop_reason
-
-    @property
-    def max_level_attained(self) -> int:
-        return int(self.levels.max())
-
-    def fresh_vertex_times(self) -> List[Tuple[int, VertexPath]]:
-        """(step, vertex) pairs at first visits, in step order."""
-        return [(step, self._run.path_of(vid)) for step, vid in self._run.fresh]
-
-    def visit_counts(self) -> Dict[Vertex, int]:
-        counts = self._run.visit_counts_by_id()
-        return {self._run.path_of(vid): c for vid, c in counts.items()}
-
-    def vertex_path_at_step(self, step: int) -> Vertex:
-        return self._run.path_of(self._run.ids[step])
-
-    def visited_digest_sequence(self) -> List[bytes]:
-        return self._run.visited_digest_sequence()
-
-    @property
-    def raw_run(self) -> RawRun:
-        return self._run
-
-    def first_passage_steps(self) -> np.ndarray:
-        """T_n for n = 0..max level: the first step at which level n is hit."""
-        lv = self.levels
-        top = int(lv.max())
-        out = np.full(top + 1, -1, dtype=np.int64)
-        running = -1
-        for step, l in enumerate(lv):
-            if l > running:
-                running = l
-                if l >= 0:
-                    out[l] = step
-        return out
-
-    def distinct_per_level(self) -> np.ndarray:
-        """Number of distinct visited vertices at each level 0..max."""
-        top = int(self.levels.max())
-        out = np.zeros(top + 1, dtype=np.int64)
-        for _, vid in self._run.fresh:
-            d = self._run.dep[vid]
-            if d <= top:
-                out[d] += 1
-        return out
-
-
 def run_walk(spec: EnvSpec, stop: StopRule, walk_index: int = 0) -> Trajectory:
     """Run the walk from the root until the stop rule fires."""
-    run = _simulate(
+    return _simulate(
         spec,
         SubtreeSpec.full_tree(),
         walk_index=walk_index,
@@ -113,7 +51,6 @@ def run_walk(spec: EnvSpec, stop: StopRule, walk_index: int = 0) -> Trajectory:
         max_level=stop.max_level,
         stop_at_sentinel=stop.stop_at_sentinel,
     )
-    return Trajectory(run)
 
 
 def step_walk(spec: EnvSpec, current: Vertex, walk_index: int = 0) -> Vertex:
@@ -125,28 +62,10 @@ def step_walk(spec: EnvSpec, current: Vertex, walk_index: int = 0) -> Vertex:
     """
     if current is SENTINEL:
         return ROOT
-    validate_path(current, spec.b)
-    b = spec.b
-    dg = streams.vertex_digest(spec.seed, current)
-    w = make_weight_sampler(spec)(dg)
-    w8 = streams.walk_token(walk_index)
-    best = math.inf
-    best_j = 0
-    blk = None
-    blk_m = -1
-    for j in range(b + 1):
-        m = j >> 3
-        if m != blk_m:
-            blk = streams.clock_init_block(dg, w8, m)
-            blk_m = m
-        y = -math.log(blk[j & 7])
-        val = y if j == 0 else y / w[j - 1]
-        if val < best:
-            best = val
-            best_j = j
-    if best_j == 0:
+    j = _first_move(spec, current, walk_index, range(spec.b + 1))
+    if j == 0:
         return SENTINEL if current == ROOT else current[:-1]
-    return current + (best_j,)
+    return current + (j,)
 
 
 @dataclass(frozen=True)

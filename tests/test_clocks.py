@@ -6,6 +6,7 @@ import pytest
 
 from rwre.clocks import (
     ClockKey,
+    IndependenceReport,
     SubtreeSpec,
     clock_sample,
     edge_disjoint,
@@ -172,7 +173,7 @@ class TestRestriction:
     def test_restriction_matches_extension_prefix(self):
         nu = first_child(SPEC, ROOT)  # cone the walk is guaranteed to enter
         traj = run_walk(SPEC, StopRule(max_steps=3000))
-        restr = lambda_restriction_sequence(traj.raw_run, nu)
+        restr = lambda_restriction_sequence(traj, nu)
         assert len(restr) > 2
         ext = run_extension(SPEC, SubtreeSpec.lambda_subtree(nu),
                             StopRule(max_steps=len(restr) - 1))
@@ -183,13 +184,14 @@ class TestRestriction:
         ext = run_extension(SPEC, SubtreeSpec.lambda_subtree((1, 2)),
                             StopRule(max_steps=100))
         with pytest.raises(InvalidInputError):
-            lambda_restriction_sequence(ext.run, (1, 2, 1))
+            lambda_restriction_sequence(ext, (1, 2, 1))
 
 
 class TestIndependence:
     def test_disjoint_cones_pass(self):
         rep = independence_check(SPEC, SubtreeSpec.lambda_subtree((1,)),
                                  SubtreeSpec.lambda_subtree((2,)), trials=400)
+        assert isinstance(rep, IndependenceReport)
         assert rep.table.sum() == 400
         assert rep.dof == (SPEC.b - 1) ** 2
         assert rep.p_value > 0.01

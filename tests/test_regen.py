@@ -11,6 +11,7 @@ from rwre.env import EnvSpec
 from rwre.errors import InsufficientDataError, InvalidInputError
 from rwre.regen import (
     GapSample,
+    RegenRecord,
     concat_gaps,
     detect_regenerations,
     export_records_csv,
@@ -42,6 +43,11 @@ class TestDetection:
         recs = detect_regenerations(fake_traj([0]), guard=0)
         assert [(r.m, r.level, r.time, r.confirmed) for r in recs] == [
             (0, 0, 0, True)]
+
+    def test_records_are_value_objects(self):
+        recs = detect_regenerations(fake_traj([0, 1, 2]), guard=1)
+        assert recs == [RegenRecord(0, 0, 0, True), RegenRecord(1, 1, 1, True),
+                        RegenRecord(2, 2, 2, False)]
 
     def test_sentinel_dip_disqualifies_origin(self):
         # only a fresh maximum can regenerate: the re-climb through levels

@@ -55,19 +55,20 @@ class TestUniformBlocks:
         assert (streams.clock_init_block(d, w8, 0)
                 != streams.clock_advance_block(d, w8, 0, 0))
 
+    def test_weight_stream_reads_the_weight_blocks_in_order(self):
+        d = streams.root_digest(3)
+        s = streams.weight_stream(d)
+        assert isinstance(s, streams.UniformStream)
+        first = [s.uniform() for _ in range(16)]
+        assert first == list(streams.weight_block(d, 0) + streams.weight_block(d, 1))
+        again = streams.UniformStream(d + b"W")
+        assert [again.uniform() for _ in range(16)] == first
+
     def test_clock_blocks_differ_across_walk_tokens(self):
         d = streams.root_digest(3)
         a = streams.clock_init_block(d, streams.walk_token(0), 0)
         b = streams.clock_init_block(d, streams.walk_token(1), 0)
         assert a != b
-
-    def test_batch_uniforms_mean(self):
-        u = np.array(streams.batch_uniforms(17, b"batch", 20000))
-        assert u.mean() == pytest.approx(0.5, abs=0.01)
-
-    def test_stream_union_rejects_duplicates(self):
-        assert streams.stream_union_is_disjoint([b"a", b"b"])
-        assert not streams.stream_union_is_disjoint([b"a", b"a"])
 
 
 class TestUniformStream:

@@ -9,6 +9,7 @@ from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
 from rwre.tree import ROOT, SENTINEL
 from rwre.walk import (
+    EscapeEstimate,
     StopRule,
     escape_probability,
     run_walk,
@@ -128,6 +129,7 @@ class TestEscapeProbability:
         # A == 1 at the root: first move decides, two of three edges go down
         spec = EnvSpec(b=2, kind="const:1.0", seed=12)
         est = escape_probability(spec, 1, trials=4000)
+        assert isinstance(est, EscapeEstimate)
         assert est.probability == pytest.approx(2.0 / 3.0, abs=0.025)
         assert est.ci_low < 2.0 / 3.0 < est.ci_high
         assert est.scaled_estimate == pytest.approx(2 * est.probability)
