@@ -19,9 +19,19 @@ The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
 on demand, and cumulative sums are advanced incrementally, so memory and
 time are proportional to the number of distinct visited vertices plus the
-number of steps.  The k = 0 race at a fresh vertex is one routine,
-``_k0_clocks``, shared by the engine, ``first_child`` and
-``walk.step_walk``, so single steps and full runs agree by construction.
+number of steps.
+
+Each vertex the walk has left keeps one race-state record, indexed by slot
+(0 toward the parent, i toward child i): the rate-scaled clock sums, the
+rates (1.0 toward the parent, so the parent slot needs no special case:
+y / 1.0 == y exactly), the jump counts, the advance block currently being
+read (jump k + 1 along a slot reads lane k mod 8 of its block k div 8), and
+the child vertex ids.  A step is one ``min`` over the sums, one lane read
+and one add.
+
+The k = 0 race at a fresh vertex is one routine, ``_k0_clocks``, shared by
+the engine, ``first_child`` and ``walk.step_walk``, so single steps and
+full runs agree by construction.
 
 Every run, full-tree walk or subtree extension alike, is recorded as one
 ``Trajectory``: the per-step levels (an int64 array), the per-step vertex
@@ -293,23 +303,25 @@ class Trajectory:
         return out
 
 
-def _k0_clocks(digest: bytes, walk8: bytes, weights: Sequence[float],
+def _k0_clocks(digest: bytes, walk8: bytes, rates: Sequence[float],
                slots: Sequence[int]) -> List[float]:
     """The k = 0 race at a fresh vertex: rate-scaled first clocks of the
-    allowed ``slots`` (0 toward the parent, i toward child i), ``inf`` for
-    every other slot.  The walk leaves through the smallest entry; ties go
-    to the smaller slot, which is what ``list.index(min(...))`` returns."""
+    allowed ``slots`` (0 toward the parent, i toward child i, with
+    ``rates[0] == 1.0``), ``inf`` for every other slot.  The walk leaves
+    through the smallest entry; ties go to the smaller slot, which is what
+    ``list.index(min(...))`` returns."""
     log = math.log
-    s = [_INF] * (len(weights) + 1)
-    blk: Sequence[float] = ()
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    s = [_INF] * len(rates)
+    blk: Sequence[int] = ()
     blk_m = -1
     for j in slots:
         m = j >> 3
         if m != blk_m:
             blk = streams.clock_init_block(digest, walk8, m)
             blk_m = m
-        y = -log(blk[j & 7])
-        s[j] = y if j == 0 else y / weights[j - 1]
+        s[j] = -log((blk[j & 7] >> 11) * two53 + two54) / rates[j]
     return s
 
 
@@ -320,7 +332,7 @@ def _first_move(spec: EnvSpec, v: VertexPath, walk_index: int,
     validate_path(v, spec.b)
     dg = streams.vertex_digest(spec.seed, v)
     s = _k0_clocks(dg, streams.walk_token(walk_index),
-                   make_weight_sampler(spec)(dg), slots)
+                   (1.0,) + make_weight_sampler(spec)(dg), slots)
     return s.index(min(s))
 
 
@@ -390,40 +402,29 @@ def _simulate(
     run = Trajectory(anchor)
     anchor_level = len(anchor)
     log = math.log
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    child_digest = streams.child_digest
+    adv_block = streams.clock_advance_block
+    n_slots = b + 1
 
-    # Per-vertex state, indexed by discovery order.
+    # Discovery structure, indexed by vertex id (discovery order).
     par = run.par
     dig = run.dig
     dep = run.dep
     dgs = run.dgs
     fresh = run.fresh
-    weights: List[Optional[Tuple[float, ...]]] = []
-    children: List[List[int]] = []
-    S: List[Optional[List[float]]] = []
-    K: List[Optional[List[int]]] = []
-    slots_of: List[Tuple[int, ...]] = []
-    rel_of: Optional[List[VertexPath]] = [] if path_slots is not None else None
-
-    def new_vertex(p: int, digit: int, digest: bytes, depth: int,
-                   slots: Tuple[int, ...], step: int) -> int:
-        vid = len(par)
-        par.append(p)
-        dig.append(digit)
-        dep.append(depth)
-        dgs.append(digest)
-        weights.append(None)
-        children.append([-1] * b)
-        S.append(None)
-        K.append(None)
-        slots_of.append(slots)
-        fresh.append((step, vid))
-        return vid
-
-    anchor_digest = streams.vertex_digest(seed, anchor)
-    new_vertex(-1, 0, anchor_digest, anchor_level, anchor_slots,
-               1 if start_at_sentinel else 0)
-    if rel_of is not None:
-        rel_of.append(anchor)
+    # Race state of each vertex, created when the walk first leaves it:
+    # (clock sums, rates, jump counts, current advance block, child ids),
+    # each indexed by slot.  Path runs also keep every vertex's path, which
+    # keys its allowed slots.
+    state: List[Optional[tuple]] = [None]
+    paths: Optional[List[VertexPath]] = None if path_slots is None else [anchor]
+    par.append(-1)
+    dig.append(0)
+    dep.append(anchor_level)
+    dgs.append(streams.vertex_digest(seed, anchor))
+    fresh.append((1 if start_at_sentinel else 0, 0))
 
     levels: List[int] = []
     ids = run.ids
@@ -441,8 +442,6 @@ def _simulate(
     reason = "level" if not start_at_sentinel and lvl == target else ""
     limit = 0 if reason else max_steps
 
-    advbuf: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-    adv_block = streams.clock_advance_block
     steps = 0
     while steps < limit:
         steps += 1
@@ -456,22 +455,27 @@ def _simulate(
                 reason = "level"
                 break
             continue
-        s = S[cur]
-        if s is None:
-            w = sampler(dgs[cur])
-            weights[cur] = w
-            s = S[cur] = _k0_clocks(dgs[cur], w8, w, slots_of[cur])
-            K[cur] = [0] * (b + 1)
+        st = state[cur]
+        if st is None:
+            dg = dgs[cur]
+            rates = (1.0,) + sampler(dg)
+            if cur == 0:
+                slots = anchor_slots
+            elif paths is None:
+                slots = all_slots
+            else:
+                slots = path_slots.get(paths[cur], ())
+            st = state[cur] = (_k0_clocks(dg, w8, rates, slots), rates,
+                               [0] * n_slots, [()] * n_slots, [-1] * n_slots)
+        s, rates, jumps, blocks, kids = st
         j = s.index(min(s))
-        kv = K[cur]
-        k = kv[j] + 1
-        kv[j] = k
-        pos = (k - 1) & 7
-        bkey = (cur, j)
-        if pos == 0:
-            advbuf[bkey] = adv_block(dgs[cur], w8, j, (k - 1) >> 3)
-        y = -log(advbuf[bkey][pos])
-        s[j] += y if j == 0 else y / weights[cur][j - 1]
+        k = jumps[j]
+        jumps[j] = k + 1
+        if k & 7:
+            blk = blocks[j]
+        else:
+            blk = blocks[j] = adv_block(dgs[cur], w8, j, k >> 3)
+        s[j] += -log((blk[k & 7] >> 11) * two53 + two54) / rates[j]
         if j == 0:
             p = par[cur]
             if p == -1:
@@ -486,17 +490,17 @@ def _simulate(
             cur = p
             lvl -= 1
         else:
-            c = children[cur][j - 1]
+            c = kids[j]
             if c == -1:
-                child_dg = streams.child_digest(dgs[cur], j)
-                if path_slots is not None:
-                    rel = rel_of[cur] + (j,)
-                    cslots = path_slots.get(rel, ())
-                    c = new_vertex(cur, j, child_dg, dep[cur] + 1, cslots, steps)
-                    rel_of.append(rel)
-                else:
-                    c = new_vertex(cur, j, child_dg, dep[cur] + 1, all_slots, steps)
-                children[cur][j - 1] = c
+                c = kids[j] = len(par)
+                par.append(cur)
+                dig.append(j)
+                dep.append(lvl + 1)
+                dgs.append(child_digest(dgs[cur], j))
+                fresh.append((steps, c))
+                state.append(None)
+                if paths is not None:
+                    paths.append(paths[cur] + (j,))
             cur = c
             lvl += 1
         lap(lvl)

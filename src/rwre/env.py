@@ -117,11 +117,19 @@ def lerrw_gamma_shapes(delta: float) -> Tuple[float, float]:
 def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     """A fast sampler mapping a vertex digest to that vertex's weight vector.
 
-    The sampler consumes the vertex's dedicated uniform stream front to
-    back, so the result is a pure function of (seed, vertex).
+    The sampler reads the vertex's flat weight stream (see ``streams``)
+    front to back, so the result is a pure function of (seed, vertex).
     """
     name, args = parse_descriptor(spec.kind)
     b = spec.b
+    words_of = streams.weight_words
+    log = math.log
+    sqrt = math.sqrt
+    cos = math.cos
+    exp = math.exp
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    two_pi = streams.TWO_PI
     if name == "const":
         w = (args[0],) * b
 
@@ -131,51 +139,59 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     elif name == "uniform":
         lo, hi = args
         span = hi - lo
+        n_blocks = (b + 7) // 8
 
         def sampler(digest: bytes) -> WeightVector:
-            s = streams.weight_stream(digest)
-            u = s.uniform
-            return tuple([lo + span * u() for _ in range(b)])
-
-    elif name == "gamma":
-        shape, scale = args
-
-        def sampler(digest: bytes) -> WeightVector:
-            s = streams.weight_stream(digest)
-            ga = s.gamma
-            return tuple([scale * ga(shape) for _ in range(b)])
+            words = words_of(digest, n_blocks)
+            return tuple([lo + span * ((words[i] >> 11) * two53 + two54)
+                          for i in range(b)])
 
     elif name == "lognormal":
         mu, sd = args
+        n_blocks = (2 * b + 7) // 8
 
         def sampler(digest: bytes) -> WeightVector:
-            s = streams.weight_stream(digest)
-            nm = s.normal
-            return tuple([math.exp(mu + sd * nm()) for _ in range(b)])
+            words = words_of(digest, n_blocks)
+            out = []
+            for i in range(0, 2 * b, 2):
+                x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
+                     * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
+                out.append(exp(mu + sd * x))
+            return tuple(out)
+
+    elif name == "gamma":
+        shape, scale = args
+        shapes = (shape,) * b
+        gammas = streams.gamma_variates
+
+        def sampler(digest: bytes) -> WeightVector:
+            return tuple([scale * x for x in gammas(digest, shapes)])
 
     else:  # lerrw
         g0, g = lerrw_gamma_shapes(args[0])
         if g == 0.5 and g0 == 1.0:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
+            n_blocks = (2 * b + 8) // 8
 
             def sampler(digest: bytes) -> WeightVector:
-                s = streams.weight_stream(digest)
-                z0 = s.exponential()
-                nm = s.normal
+                words = words_of(digest, n_blocks)
+                z0 = -log((words[0] >> 11) * two53 + two54)
                 out = []
-                for _ in range(b):
-                    x = nm()
+                for i in range(1, 2 * b, 2):
+                    x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
+                         * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
                     out.append(0.5 * x * x / z0)
                 return tuple(out)
 
         else:
+            shapes = (g0,) + (g,) * b
+            gammas = streams.gamma_variates
 
             def sampler(digest: bytes) -> WeightVector:
-                s = streams.weight_stream(digest)
-                ga = s.gamma
-                z0 = ga(g0)
-                return tuple([ga(g) / z0 for _ in range(b)])
+                z = gammas(digest, shapes)
+                z0 = z[0]
+                return tuple([z[i] / z0 for i in range(1, b + 1)])
 
     return sampler
 

@@ -17,7 +17,7 @@ from .clocks import (
     run_extension,
 )
 from .env import EnvSpec, sample_weights, transition_probs
-from .errors import DataQualityError, DegenerateDataError, InvalidInputError
+from .errors import DataQualityError, InsufficientDataError, InvalidInputError
 from .tree import ROOT
 from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_gaps
 from .stats import (
@@ -72,7 +72,7 @@ def harvest_gaps(
         recs = detect_regenerations(traj, guard=guard)
         try:
             g = regeneration_gaps(recs, drop_first=True)
-        except DegenerateDataError:
+        except InsufficientDataError:  # too few confirmed records
             continue
         parts.append(g)
         total += len(g)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -116,11 +117,10 @@ class _TruncationLadder:
                 self._digests = [child(dg, i) for dg in self._digests
                                  for i in range(1, b + 1)]
                 self._digest_level += 1
-            level = self._digests
-            w = np.empty((len(level), b), dtype=np.float64)
-            for j, dg in enumerate(level):
-                w[j] = sampler(dg)
-            self._weights.append(w)
+            n = len(self._digests)
+            w = np.fromiter(chain.from_iterable(map(sampler, self._digests)),
+                            dtype=np.float64, count=n * b)
+            self._weights.append(w.reshape(n, b))
 
     def advance(self) -> Tuple[float, Tuple[float, ...], Tuple[float, ...]]:
         """Value at depth+1: (root value, child values, root probs)."""

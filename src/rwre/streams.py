@@ -9,7 +9,7 @@ keeps message sizes constant at any depth.
 Stream layout (all hashes are unkeyed BLAKE2b over the concatenated fields):
 
     vertex digests    root: b"v" + seed8          child i: digest + bytes([i])
-    weight stream     digest + b"W" + block4          -> 8 uniforms per block
+    weight stream     digest + b"W" + block4          -> lanes 8m..8m+7
     clock, k = 0      digest + b"C" + walk8 + block4  -> slots 8m..8m+7
     clock, k >= 1     digest + b"c" + walk8 + slot1 + block4
                                                       -> k = 8m+1 .. 8m+8
@@ -17,8 +17,27 @@ Stream layout (all hashes are unkeyed BLAKE2b over the concatenated fields):
 
 ``walk8`` is a walk replica index: replicas with the same seed share the
 environment (the b"W" streams do not depend on it) but have independent
-clock fields, which is what quenched experiments need.  Uniforms are mapped
-from 64-bit words into the open interval (0, 1) so logs never see zero.
+clock fields, which is what quenched experiments need.
+
+A block is one 64-byte hash read as eight little-endian 64-bit words
+(``uniforms_from``).  A word w becomes a uniform in (0, 1], so logs
+never see zero, by the single map
+
+    u = (w >> 11) * 2**-53 + 2**-54
+
+(the top 2**11 of the 2**64 words round to exactly 1.0)
+
+and each consumer maps only the lanes it reads:
+
+* the weight stream of a vertex is the flat sequence of its weight
+  blocks, read front to back: ``lerrw:1.0`` reads one exponential and
+  then b cosine-branch Box-Muller normals (1 + 2b lanes), ``uniform``
+  reads b lanes, ``lognormal`` 2b lanes, and the gamma laws
+  (``gamma``, ``lerrw`` with delta != 1) read as many lanes as their
+  rejection sampler, ``gamma_variates``, asks for;
+* a k = 0 clock block serves slots 8m..8m+7 of one vertex, and a race
+  reads only the lanes of its allowed slots;
+* an advance block of one slot is read one lane per jump along it.
 """
 
 from __future__ import annotations
@@ -26,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InvalidInputError
 from .tree import SENTINEL, Vertex
@@ -37,7 +56,7 @@ _U1 = struct.Struct("<Q").unpack
 
 TWO53 = 2.0 ** -53
 TWO54 = 2.0 ** -54
-_TWO_PI = 6.283185307179586
+TWO_PI = 6.283185307179586
 
 # Small-integer byte tables keep the hot loops free of int.to_bytes calls.
 BYTE1 = [bytes([i]) for i in range(256)]
@@ -81,33 +100,31 @@ def vertex_digest(seed: int, v: Vertex) -> bytes:
     return d
 
 
-def uniforms_from(msg: bytes) -> Tuple[float, ...]:
-    """Eight uniforms in (0,1) from one 64-byte hash of ``msg``."""
-    # Unrolled: this sits under every sampler and every clock draw.
-    w0, w1, w2, w3, w4, w5, w6, w7 = _U8(_blake(msg, digest_size=64).digest())
-    return (
-        (w0 >> 11) * TWO53 + TWO54,
-        (w1 >> 11) * TWO53 + TWO54,
-        (w2 >> 11) * TWO53 + TWO54,
-        (w3 >> 11) * TWO53 + TWO54,
-        (w4 >> 11) * TWO53 + TWO54,
-        (w5 >> 11) * TWO53 + TWO54,
-        (w6 >> 11) * TWO53 + TWO54,
-        (w7 >> 11) * TWO53 + TWO54,
-    )
+def uniforms_from(msg: bytes) -> Tuple[int, ...]:
+    """The eight raw 64-bit words of one 64-byte hash of ``msg``: one block.
+
+    This is the only function that hashes a block.  Consumers map just the
+    lanes they read to uniforms, each with ``(w >> 11) * TWO53 + TWO54``.
+    """
+    return _U8(_blake(msg).digest())
 
 
-def weight_block(digest: bytes, block: int) -> Tuple[float, ...]:
-    return uniforms_from(digest + b"W" + _b4(block))
+def weight_words(digest: bytes, n_blocks: int) -> Tuple[int, ...]:
+    """The words of the first ``n_blocks`` weight blocks of a vertex, in
+    order: the front of its flat weight stream."""
+    words = uniforms_from(digest + b"W" + _BLOCK4[0])
+    for i in range(1, n_blocks):
+        words += uniforms_from(digest + b"W" + _b4(i))
+    return words
 
 
-def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[float, ...]:
-    """Uniforms feeding the k = 0 exponentials of slots 8*block .. 8*block+7."""
+def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[int, ...]:
+    """Words feeding the k = 0 exponentials of slots 8*block .. 8*block+7."""
     return uniforms_from(digest + b"C" + walk8 + _b4(block))
 
 
-def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> Tuple[float, ...]:
-    """Uniforms feeding exponentials k = 8*block+1 .. 8*block+8 of one slot."""
+def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> Tuple[int, ...]:
+    """Words feeding exponentials k = 8*block+1 .. 8*block+8 of one slot."""
     return uniforms_from(digest + b"c" + walk8 + BYTE1[slot] + _b4(block))
 
 
@@ -117,86 +134,67 @@ def clock_exponential(digest: bytes, walk8: bytes, slot: int, k: int) -> float:
     Random access into the same values the walk engine consumes in bulk.
     """
     if k == 0:
-        blk = clock_init_block(digest, walk8, slot >> 3)
-        return -math.log(blk[slot & 7])
-    blk = clock_advance_block(digest, walk8, slot, (k - 1) >> 3)
-    return -math.log(blk[(k - 1) & 7])
+        w = clock_init_block(digest, walk8, slot >> 3)[slot & 7]
+    else:
+        w = clock_advance_block(digest, walk8, slot, (k - 1) >> 3)[(k - 1) & 7]
+    return -math.log((w >> 11) * TWO53 + TWO54)
 
 
-class UniformStream:
-    """Sequential uniform stream over the blocks of one label.
+def gamma_variates(digest: bytes, shapes: Sequence[float]) -> List[float]:
+    """One gamma variate per entry of ``shapes``, drawn in order from the
+    flat weight stream of ``digest`` by Marsaglia-Tsang rejection.
 
-    The label fixes the block family; blocks are fetched lazily.  All
-    distribution samplers consume this stream front to back, so a sample is
-    a pure function of (label, position).
+    A shape below one draws one uniform u first and returns the variate of
+    shape + 1 times u ** (1 / shape).  Each proposal reads a cosine-branch
+    Box-Muller normal (two uniforms) and, unless 1 + c x <= 0 rejects it
+    outright, one acceptance uniform.  Blocks are hashed only when a lane
+    of them is read.
     """
-
-    __slots__ = ("_prefix", "_buf", "_pos", "_block")
-
-    def __init__(self, prefix: bytes):
-        self._prefix = prefix
-        self._buf: Tuple[float, ...] = ()
-        self._pos = 8
-        self._block = 0
-
-    def uniform(self) -> float:
-        if self._pos == 8:
-            self._buf = uniforms_from(self._prefix + _b4(self._block))
-            self._block += 1
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-    def exponential(self) -> float:
-        return -math.log(self.uniform())
-
-    def normal(self) -> float:
-        # Box-Muller, cosine branch only: fixed two-uniform consumption.
-        pos = self._pos
-        if pos <= 6:
-            buf = self._buf
-            u1 = buf[pos]
-            u2 = buf[pos + 1]
-            self._pos = pos + 2
-        else:
-            u1 = self.uniform()
-            u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-    def gamma(self, shape: float) -> float:
-        """Marsaglia-Tsang sampler; shapes below one use the boost identity."""
-        if shape <= 0.0:
-            raise InvalidInputError("gamma shape must be positive")
+    if min(shapes) <= 0.0:
+        raise InvalidInputError("gamma shape must be positive")
+    log = math.log
+    sqrt = math.sqrt
+    cos = math.cos
+    prefix = digest + b"W"
+    words = uniforms_from(prefix + _BLOCK4[0])
+    n_blocks = 1
+    pos = 0
+    out = []
+    for shape in shapes:
         boost = 1.0
         if shape < 1.0:
-            boost = self.uniform() ** (1.0 / shape)
+            if pos == len(words):
+                words += uniforms_from(prefix + _b4(n_blocks))
+                n_blocks += 1
+            boost = ((words[pos] >> 11) * TWO53 + TWO54) ** (1.0 / shape)
+            pos += 1
             shape += 1.0
         d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        log = math.log
+        c = 1.0 / sqrt(9.0 * d)
         while True:
-            x = self.normal()
+            # Reading ahead when fewer than three lanes remain hashes no
+            # block early: a proposal rejected after two lanes is followed
+            # by another proposal, which reads at least two more.
+            if pos + 3 > len(words):
+                words += uniforms_from(prefix + _b4(n_blocks))
+                n_blocks += 1
+            u1 = (words[pos] >> 11) * TWO53 + TWO54
+            u2 = (words[pos + 1] >> 11) * TWO53 + TWO54
+            pos += 2
+            x = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)
             t = 1.0 + c * x
             if t <= 0.0:
                 continue
             v = t * t * t
-            u = self.uniform()
+            u = (words[pos] >> 11) * TWO53 + TWO54
+            pos += 1
             x2 = x * x
             if u < 1.0 - 0.0331 * x2 * x2:
-                return d * v * boost
+                break
             if log(u) < 0.5 * x2 + d - d * v + d * log(v):
-                return d * v * boost
-
-
-def weight_stream(digest: bytes) -> UniformStream:
-    """The per-vertex stream that weight-vector samplers consume."""
-    return UniformStream(digest + b"W")
-
-
-def labeled_stream(seed: int, label: bytes) -> UniformStream:
-    """A free-standing stream for estimators that are not tied to a vertex."""
-    return UniformStream(_blake(b"L" + seed_bytes(seed) + label, digest_size=16).digest() + b"W")
+                break
+        out.append(d * v * boost)
+    return out
 
 
 def walk_token(walk_index: int) -> bytes:

@@ -8,6 +8,7 @@ diffusion constant sqrt(1 - (3/5)^2) = 4/5.
 import pytest
 
 from rwre.env import EnvSpec
+from rwre.errors import DataQualityError
 from rwre.experiments import (
     CltReport,
     CouplingReport,
@@ -34,6 +35,14 @@ def test_harvest_pools_confirmed_gaps():
     assert len(h.gaps) >= 16
     assert h.walks >= 1
     assert h.total_steps >= int(h.gaps.time_gaps.sum())
+
+
+def test_harvest_skips_walks_too_short_to_regenerate():
+    # 50 steps climb fewer than guard = 40 levels, so no walk confirms a
+    # record: each is skipped and the harvest as a whole reports the shortfall
+    with pytest.raises(DataQualityError, match="collected 0 gaps from 3 walks"):
+        harvest_gaps(CONST, 16, max_level=100, guard=40,
+                     max_steps_per_walk=50, max_walks=3)
 
 
 def test_speed_interval_covers_the_exact_speed():

@@ -1,11 +1,17 @@
-"""Golden digests of the stream layout.
+"""Golden digests of the stream layout and of the raw sampled values.
 
-Every run below is reduced to integers and bytes (levels, visited vertex
-digests, first-visit (step, depth) pairs, stop reason) and hashed, so the
-pinned constants do not depend on how libm rounds a logarithm, only on
-which clock won each race.  A refactor of the engine that keeps pinned-seed
-outputs byte-identical leaves every digest here unchanged; any change to
-the stream layout, the race order or the tie rule moves at least one.
+The walk digests reduce every run to integers and bytes (levels, visited
+vertex digests, first-visit (step, depth) pairs, stop reason) and hash
+them, so those constants do not depend on how libm rounds a logarithm,
+only on which clock won each race.  A refactor of the engine that keeps
+pinned-seed outputs byte-identical leaves every digest here unchanged; any
+change to the stream layout, the race order or the tie rule moves at least
+one.
+
+The sampler and clock digests hash raw float64 bytes, so a sampler or a
+clock read that drifts by one ulp moves them.  Like the CLI output
+digests, those constants depend on the platform's libm (log, exp, cos,
+sqrt and pow).
 """
 
 import hashlib
@@ -13,8 +19,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from rwre import streams
 from rwre.clocks import SubtreeSpec, _simulate, first_child
-from rwre.env import EnvSpec
+from rwre.env import EnvSpec, make_weight_sampler
 from rwre.tree import ROOT, SENTINEL
 from rwre.walk import step_walk
 
@@ -43,6 +50,9 @@ GOLDEN = {
     "lognormal:0,0.5": "edd3d0bc98d1f8fd51bf62e171c8e5d0",
     "lerrw:1.0": "67fe3cee52a01fcff9c2f66d8a49b6a7",
     "lerrw:0.5": "c9769ff11a96f0df67b2123580a9b21b",
+    # gamma shapes below one take the boost branch: 0.75 and 0.25 here
+    "lerrw:2.0": "f76b1cda098a6a42acc57f8cc2c69d79",
+    "gamma:0.5,2": "8aa6081ab49f0361cb8db2de1e1379f2",
 }
 GOLDEN_SENTINEL_STOP = "35bf05edb809a68a3793565c498d6967"
 
@@ -90,3 +100,59 @@ def test_sentinel_stop_digest():
         _hash_run(h, _simulate(spec, SubtreeSpec.full_tree(), walk_index=w,
                                max_steps=5000, stop_at_sentinel=True))
     assert h.hexdigest()[:32] == GOLDEN_SENTINEL_STOP
+
+
+SAMPLER_DIGESTS = 512
+GOLDEN_SAMPLER = {
+    "const:1.0": "99efa5e4ad9262c40a4150fd167cf90f",
+    "uniform:0.5,1.5": "25a46147fac89cac21fd9af1f544d67b",
+    "gamma:2,0.5": "cb0217f9f58eb16ae65c523ea9ad451d",
+    "gamma:0.5,2": "c70d0333916abb74f7a88815591dfe83",
+    "lognormal:0,0.5": "fe80cad1f79679149587a3697d0f7dcf",
+    "lerrw:1.0": "de483fd5457a4ecfc626914f5e17b224",
+    "lerrw:0.5": "b53cc2a75da93bb4044494227ecdeecd",
+    "lerrw:2.0": "10db4a97c9e724771b3b29ecf2a98cd4",
+}
+# Weight blocks hashed in the same sweep: a sampler hashes a block only
+# when it reads a lane of it.
+SAMPLER_BLOCKS = {
+    "const:1.0": 0,
+    "uniform:0.5,1.5": 1536,
+    "gamma:2,0.5": 3077,
+    "gamma:0.5,2": 3598,
+    "lognormal:0,0.5": 2048,
+    "lerrw:1.0": 2048,
+    "lerrw:0.5": 3246,
+    "lerrw:2.0": 3790,
+}
+GOLDEN_CLOCKS = "3633117f2ce577634199fda68cf064e9"
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SAMPLER))
+def test_sampler_value_digest(kind, monkeypatch):
+    blocks = []
+    hash_block = streams.uniforms_from
+    monkeypatch.setattr(streams, "uniforms_from",
+                        lambda msg: blocks.append(msg) or hash_block(msg))
+    h = hashlib.sha256()
+    for b in BRANCHING:
+        sampler = make_weight_sampler(EnvSpec(b=b, kind=kind, seed=0))
+        for s in range(SAMPLER_DIGESTS):
+            w = sampler(streams.root_digest(s))
+            assert len(w) == b
+            h.update(np.asarray(w, dtype=np.float64).tobytes())
+    assert h.hexdigest()[:32] == GOLDEN_SAMPLER[kind]
+    assert len(blocks) == SAMPLER_BLOCKS[kind]
+
+
+def test_clock_exponential_value_digest():
+    h = hashlib.sha256()
+    for s in range(16):
+        dg = streams.vertex_digest(s, (1, 2))
+        for w in (0, 5):
+            w8 = streams.walk_token(w)
+            for slot in (0, 1, 9):
+                for k in (0, 1, 7, 8, 9):
+                    x = streams.clock_exponential(dg, w8, slot, k)
+                    h.update(np.float64(x).tobytes())
+    assert h.hexdigest()[:32] == GOLDEN_CLOCKS

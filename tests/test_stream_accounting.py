@@ -1,0 +1,113 @@
+"""Every hash block is drawn through the ``streams`` primitives.
+
+The counts below are taken through the module attributes the engine, the
+samplers and the truncation ladder look up, the same bindings an outside
+tracer wraps.  A code path that hashes a block without going through
+``uniforms_from``, or reads a clock block without ``clock_init_block`` or
+``clock_advance_block``, breaks one of the identities.
+"""
+
+from collections import Counter
+
+import pytest
+
+from rwre import clocks, quenched, streams
+from rwre.clocks import SubtreeSpec, run_extension
+from rwre.env import EnvSpec
+from rwre.walk import StopRule, run_walk
+
+B = 4
+
+
+class _Counts:
+    def __init__(self, monkeypatch):
+        self.calls = Counter()
+        self.in_sampler = False
+        for name in ("uniforms_from", "clock_init_block",
+                     "clock_advance_block", "child_digest"):
+            monkeypatch.setattr(streams, name, self._counted(name, getattr(streams, name)))
+        for mod in (clocks, quenched):
+            monkeypatch.setattr(mod, "make_weight_sampler",
+                                self._sampler_factory(mod.make_weight_sampler))
+
+    def _counted(self, name, fn):
+        def wrapper(*args):
+            self.calls[name] += 1
+            if name == "uniforms_from" and self.in_sampler:
+                self.calls["sampler_blocks"] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def _sampler_factory(self, factory):
+        def make(spec):
+            sampler = factory(spec)
+
+            def counted(digest):
+                self.calls["sampler"] += 1
+                self.in_sampler = True
+                try:
+                    return sampler(digest)
+                finally:
+                    self.in_sampler = False
+
+            return counted
+
+        return make
+
+    def assert_blocks_balance(self):
+        c = self.calls
+        assert c["uniforms_from"] == (c["clock_init_block"] + c["clock_advance_block"]
+                                      + c["sampler_blocks"])
+
+
+def _advance_blocks(run) -> int:
+    """Advance blocks a run must read: ceil(K / 8) for each oriented edge
+    its walk jumped along K times (steps out of the sentinel use none)."""
+    jumps = Counter()
+    lv = run.levels
+    for t in range(1, len(run.ids)):
+        a, c = run.ids[t - 1], run.ids[t]
+        if a == -1:
+            continue
+        jumps[(a, run.dig[c] if lv[t] > lv[t - 1] else 0)] += 1
+    return sum((k + 7) // 8 for k in jumps.values())
+
+
+@pytest.mark.parametrize("kind, subtree", [
+    ("lerrw:1.0", SubtreeSpec.full_tree()),
+    ("lerrw:0.5", SubtreeSpec.lambda_subtree((1,))),
+])
+def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subtree):
+    counts = _Counts(monkeypatch)
+    spec = EnvSpec(b=B, kind=kind, seed=21)
+    if subtree.kind == "full_tree":
+        run = run_walk(spec, StopRule(max_steps=3000))
+    else:
+        run = run_extension(spec, subtree, StopRule(max_steps=3000))
+    c = counts.calls
+    assert run.steps_taken == 3000
+    counts.assert_blocks_balance()
+    assert c["child_digest"] == len(run.fresh) - 1
+    # b + 1 <= 8 slots: one k = 0 block and one weight draw per left vertex
+    assert c["clock_init_block"] == c["sampler"] > 0
+    assert c["clock_advance_block"] == _advance_blocks(run) > 0
+    if kind == "lerrw:1.0":
+        # one exponential and b normals: nine uniforms, two blocks
+        assert c["sampler_blocks"] == 2 * c["sampler"]
+    else:
+        assert c["sampler_blocks"] >= 2 * c["sampler"]
+
+
+def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
+    counts = _Counts(monkeypatch)
+    spec = EnvSpec(b=B, kind="lerrw:1.0", seed=22)
+    bv = quenched.beta_root(spec, depth=4, depth_cap=4)
+    assert bv.depth == 4
+    nodes = (B ** 4 - 1) // (B - 1)
+    c = counts.calls
+    counts.assert_blocks_balance()
+    assert c["sampler"] == nodes
+    assert c["child_digest"] == nodes - 1
+    assert c["sampler_blocks"] == 2 * nodes
+    assert c["clock_init_block"] == c["clock_advance_block"] == 0

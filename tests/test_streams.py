@@ -12,6 +12,8 @@ import pytest
 from scipy import stats as st
 
 from rwre import streams
+from rwre.env import EnvSpec, make_weight_sampler
+from rwre.errors import InvalidInputError
 from rwre.tree import ROOT, SENTINEL
 
 
@@ -41,28 +43,40 @@ class TestDigests:
         assert all(len(t) == 8 for t in tokens)
 
 
+def _lane_uniforms(words):
+    return [(w >> 11) * streams.TWO53 + streams.TWO54 for w in words]
+
+
+def _digests(label: bytes, n: int):
+    return [streams.root_digest(streams.derive_seed(0, label, i)) for i in range(n)]
+
+
 class TestUniformBlocks:
     def test_uniforms_from_is_deterministic_and_open_interval(self):
-        u = streams.uniforms_from(b"block-test")
-        assert u == streams.uniforms_from(b"block-test")
-        assert len(u) == 8
-        assert all(0.0 < x < 1.0 for x in u)
+        w = streams.uniforms_from(b"block-test")
+        assert w == streams.uniforms_from(b"block-test")
+        assert len(w) == 8
+        assert all(isinstance(x, int) and 0 <= x < 2 ** 64 for x in w)
+        assert all(0.0 < u < 1.0 for u in _lane_uniforms(w))
+        # the map never reaches zero; only the top 2**11 words round to one
+        low, below_top, top = _lane_uniforms([0, 2 ** 64 - 2 ** 11 - 1, 2 ** 64 - 2 ** 11])
+        assert (low, top) == (2.0 ** -54, 1.0)
+        assert below_top < 1.0
 
     def test_weight_and_clock_blocks_are_distinct_streams(self):
         d = streams.root_digest(3)
         w8 = streams.walk_token(0)
-        assert streams.weight_block(d, 0) != streams.clock_init_block(d, w8, 0)
+        assert streams.weight_words(d, 1) != streams.clock_init_block(d, w8, 0)
         assert (streams.clock_init_block(d, w8, 0)
                 != streams.clock_advance_block(d, w8, 0, 0))
 
     def test_weight_stream_reads_the_weight_blocks_in_order(self):
         d = streams.root_digest(3)
-        s = streams.weight_stream(d)
-        assert isinstance(s, streams.UniformStream)
-        first = [s.uniform() for _ in range(16)]
-        assert first == list(streams.weight_block(d, 0) + streams.weight_block(d, 1))
-        again = streams.UniformStream(d + b"W")
-        assert [again.uniform() for _ in range(16)] == first
+        first = streams.weight_words(d, 2)
+        assert first == (streams.uniforms_from(d + b"W" + (0).to_bytes(4, "little"))
+                         + streams.uniforms_from(d + b"W" + (1).to_bytes(4, "little")))
+        assert streams.weight_words(d, 1) == first[:8]
+        assert streams.weight_words(d, 3)[:16] == first
 
     def test_clock_blocks_differ_across_walk_tokens(self):
         d = streams.root_digest(3)
@@ -72,50 +86,56 @@ class TestUniformBlocks:
 
 
 class TestUniformStream:
+    """Draws read off the flat weight streams and the clock blocks."""
+
     def test_reproducible(self):
-        s1 = streams.labeled_stream(11, b"x")
-        s2 = streams.labeled_stream(11, b"x")
-        assert [s1.uniform() for _ in range(20)] == [s2.uniform() for _ in range(20)]
+        d = streams.root_digest(11)
+        assert streams.weight_words(d, 3) == streams.weight_words(d, 3)
+        assert streams.gamma_variates(d, (0.5, 2.0)) == streams.gamma_variates(d, (0.5, 2.0))
 
     def test_uniform_moments(self):
-        s = streams.labeled_stream(1, b"u")
-        x = np.array([s.uniform() for _ in range(20000)])
+        x = np.array([u for d in _digests(b"u", 2500)
+                      for u in _lane_uniforms(streams.weight_words(d, 1))])
         assert x.mean() == pytest.approx(0.5, abs=0.011)
         assert x.var() == pytest.approx(1.0 / 12.0, abs=0.004)
 
     def test_normal_moments(self):
-        s = streams.labeled_stream(2, b"n")
-        x = np.array([s.normal() for _ in range(20000)])
+        # the lognormal law's log-weights are its Box-Muller normals
+        sampler = make_weight_sampler(EnvSpec(b=8, kind="lognormal:0,1", seed=2))
+        x = np.log([w for d in _digests(b"n", 2500) for w in sampler(d)])
         assert x.mean() == pytest.approx(0.0, abs=0.03)
         assert x.std() == pytest.approx(1.0, abs=0.03)
         assert st.skew(x) == pytest.approx(0.0, abs=0.08)
 
     def test_exponential_moments(self):
-        s = streams.labeled_stream(3, b"e")
-        x = np.array([s.exponential() for _ in range(20000)])
+        w8 = streams.walk_token(0)
+        x = np.array([streams.clock_exponential(d, w8, slot, k)
+                      for d in _digests(b"e", 1000)
+                      for slot in (0, 1) for k in range(10)])
         assert x.mean() == pytest.approx(1.0, abs=0.03)
         assert x.var() == pytest.approx(1.0, abs=0.08)
 
     @pytest.mark.parametrize("shape", [0.5, 1.5, 4.0])
     def test_gamma_moments(self, shape):
-        s = streams.labeled_stream(4, b"g")
-        x = np.array([s.gamma(shape) for _ in range(20000)])
+        x = np.array([g for d in _digests(b"g", 2500)
+                      for g in streams.gamma_variates(d, (shape,) * 8)])
         se_mean = math.sqrt(shape / 20000)
         assert x.mean() == pytest.approx(shape, abs=5 * se_mean + 0.01)
         assert x.var() == pytest.approx(shape, rel=0.08)
 
     def test_gamma_small_shape_matches_scipy_quantiles(self):
-        s = streams.labeled_stream(5, b"gq")
-        x = np.sort([s.gamma(0.5) for _ in range(20000)])
+        x = np.sort([g for d in _digests(b"gq", 2500)
+                     for g in streams.gamma_variates(d, (0.5,) * 8)])
         for q in (0.1, 0.5, 0.9):
             want = st.gamma.ppf(q, a=0.5)
             got = x[int(q * len(x))]
             assert got == pytest.approx(want, rel=0.06, abs=0.002)
 
     def test_gamma_rejects_nonpositive_shape(self):
-        s = streams.labeled_stream(6, b"bad")
-        with pytest.raises(Exception):
-            s.gamma(0.0)
+        d = streams.root_digest(6)
+        for shapes in ((0.0,), (1.0, -2.0)):
+            with pytest.raises(InvalidInputError):
+                streams.gamma_variates(d, shapes)
 
 
 class TestClockPrimitives:
