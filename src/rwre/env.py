@@ -100,6 +100,9 @@ def parse_descriptor(kind: str) -> Tuple[str, Tuple[float, ...]]:
     elif name == "gamma":
         if len(args) != 2 or args[0] <= 0 or args[1] <= 0:
             raise ConfigError("gamma requires positive shape and scale")
+    elif name == "gamma":
+        if len(args) != 2 or args[0] <= 0 or args[1] <= 0:
+            raise ConfigError("gamma requires positive shape and scale")
     elif name == "lognormal":
         if len(args) != 2 or args[1] < 0:
             raise ConfigError("lognormal requires mu and s >= 0")
