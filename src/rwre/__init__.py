@@ -50,7 +50,6 @@ from .regen import (
     RegenRecord,
     concat_gaps,
     detect_regenerations,
-    export_records_csv,
     regeneration_gaps,
 )
 from .stats import (

@@ -35,6 +35,7 @@ from .env import (
     lerrw_negative_moment_cf,
     lerrw_negative_moment_quadrature,
     negative_moment_mc,
+    parse_descriptor,
 )
 from .errors import ConfigError, RwreError
 from .quenched import geometric_moment_bound, negative_moment_of_beta
@@ -239,9 +240,10 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     drift_tol = _as_float(s, "drift_tol")
     results = []
     if spec.kind.startswith("lerrw:"):
-        cf = lerrw_negative_moment_cf(spec.b, p)
+        delta = parse_descriptor(spec.kind)[1][0]
+        cf = lerrw_negative_moment_cf(spec.b, p, delta)
         if np.isfinite(cf):
-            quad = lerrw_negative_moment_quadrature(spec.b, p)
+            quad = lerrw_negative_moment_quadrature(spec.b, p, delta)
             results.append(_entry(
                 "weight_sum_negative_moment_formula",
                 "env.lerrw_negative_moment_cf", estimate=cf,

@@ -15,6 +15,12 @@ subtree consumes the very same clock values as the full walk: runs on
 nested subtrees coincide step for step, and runs on edge-disjoint subtrees
 are independent.
 
+A run is restricted to one of two subtree kinds (``SubtreeSpec``): the full
+tree with its sentinel, or a lambda subtree, a vertex with its parent and
+everything below it, which is what the regeneration and coupling arguments
+use.  One ``StopRule`` says when a run ends; ``walk.run_walk`` and
+``run_extension`` pass it straight to the engine, ``_simulate``.
+
 The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
 on demand, and cumulative sums are advanced incrementally, so memory and
@@ -56,8 +62,6 @@ from .tree import (
     Vertex,
     VertexPath,
     is_ancestor_or_self,
-    level,
-    lowest_common_ancestor,
     parent,
     validate_path,
 )
@@ -123,29 +127,21 @@ def jump_rate(spec: EnvSpec, frm: Vertex, to: Vertex) -> float:
 class SubtreeSpec:
     """A connected subtree the walk may be restricted to.
 
-    kinds: ``full_tree`` (everything, sentinel included); ``lambda``
-    (a vertex, its parent, and all its descendants); ``path`` (the geodesic
-    between two vertices).  The subtree root is its vertex closest to the
-    tree root.
+    kinds: ``full_tree`` (everything, sentinel included) and ``lambda``
+    (a vertex, its parent, and all its descendants).  The subtree root is
+    its vertex closest to the tree root.
     """
 
     kind: str
     vertex: Optional[VertexPath] = None
-    endpoints: Optional[Tuple[Vertex, Vertex]] = None
 
     def __post_init__(self):
         if self.kind == "full_tree":
-            if self.vertex is not None or self.endpoints is not None:
-                raise InvalidInputError("full_tree takes no vertex arguments")
+            if self.vertex is not None:
+                raise InvalidInputError("full_tree takes no vertex argument")
         elif self.kind == "lambda":
             if self.vertex is None or self.vertex is SENTINEL:
                 raise InvalidInputError("lambda subtree needs a non-sentinel vertex")
-        elif self.kind == "path":
-            if self.endpoints is None or len(self.endpoints) != 2:
-                raise InvalidInputError("path subtree needs two endpoints")
-            u, w = self.endpoints
-            if u == w:
-                raise InvalidInputError("path endpoints must differ")
         else:
             raise InvalidInputError(f"unknown subtree kind {self.kind!r}")
 
@@ -157,65 +153,35 @@ class SubtreeSpec:
     def lambda_subtree(v: VertexPath) -> "SubtreeSpec":
         return SubtreeSpec(kind="lambda", vertex=tuple(v))
 
-    @staticmethod
-    def path_subtree(u: Vertex, w: Vertex) -> "SubtreeSpec":
-        return SubtreeSpec(kind="path", endpoints=(u if u is SENTINEL else tuple(u),
-                                                   w if w is SENTINEL else tuple(w)))
-
     @property
     def root_of_subtree(self) -> Vertex:
-        if self.kind == "full_tree":
-            return ROOT
-        if self.kind == "lambda":
-            return parent(self.vertex)
-        u, w = self.endpoints
-        return lowest_common_ancestor(u, w)
-
-    def path_vertices(self) -> List[Vertex]:
-        """For path kind: the geodesic vertex list, endpoint to endpoint."""
-        if self.kind != "path":
-            raise InvalidInputError("path_vertices only applies to path subtrees")
-        return _geodesic(*self.endpoints)
-
-    def _edge_rep(self):
-        """Edges keyed by their deeper endpoint: ('cone', v) is every edge
-        whose deeper endpoint has v as a prefix; ('finite', set) lists them."""
-        if self.kind == "full_tree":
-            return ("cone", ROOT)
-        if self.kind == "lambda":
-            return ("cone", self.vertex)
-        deepers = set()
-        verts = _geodesic(self.endpoints[0], self.endpoints[1])
-        for a, c in zip(verts, verts[1:]):
-            deepers.add(c if level(c) > level(a) else a)
-        return ("finite", frozenset(deepers))
-
-
-def _geodesic(u: Vertex, w: Vertex) -> List[Vertex]:
-    l = lowest_common_ancestor(u, w)
-    up: List[Vertex] = []
-    x = u
-    while x != l:
-        up.append(x)
-        x = SENTINEL if x == ROOT else parent(x)
-    down: List[Vertex] = []
-    y = w
-    while y != l:
-        down.append(y)
-        y = SENTINEL if y == ROOT else parent(y)
-    return up + [l] + down[::-1]
+        return ROOT if self.kind == "full_tree" else parent(self.vertex)
 
 
 def edge_disjoint(a: SubtreeSpec, b: SubtreeSpec) -> bool:
-    ka, va = a._edge_rep()
-    kb, vb = b._edge_rep()
-    if ka == "cone" and kb == "cone":
-        return not (is_ancestor_or_self(va, vb) or is_ancestor_or_self(vb, va))
-    if ka == "cone":
-        return not any(x is not SENTINEL and is_ancestor_or_self(va, x) for x in vb)
-    if kb == "cone":
-        return not any(x is not SENTINEL and is_ancestor_or_self(vb, x) for x in va)
-    return not (va & vb)
+    """Each subtree's edges are those whose deeper endpoint lies at or below
+    one vertex (the root for the full tree), so two subtrees share an edge
+    exactly when one of those vertices is an ancestor of the other."""
+    va = ROOT if a.kind == "full_tree" else a.vertex
+    vb = ROOT if b.kind == "full_tree" else b.vertex
+    return not (is_ancestor_or_self(va, vb) or is_ancestor_or_self(vb, va))
+
+
+@dataclass(frozen=True)
+class StopRule:
+    """When to stop a run: at an absolute level, a step budget, or the
+    sentinel.  The step budget is a hard safety cap so recurrent
+    configurations always terminate."""
+
+    max_level: Optional[int] = None
+    max_steps: int = 10 ** 8
+    stop_at_sentinel: bool = False
+
+    def __post_init__(self):
+        if self.max_level is not None and self.max_level < 1:
+            raise InvalidInputError("max_level must be at least 1")
+        if self.max_steps < 1:
+            raise InvalidInputError("max_steps must be at least 1")
 
 
 class Trajectory:
@@ -336,36 +302,25 @@ def _first_move(spec: EnvSpec, v: VertexPath, walk_index: int,
     return s.index(min(s))
 
 
-def _simulate(
-    spec: EnvSpec,
-    subtree: SubtreeSpec,
-    *,
-    walk_index: int = 0,
-    max_steps: int,
-    max_level: Optional[int] = None,
-    stop_at_sentinel: bool = False,
-) -> Trajectory:
+def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
+              walk_index: int = 0) -> Trajectory:
     """Run the clock-driven walk restricted to ``subtree``.
 
-    Stops at the first of: absolute level == max_level, arrival at the
-    sentinel (if requested), or max_steps steps (sets the truncated flag
-    when a max_level target was set)."""
+    Stops at the first of: absolute level == stop.max_level, arrival at
+    the sentinel (if stop.stop_at_sentinel), or stop.max_steps steps (sets
+    the truncated flag when a level target was set)."""
     b = spec.b
-    if max_steps < 1:
-        raise InvalidInputError("max_steps must be at least 1")
     sampler = make_weight_sampler(spec)
     seed = spec.seed
     w8 = streams.walk_token(walk_index)
     all_slots = tuple(range(b + 1))
 
-    # Resolve anchor vertex, start position, and the allowed-slot policy.
+    # Resolve anchor vertex, start position, and the anchor's open slots;
+    # every other vertex has all its slots open.
     start_at_sentinel = False
     anchor = ROOT
     anchor_slots: Tuple[int, ...] = all_slots
-    path_slots: Optional[Dict[VertexPath, Tuple[int, ...]]] = None
-    if subtree.kind == "full_tree":
-        pass
-    elif subtree.kind == "lambda":
+    if subtree.kind == "lambda":
         nu = subtree.vertex
         validate_path(nu, b)
         if nu == ROOT:
@@ -373,31 +328,6 @@ def _simulate(
         else:
             anchor = nu[:-1]
             anchor_slots = (nu[-1],)
-    else:
-        verts = _geodesic(*subtree.endpoints)
-        for v in verts:
-            if v is not SENTINEL:
-                validate_path(v, b)
-        path_slots = {}
-        vset = {v for v in verts if v is not SENTINEL}
-        has_sentinel = any(v is SENTINEL for v in verts)
-        for v in verts:
-            if v is SENTINEL:
-                continue
-            slots = []
-            if (v == ROOT and has_sentinel) or (v != ROOT and v[:-1] in vset):
-                slots.append(0)
-            for w in verts:
-                if w is not SENTINEL and len(w) == len(v) + 1 and w[:-1] == v:
-                    slots.append(w[-1])
-            path_slots[v] = tuple(sorted(slots))
-        root_of = subtree.root_of_subtree
-        if root_of is SENTINEL:
-            start_at_sentinel = True
-            anchor = ROOT
-        else:
-            anchor = root_of
-        anchor_slots = path_slots.get(anchor, ())
 
     run = Trajectory(anchor)
     anchor_level = len(anchor)
@@ -416,10 +346,8 @@ def _simulate(
     fresh = run.fresh
     # Race state of each vertex, created when the walk first leaves it:
     # (clock sums, rates, jump counts, current advance block, child ids),
-    # each indexed by slot.  Path runs also keep every vertex's path, which
-    # keys its allowed slots.
+    # each indexed by slot.
     state: List[Optional[tuple]] = [None]
-    paths: Optional[List[VertexPath]] = None if path_slots is None else [anchor]
     par.append(-1)
     dig.append(0)
     dep.append(anchor_level)
@@ -437,10 +365,10 @@ def _simulate(
     lap(lvl)
     iap(_SENTINEL_ID if at_sentinel else 0)
     # Levels never go below -1, so -2 stands for "no level target".
-    target = -2 if max_level is None else max_level
+    target = -2 if stop.max_level is None else stop.max_level
     # A run anchored at its target level stops before its first step.
     reason = "level" if not start_at_sentinel and lvl == target else ""
-    limit = 0 if reason else max_steps
+    limit = 0 if reason else stop.max_steps
 
     steps = 0
     while steps < limit:
@@ -459,12 +387,7 @@ def _simulate(
         if st is None:
             dg = dgs[cur]
             rates = (1.0,) + sampler(dg)
-            if cur == 0:
-                slots = anchor_slots
-            elif paths is None:
-                slots = all_slots
-            else:
-                slots = path_slots.get(paths[cur], ())
+            slots = anchor_slots if cur == 0 else all_slots
             st = state[cur] = (_k0_clocks(dg, w8, rates, slots), rates,
                                [0] * n_slots, [()] * n_slots, [-1] * n_slots)
         s, rates, jumps, blocks, kids = st
@@ -483,7 +406,7 @@ def _simulate(
                 lvl = -1
                 lap(-1)
                 iap(_SENTINEL_ID)
-                if stop_at_sentinel:
+                if stop.stop_at_sentinel:
                     reason = "sentinel"
                     break
                 continue
@@ -499,8 +422,6 @@ def _simulate(
                 dgs.append(child_digest(dgs[cur], j))
                 fresh.append((steps, c))
                 state.append(None)
-                if paths is not None:
-                    paths.append(paths[cur] + (j,))
             cur = c
             lvl += 1
         lap(lvl)
@@ -510,25 +431,14 @@ def _simulate(
             break
     run.levels = np.asarray(levels, dtype=np.int64)
     run.stop_reason = reason or "steps"
-    run.truncated = reason == "" and max_level is not None
+    run.truncated = reason == "" and stop.max_level is not None
     return run
 
 
-def run_extension(
-    spec: EnvSpec,
-    subtree: SubtreeSpec,
-    stop: "StopRule",
-    walk_index: int = 0,
-) -> Trajectory:
+def run_extension(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
+                  walk_index: int = 0) -> Trajectory:
     """Clock-driven walk on ``subtree`` starting at the subtree root."""
-    return _simulate(
-        spec,
-        subtree,
-        walk_index=walk_index,
-        max_steps=stop.max_steps,
-        max_level=stop.max_level,
-        stop_at_sentinel=stop.stop_at_sentinel,
-    )
+    return _simulate(spec, subtree, stop, walk_index)
 
 
 def first_child(spec: EnvSpec, v: VertexPath, walk_index: int = 0) -> VertexPath:
@@ -601,19 +511,20 @@ def independence_check(
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
     b = spec.b
+    stop_a = StopRule(max_level=len(subtree_a.vertex) + 1, max_steps=max_steps)
+    stop_b = StopRule(max_level=len(subtree_b.vertex) + 1, max_steps=max_steps)
     table = np.zeros((b, b), dtype=np.int64)
     for t in range(trials):
         s = spec.subseed(b"ind", t)
-        da = _first_descent_digit(s, subtree_a, max_steps)
-        db = _first_descent_digit(s, subtree_b, max_steps)
+        da = _first_descent_digit(s, subtree_a, stop_a)
+        db = _first_descent_digit(s, subtree_b, stop_b)
         table[da - 1, db - 1] += 1
     stat, p, dof = chi_square_independence(table)
     return IndependenceReport(statistic=stat, p_value=p, dof=dof, table=table, trials=trials)
 
 
-def _first_descent_digit(spec: EnvSpec, subtree: SubtreeSpec, max_steps: int) -> int:
-    nu = subtree.vertex
-    run = _simulate(spec, subtree, max_steps=max_steps, max_level=len(nu) + 1)
+def _first_descent_digit(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule) -> int:
+    run = _simulate(spec, subtree, stop)
     if run.stop_reason != "level":
         raise DegenerateDataError("extension failed to descend; raise max_steps")
     return run.path_of(run.ids[-1])[-1]

@@ -14,9 +14,8 @@ are reported with ``confirmed=False`` and excluded from gap samples.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -112,12 +111,3 @@ def concat_gaps(samples: Sequence[GapSample]) -> GapSample:
         time_gaps=np.concatenate([s.time_gaps for s in samples]),
         drop_first=all(s.drop_first for s in samples),
     )
-
-
-def export_records_csv(fh: IO[str], runs: Sequence[Tuple[int, Sequence[RegenRecord]]]) -> None:
-    """Rows (run_id, m, level, time, confirmed) for one or more walks."""
-    w = csv.writer(fh)
-    w.writerow(["run_id", "m", "level", "time", "confirmed"])
-    for run_id, records in runs:
-        for r in records:
-            w.writerow([run_id, r.m, r.level, r.time, int(r.confirmed)])

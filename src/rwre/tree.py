@@ -81,14 +81,3 @@ def is_ancestor_or_self(a: Vertex, v: Vertex) -> bool:
     if v is SENTINEL:
         return False
     return len(a) <= len(v) and v[: len(a)] == a
-
-
-def lowest_common_ancestor(u: Vertex, v: Vertex) -> Vertex:
-    if u is SENTINEL or v is SENTINEL:
-        return SENTINEL
-    n = 0
-    for x, y in zip(u, v):
-        if x != y:
-            break
-        n += 1
-    return u[:n]

@@ -4,9 +4,10 @@ The walk starts at the root, steps to neighbors with the weight-determined
 probabilities, and reflects off the sentinel above the root.  It is run as
 the full-tree case of the clock engine, so the exact-coupling and
 restriction identities with subtree extensions hold by construction rather
-than by a separate code path.  ``run_walk`` returns the engine's own
-record, ``clocks.Trajectory`` (re-exported here), the same type every
-subtree extension returns.
+than by a separate code path.  ``run_walk`` takes the engine's one stop
+type, ``clocks.StopRule``, and returns the engine's own record,
+``clocks.Trajectory``; both are re-exported here, and they are the same
+types every subtree extension takes and returns.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import IO
 
-from .clocks import SubtreeSpec, Trajectory, _first_move, _simulate
+from .clocks import StopRule, SubtreeSpec, Trajectory, _first_move, _simulate
 from .env import EnvSpec
 from .errors import InvalidInputError
 from .tree import ROOT, SENTINEL, Vertex
@@ -24,33 +25,9 @@ from .tree import ROOT, SENTINEL, Vertex
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """When to stop a run: at an absolute level, a step budget, or the
-    sentinel.  The step budget is a hard safety cap so recurrent
-    configurations always terminate."""
-
-    max_level: Optional[int] = None
-    max_steps: int = 10 ** 8
-    stop_at_sentinel: bool = False
-
-    def __post_init__(self):
-        if self.max_level is not None and self.max_level < 1:
-            raise InvalidInputError("max_level must be at least 1")
-        if self.max_steps < 1:
-            raise InvalidInputError("max_steps must be at least 1")
-
-
 def run_walk(spec: EnvSpec, stop: StopRule, walk_index: int = 0) -> Trajectory:
     """Run the walk from the root until the stop rule fires."""
-    return _simulate(
-        spec,
-        SubtreeSpec.full_tree(),
-        walk_index=walk_index,
-        max_steps=stop.max_steps,
-        max_level=stop.max_level,
-        stop_at_sentinel=stop.stop_at_sentinel,
-    )
+    return _simulate(spec, SubtreeSpec.full_tree(), stop, walk_index)
 
 
 def step_walk(spec: EnvSpec, current: Vertex, walk_index: int = 0) -> Vertex:
@@ -92,11 +69,11 @@ def escape_probability(spec: EnvSpec, n: int, trials: int) -> EscapeEstimate:
         raise InvalidInputError("n must be at least 1")
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
+    full = SubtreeSpec.full_tree()
+    stop = StopRule(max_level=n, max_steps=10 ** 7, stop_at_sentinel=True)
     successes = 0
     for t in range(trials):
-        sub = spec.subseed(b"esc", t)
-        run = _simulate(sub, SubtreeSpec.full_tree(), max_steps=10 ** 7,
-                        max_level=n, stop_at_sentinel=True)
+        run = _simulate(spec.subseed(b"esc", t), full, stop)
         if run.stop_reason == "level":
             successes += 1
         elif run.stop_reason != "sentinel":
@@ -128,14 +105,3 @@ def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int = 1) -> None:
     if last % stride:
         w.writerow([last, int(traj.levels[last])])
 
-
-def trajectory_summary(traj: Trajectory) -> dict:
-    """JSON-ready summary: step count, stop reason, and the T_n table."""
-    tn = traj.first_passage_steps()
-    return {
-        "steps_taken": int(traj.steps_taken),
-        "truncated": bool(traj.truncated),
-        "stop_reason": traj.stop_reason,
-        "max_level": int(traj.max_level_attained),
-        "first_passage_steps": {str(i): int(t) for i, t in enumerate(tn)},
-    }

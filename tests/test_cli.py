@@ -14,6 +14,7 @@ import os
 import pytest
 
 from rwre import cli
+from rwre.env import lerrw_negative_moment_cf
 
 REPORT_KEYS = {"command", "config_hash", "seed", "version", "timestamp",
                "results"}
@@ -164,3 +165,17 @@ def test_moments_at_default_law_and_power(tmp_path):
     assert formula["detail"] == {"divergent": True}
     assert formula["estimate"] is None
     assert rc == (1 if any(e["pass"] is False for e in entries.values()) else 0)
+
+
+def test_moments_formula_uses_the_law_delta(tmp_path):
+    # lerrw:0.5 at b=4: E[(sum A)^-1.5] = 0.5, not the delta = 1 value 2.356
+    _, report, _ = _run(tmp_path, "moments", {
+        "env": {"kind": "lerrw:0.5"},
+        "moments": {"p": 1.5, "n_envs": 100, "mc_samples": 2000,
+                    "tau_trials": 200}})
+    entries = {e["name"]: e for e in report["results"]}
+    formula = entries["weight_sum_negative_moment_formula"]
+    mc = entries["weight_sum_negative_moment_mc"]
+    assert formula["estimate"] == lerrw_negative_moment_cf(4, 1.5, 0.5)
+    assert formula["pass"] is True
+    assert abs(formula["estimate"] - mc["estimate"]) <= 4 * mc["detail"]["std_error"]

@@ -88,16 +88,12 @@ class TestSubtreeSpec:
         with pytest.raises(InvalidInputError):
             SubtreeSpec(kind="lambda", vertex=SENTINEL)
         with pytest.raises(InvalidInputError):
-            SubtreeSpec.path_subtree((1,), (1,))
+            SubtreeSpec(kind="lambda")
 
     def test_subtree_roots(self):
         assert SubtreeSpec.full_tree().root_of_subtree == ROOT
         assert SubtreeSpec.lambda_subtree((2, 3)).root_of_subtree == (2,)
-        assert SubtreeSpec.path_subtree((1, 1), (1, 2)).root_of_subtree == (1,)
-
-    def test_path_vertices_geodesic(self):
-        st = SubtreeSpec.path_subtree((1, 1), (2,))
-        assert st.path_vertices() == [(1, 1), (1,), (), (2,)]
+        assert SubtreeSpec.lambda_subtree(ROOT).root_of_subtree is SENTINEL
 
 
 class TestEdgeDisjoint:
@@ -112,23 +108,20 @@ class TestEdgeDisjoint:
         assert not edge_disjoint(a, b)
         assert not edge_disjoint(SubtreeSpec.full_tree(), a)
 
-    def test_path_against_cone(self):
-        trunk = SubtreeSpec.path_subtree(ROOT, (1, 1))
-        assert not edge_disjoint(trunk, SubtreeSpec.lambda_subtree((1,)))
-        assert edge_disjoint(trunk, SubtreeSpec.lambda_subtree((2,)))
-
-    def test_disjoint_paths(self):
-        a = SubtreeSpec.path_subtree(ROOT, (1,))
-        b = SubtreeSpec.path_subtree((2,), (2, 2))
-        assert edge_disjoint(a, b)
-        assert not edge_disjoint(a, SubtreeSpec.path_subtree(ROOT, (1, 2)))
-
 
 class TestExtensions:
-    def test_two_vertex_path_alternates_deterministically(self):
-        st = SubtreeSpec.path_subtree(ROOT, (1,))
-        traj = run_extension(SPEC, st, StopRule(max_steps=9))
-        assert list(traj.levels) == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    def test_lambda_run_stays_in_its_cone(self):
+        # the anchor (2,) may only step down to (2, 1), also when the run
+        # comes back to it; everything else the run visits lies below (2, 1)
+        st = SubtreeSpec.lambda_subtree((2, 1))
+        returns = 0
+        for w in range(8):
+            traj = run_extension(SPEC, st, StopRule(max_steps=500), walk_index=w)
+            paths = [traj.vertex_path_at_step(t) for t in range(len(traj.ids))]
+            assert paths[:2] == [(2,), (2, 1)]
+            assert all(p == (2,) or p[:2] == (2, 1) for p in paths)
+            returns += paths[2:].count((2,))
+        assert returns
 
     def test_extension_is_reproducible(self):
         st = SubtreeSpec.lambda_subtree((2,))
@@ -143,17 +136,17 @@ class TestExtensions:
         assert traj.vertex_path_at_step(0) == (2,)
         assert traj.levels[0] == 1
 
-    def test_three_vertex_path_race_frequency(self):
-        # middle vertex races parent (rate 1) against child (rate 3):
-        # the up-move frequency over replicas is 1/4
+    def test_root_race_frequency(self):
+        # the root races the sentinel edge (rate 1) against two child edges
+        # (rate 3 each): the first step goes up with probability 1/7
         spec = EnvSpec(b=2, kind="const:3.0", seed=404)
-        st = SubtreeSpec.path_subtree(ROOT, (1, 1))
         ups = 0
         trials = 4000
         for w in range(trials):
-            traj = run_extension(spec, st, StopRule(max_steps=2), walk_index=w)
-            ups += int(traj.levels[2] == 0)
-        assert ups / trials == pytest.approx(0.25, abs=0.025)
+            traj = run_extension(spec, SubtreeSpec.full_tree(),
+                                 StopRule(max_steps=1), walk_index=w)
+            ups += int(traj.levels[1] == -1)
+        assert ups / trials == pytest.approx(1 / 7, abs=0.02)
 
 
 class TestFirstChild:

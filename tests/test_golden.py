@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from rwre import streams
-from rwre.clocks import SubtreeSpec, _simulate, first_child
+from rwre.clocks import StopRule, SubtreeSpec, _simulate, first_child
 from rwre.env import EnvSpec, make_weight_sampler
 from rwre.tree import ROOT, SENTINEL
 from rwre.walk import step_walk
@@ -28,8 +28,8 @@ from rwre.walk import step_walk
 SEEDS = (5, 1234)
 BRANCHING = (3, 9)  # nine children put slots 8 and 9 in a second clock block
 
-# (subtree, engine keyword arguments); lambda_subtree(ROOT) and a path
-# through the sentinel start at the sentinel, max_level=1 on a depth-two
+# (subtree, walk index and stop-rule keyword arguments);
+# lambda_subtree(ROOT) starts at the sentinel, max_level=1 on a depth-two
 # lambda stops at the anchor before the first step.
 RUNS = (
     (SubtreeSpec.full_tree(), dict(max_steps=5000, max_level=12)),
@@ -39,20 +39,18 @@ RUNS = (
     (SubtreeSpec.lambda_subtree(ROOT), dict(max_steps=100, walk_index=1)),
     (SubtreeSpec.lambda_subtree((2, 1)), dict(max_steps=2000, max_level=4)),
     (SubtreeSpec.lambda_subtree((2, 1)), dict(max_steps=10, max_level=1)),
-    (SubtreeSpec.path_subtree((1, 1), (2,)), dict(max_steps=100)),
-    (SubtreeSpec.path_subtree(SENTINEL, (1, 2)), dict(max_steps=100)),
 )
 
 GOLDEN = {
-    "const:1.0": "5f0cf8063f2cca85e79f01eee0b65bad",
-    "uniform:0.5,1.5": "02e8c5056776a9e609ea058f6581e2cc",
-    "gamma:2,0.5": "b928f1047330c49453da889c8aa01830",
-    "lognormal:0,0.5": "edd3d0bc98d1f8fd51bf62e171c8e5d0",
-    "lerrw:1.0": "67fe3cee52a01fcff9c2f66d8a49b6a7",
-    "lerrw:0.5": "c9769ff11a96f0df67b2123580a9b21b",
+    "const:1.0": "2b0cb2e745f413f739fe59921e9d5667",
+    "uniform:0.5,1.5": "5783d05d2182525a9acdeaa196c122aa",
+    "gamma:2,0.5": "241d8d4ec887b18264db04f2cad47b41",
+    "lognormal:0,0.5": "d8f7f6064c69110c3078d8676f821f17",
+    "lerrw:1.0": "4d83802b3fd5c1d92f1130e79fd5d45a",
+    "lerrw:0.5": "29bfe0ae6a89964dcb956fef5ff6302b",
     # gamma shapes below one take the boost branch: 0.75 and 0.25 here
-    "lerrw:2.0": "f76b1cda098a6a42acc57f8cc2c69d79",
-    "gamma:0.5,2": "8aa6081ab49f0361cb8db2de1e1379f2",
+    "lerrw:2.0": "c83c9a7bf0bb26d9307fefb7527f812e",
+    "gamma:0.5,2": "dc604ab3d0a4c7ae7263714fb97e9df2",
 }
 GOLDEN_SENTINEL_STOP = "35bf05edb809a68a3793565c498d6967"
 
@@ -73,13 +71,17 @@ def _hash_vertex(h, v) -> None:
     _ints(h, [-1] if v is SENTINEL else [len(v), *v])
 
 
+def _run(spec, subtree, walk_index=0, **stop):
+    return _simulate(spec, subtree, StopRule(**stop), walk_index)
+
+
 def _kind_digest(kind: str) -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
         for b in BRANCHING:
             spec = EnvSpec(b=b, kind=kind, seed=seed)
             for subtree, kw in RUNS:
-                _hash_run(h, _simulate(spec, subtree, **kw))
+                _hash_run(h, _run(spec, subtree, **kw))
             for w in range(8):
                 for v in (ROOT, (1, 2)):
                     _hash_vertex(h, step_walk(spec, v, walk_index=w))
@@ -97,8 +99,8 @@ def test_sentinel_stop_digest():
     h = hashlib.sha256()
     spec = EnvSpec(b=1, kind="const:1.0", seed=3)
     for w in range(4):
-        _hash_run(h, _simulate(spec, SubtreeSpec.full_tree(), walk_index=w,
-                               max_steps=5000, stop_at_sentinel=True))
+        _hash_run(h, _run(spec, SubtreeSpec.full_tree(), walk_index=w,
+                          max_steps=5000, stop_at_sentinel=True))
     assert h.hexdigest()[:32] == GOLDEN_SENTINEL_STOP
 
 

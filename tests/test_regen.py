@@ -1,7 +1,6 @@
 """Regeneration detection on hand-traced level sequences and the gap
 machinery built on it."""
 
-import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +13,6 @@ from rwre.regen import (
     RegenRecord,
     concat_gaps,
     detect_regenerations,
-    export_records_csv,
     regeneration_gaps,
 )
 from rwre.walk import StopRule, run_walk
@@ -122,14 +120,3 @@ class TestOnRealWalks:
                               drop_first=True)
         assert (g.level_gaps <= g.time_gaps).all()
         assert (np.asarray(g.time_gaps) % 2 == np.asarray(g.level_gaps) % 2).all()
-
-
-class TestCsvExport:
-    def test_rows_and_header(self):
-        recs = detect_regenerations(fake_traj([0, 1, 0, 1, 2, 3]), guard=1)
-        fh = io.StringIO()
-        export_records_csv(fh, [(0, recs)])
-        rows = fh.getvalue().strip().splitlines()
-        assert rows[0] == "run_id,m,level,time,confirmed"
-        assert rows[1] == "0,0,0,0,1"
-        assert rows[-1] == "0,2,3,5,0"

@@ -10,7 +10,6 @@ from rwre.tree import (
     is_ancestor_or_self,
     is_sentinel,
     level,
-    lowest_common_ancestor,
     parent,
     validate_path,
 )
@@ -89,8 +88,3 @@ class TestAncestry:
         assert is_ancestor_or_self((1,), (1, 2))
         assert not is_ancestor_or_self((2,), (1, 2))
         assert not is_ancestor_or_self((1, 2), (1,))
-
-    def test_lowest_common_ancestor(self):
-        assert lowest_common_ancestor((1, 2, 1), (1, 2, 2)) == (1, 2)
-        assert lowest_common_ancestor((1,), (2,)) == ROOT
-        assert lowest_common_ancestor((1, 2), SENTINEL) is SENTINEL

@@ -14,7 +14,6 @@ from rwre.walk import (
     escape_probability,
     run_walk,
     step_walk,
-    trajectory_summary,
     trajectory_to_csv,
 )
 
@@ -98,13 +97,6 @@ class TestTrajectoryViews:
         for n in (1, 10, 25):
             assert traj.levels[tn[n]] == n
             assert np.all(traj.levels[: tn[n]] < n)
-
-    def test_summary_keys(self):
-        traj = run_walk(SPEC, StopRule(max_level=10))
-        s = trajectory_summary(traj)
-        assert s["stop_reason"] == "level"
-        assert s["max_level"] == 10
-        assert s["first_passage_steps"]["10"] == traj.steps_taken
 
 
 class TestCsvExport:
