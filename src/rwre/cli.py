@@ -3,7 +3,9 @@ and writes CSV/JSON reports.
 
 Exit codes: 0 when no report entry has ``pass: false``, 1 when at least
 one does (a package error inside a command becomes a failing
-``runtime_error`` entry), 2 for an invalid config or arguments.
+``runtime_error`` entry), 2 for an invalid config or arguments.  Every
+config value is checked before any stage runs, so an invalid config exits
+2 without writing a report or any other output file.
 
 Reproducibility contract, checked by ``tests/test_cli.py``: the same
 resolved config produces byte-identical CSVs and the same JSON report up
@@ -155,11 +157,13 @@ def _cmd_simulate(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
 
 
 def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    n_gaps = _as_int(s, "gaps", 16)
+    n_gaps = _as_int(s, "gaps", 1000)  # the tail fit needs 1000 gaps
     max_level = _as_int(s, "max_level", 3)
     guard = _as_int(s, "guard", 0)
     r2_min = _as_float(s, "r2_min")
     agree_tol = _as_float(s, "agree_tol")
+    if max_level <= 2 * guard:
+        raise ConfigError("max_level must exceed twice the guard")
     h = experiments.harvest_gaps(spec, n_gaps, max_level=max_level,
                                  guard=guard)
     with open(os.path.join(out, "gaps.csv"), "w", newline="") as fh:
@@ -189,6 +193,8 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     fclt_walks = _as_int(s, "fclt_walks", 0)
     speed_gaps = _as_int(s, "speed_gaps", 16)
     alpha = _as_float(s, "alpha")
+    if 0 < fclt_walks < 500:
+        raise ConfigError("fclt_walks must be 0 (no FCLT) or at least 500")
     results = []
     sr = experiments.speed_report(spec, n_gaps=speed_gaps)
     e = sr.estimate
@@ -238,6 +244,10 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     mc_samples = _as_int(s, "mc_samples", 100)
     tau_trials = _as_int(s, "tau_trials", 200)
     drift_tol = _as_float(s, "drift_tol")
+    if not p > 0:
+        raise ConfigError(f"p must be positive, got {p}")
+    if not 0.0 < epsilon < 1.0 / 3.0:
+        raise ConfigError(f"epsilon must lie in (0, 1/3), got {epsilon}")
     results = []
     if spec.kind.startswith("lerrw:"):
         delta = parse_descriptor(spec.kind)[1][0]
@@ -321,6 +331,8 @@ def _cmd_appendix(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         raise ConfigError(f"powers must be a comma list, got {s['powers']!r}")
     if not powers:
         raise ConfigError("powers must be non-empty")
+    if not all(p > 0 for p in powers):
+        raise ConfigError(f"powers must be positive, got {s['powers']!r}")
     thetas = np.linspace(0.01, 0.99, points)
     results = []
     with open(os.path.join(out, "appendix_grid.csv"), "w", newline="") as fh:

@@ -492,7 +492,6 @@ def independence_check(
     subtree_a: SubtreeSpec,
     subtree_b: SubtreeSpec,
     trials: int = 2000,
-    max_steps: int = 10_000,
 ) -> "IndependenceReport":
     """Chi-square independence test between discrete statistics read off the
     two extensions, across fully independent trials (fresh seed each).
@@ -511,8 +510,8 @@ def independence_check(
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
     b = spec.b
-    stop_a = StopRule(max_level=len(subtree_a.vertex) + 1, max_steps=max_steps)
-    stop_b = StopRule(max_level=len(subtree_b.vertex) + 1, max_steps=max_steps)
+    stop_a = StopRule(max_level=len(subtree_a.vertex) + 1, max_steps=10_000)
+    stop_b = StopRule(max_level=len(subtree_b.vertex) + 1, max_steps=10_000)
     table = np.zeros((b, b), dtype=np.int64)
     for t in range(trials):
         s = spec.subseed(b"ind", t)
@@ -526,7 +525,7 @@ def independence_check(
 def _first_descent_digit(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule) -> int:
     run = _simulate(spec, subtree, stop)
     if run.stop_reason != "level":
-        raise DegenerateDataError("extension failed to descend; raise max_steps")
+        raise DegenerateDataError("extension failed to descend within its step cap")
     return run.path_of(run.ids[-1])[-1]
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -248,21 +249,18 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
 
 def check_assumption_a(
     spec: EnvSpec,
-    n_grid: int = 101,
     method: str = "closed_form",
     n_samples: int = 100_000,
 ) -> MomentReport:
     """Transience criterion: inf over t in [0,1] of E[A^t] must exceed 1/b.
 
-    The infimum is taken over a uniform t grid.  All supported weight laws
-    have closed-form fractional moments; the Monte Carlo route exists as an
-    independent cross-check.
+    The infimum is taken over a uniform grid of 101 values of t.  All
+    supported weight laws have closed-form fractional moments; the Monte
+    Carlo route exists as an independent cross-check.
     """
-    if n_grid < 2:
-        raise InvalidInputError("need at least two grid points")
     if method not in ("closed_form", "mc"):
         raise InvalidInputError("method must be 'closed_form' or 'mc'")
-    grid = np.linspace(0.0, 1.0, n_grid)
+    grid = np.linspace(0.0, 1.0, 101)
     threshold = 1.0 / spec.b
     if method == "closed_form":
         vals = [marginal_weight_moment(spec, float(t)) for t in grid]
@@ -277,7 +275,7 @@ def check_assumption_a(
             passed=bool(est > threshold),
         )
         return report
-    a = _marginal_samples(spec, n_samples)
+    a = _weight_samples(spec, n_samples, b"m", itemgetter(0))
     loga = np.log(a)
     best = math.inf
     best_se = None
@@ -298,80 +296,69 @@ def check_assumption_a(
     )
 
 
-def _marginal_samples(spec: EnvSpec, n: int) -> np.ndarray:
-    """n draws of the single-edge weight A, via the first component of the
-    weight vector of n independently seeded copies."""
+def _weight_samples(spec: EnvSpec, n: int, stream: bytes,
+                    reduce: Callable[[WeightVector], float]) -> np.ndarray:
+    """``reduce`` of the weight vectors of n independently keyed copies of
+    one vertex, drawn from sample stream ``stream`` (see ``streams``)."""
     sampler = make_weight_sampler(spec)
     out = np.empty(n)
     for i in range(n):
-        dg = streams._blake(b"m" + streams.seed_bytes(spec.seed) + i.to_bytes(8, "little"),
-                            digest_size=16).digest()
-        out[i] = sampler(dg)[0]
+        out[i] = reduce(sampler(streams.sample_digest(spec.seed, stream, i)))
     return out
 
 
-def _sum_weight_samples(spec: EnvSpec, n: int) -> np.ndarray:
-    sampler = make_weight_sampler(spec)
-    out = np.empty(n)
-    for i in range(n):
-        dg = streams._blake(b"s" + streams.seed_bytes(spec.seed) + i.to_bytes(8, "little"),
-                            digest_size=16).digest()
-        out[i] = math.fsum(sampler(dg))
-    return out
-
-
-def moment_diagnostics(vals: np.ndarray, n_batches: int = 8) -> Tuple[float, float]:
+def moment_diagnostics(vals: np.ndarray) -> Tuple[float, float]:
     """Divergence heuristics for a nonnegative sample of a moment statistic.
 
     Returns (max batch share, relative half-sample drift): the largest
-    fraction of the total mass carried by one of ``n_batches`` contiguous
-    batches, and |mean - half-sample mean| / mean.  Both stay small for
-    integrable statistics at these sample sizes and either grows on the
-    heavy-tailed boundary; neither is a proof.
+    fraction of the total mass carried by one of 8 contiguous batches, and
+    |mean - half-sample mean| / mean.  Both stay small for integrable
+    statistics at these sample sizes and either grows on the heavy-tailed
+    boundary (see ``divergence_suspected``); neither is a proof.
     """
     n = len(vals)
     total = float(vals.sum())
     if total <= 0:
         return 0.0, 0.0
-    cut = n - n % n_batches
-    shares = vals[:cut].reshape(n_batches, -1).sum(axis=1) / total
+    cut = n - n % 8
+    shares = vals[:cut].reshape(8, -1).sum(axis=1) / total
     est = total / n
     half = float(vals[: n // 2].mean())
     return float(shares.max()), abs(est - half) / est
+
+
+def divergence_suspected(max_batch_share: float, half_drift: float) -> bool:
+    """The divergence rule on ``moment_diagnostics``: one batch carries more
+    than half the total mass, or the half-sample mean drifts by more than
+    a quarter relatively."""
+    return max_batch_share > 0.5 or half_drift > 0.25
 
 
 def negative_moment_mc(
     spec: EnvSpec,
     p: float,
     n_samples: int = 100_000,
-    n_batches: int = 8,
-    max_share: float = 0.5,
-    drift_limit: float = 0.25,
 ) -> MomentReport:
-    """Monte Carlo estimate of E[(A_1 + .. + A_b)^(-p)] with divergence flags.
-
-    Two heuristics mark a suspect estimate: a single batch of the 8-way
-    split carrying more than half the total mass, or the full-sample mean
-    drifting from the half-sample mean by more than ``drift_limit``
-    relatively.  Either fires on the heavy-tailed boundary cases; neither
-    is a proof.
+    """Monte Carlo estimate of E[(A_1 + .. + A_b)^(-p)], flagged as suspect
+    by ``divergence_suspected``, which fires on the heavy-tailed boundary
+    cases but is no proof.
     """
     if p <= 0:
         raise InvalidInputError("p must be positive")
-    if n_samples < n_batches * 2:
+    if n_samples < 16:
         raise InvalidInputError("need at least two samples per batch")
-    s = _sum_weight_samples(spec, n_samples)
+    s = _weight_samples(spec, n_samples, b"s", math.fsum)
     vals = s ** (-p)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    max_batch_share, drift = moment_diagnostics(vals, n_batches)
+    max_batch_share, drift = moment_diagnostics(vals)
     return MomentReport(
         quantity=f"E[(sum A)^-{p}]",
         estimate=est,
         std_error=se,
         n_samples=n_samples,
         method="mc",
-        suspect_divergence=bool(max_batch_share > max_share or drift > drift_limit),
+        suspect_divergence=divergence_suspected(max_batch_share, drift),
         max_batch_share=max_batch_share,
         half_drift=float(drift),
     )

@@ -7,7 +7,7 @@ any report is reproducible from the master seed alone.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import DataQualityError, InsufficientDataError, InvalidInputError
 from .tree import ROOT
 from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_gaps
 from .stats import (
+    FCLT_TIMES,
     FcltReport,
     NormalityReport,
     SpeedEstimate,
@@ -134,15 +135,13 @@ def clt_report(
     spec: EnvSpec,
     n_walks: int = 2000,
     n_steps: int = 5000,
-    fit_tag: bytes = b"clt-fit",
-    test_tag: bytes = b"clt-test",
 ) -> CltReport:
     if n_walks < 100:
         raise InvalidInputError("need at least 100 walks per split")
-    fit = final_distances(spec, n_walks, n_steps, tag=fit_tag)
+    fit = final_distances(spec, n_walks, n_steps, tag=b"clt-fit")
     v = float(fit.mean()) / n_steps
     sig = direct_sigma(fit, n_steps, v)
-    test = final_distances(spec, n_walks, n_steps, tag=test_tag)
+    test = final_distances(spec, n_walks, n_steps, tag=b"clt-test")
     z = (test - v * n_steps) / (sig.sigma_hat * math.sqrt(n_steps))
     return CltReport(v_hat=v, sigma_hat=sig.sigma_hat, n_fit=n_walks,
                      n_test=n_walks, n_steps=n_steps,
@@ -163,9 +162,7 @@ def fclt_report(
     spec: EnvSpec,
     n_walks: int = 1000,
     n_steps: int = 4000,
-    times: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     gap_target: int = 180_000,
-    guard: int = 100,
     alpha: float = 0.01,
 ) -> FcltRunReport:
     """Increment normality and cross-increment correlation tests, with the
@@ -176,17 +173,16 @@ def fclt_report(
     the harvest must be much larger than the walk ensemble: the default
     keeps the two-standard-error shift below about 0.08 for dt ~ 1000.
     """
-    sr = speed_report(spec, n_gaps=gap_target, guard=guard, tag=b"fclt-fit")
+    sr = speed_report(spec, n_gaps=gap_target, guard=100, tag=b"fclt-fit")
     v = sr.estimate.v_hat
     sig = estimate_sigma(sr.harvest.gaps, v)
-    idx = np.array([int(math.floor(n_steps * t)) for t in times])
-    mat = np.empty((n_walks, len(times)), dtype=np.float64)
+    idx = np.array([int(math.floor(n_steps * t)) for t in FCLT_TIMES])
+    mat = np.empty((n_walks, len(FCLT_TIMES)), dtype=np.float64)
     stop = StopRule(max_steps=n_steps)
     for i in range(n_walks):
         traj = run_walk(spec.subseed(b"fclt", i), stop)
         mat[i] = traj.levels[idx]
-    rep = fclt_increment_test(mat, n_steps, v, sig.sigma_hat,
-                              alpha=alpha, times=tuple(times))
+    rep = fclt_increment_test(mat, n_steps, v, sig.sigma_hat, alpha=alpha)
     return FcltRunReport(v_hat=v, sigma_hat=sig.sigma_hat, speed=sr.estimate,
                          report=rep, n_walks=n_walks, n_steps=n_steps)
 
@@ -206,8 +202,6 @@ def moment_harvest(
     trials: int,
     max_level: int = 100,
     guard: int = 60,
-    tag: bytes = b"moments",
-    max_steps: int = 800_000,
     epsilon: Optional[float] = None,
 ) -> MomentHarvest:
     """One pass of fresh walks yielding both the root-visit count and the
@@ -228,13 +222,13 @@ def moment_harvest(
     visits = np.empty(trials, dtype=np.float64)
     times = np.empty(trials, dtype=np.float64)
     bad = 0
-    stop = StopRule(max_level=max_level, max_steps=max_steps)
+    stop = StopRule(max_level=max_level, max_steps=800_000)
     for t in range(trials):
         if epsilon is None:
-            sub = spec.subseed(tag, t)
+            sub = spec.subseed(b"moments", t)
         else:
             for j in range(t * 64, t * 64 + 64):
-                sub = spec.subseed(tag, j)
+                sub = spec.subseed(b"moments", j)
                 probs = transition_probs(sample_weights(sub, ROOT))
                 if probs[0] <= 1.0 - epsilon:
                     break
@@ -286,25 +280,22 @@ def coupling_suite(
     spec: EnvSpec,
     seeds: int = 50,
     n_steps: int = 10_000,
-    nu_digit: int = 1,
-    tag: bytes = b"couple",
-    restriction_cap: int = 2000,
 ) -> CouplingReport:
     """For each derived seed: the whole-tree extension must reproduce the
-    direct walk exactly, and the extension on the subtree hanging above one
-    child of the root must reproduce the direct walk's restriction to that
-    subtree on their shared prefix (compared up to ``restriction_cap``
-    entries; the whole-tree check already audits full length)."""
+    direct walk exactly, and the extension on the subtree hanging above
+    the root's first child must reproduce the direct walk's restriction to
+    that subtree on their shared prefix (compared up to 2000 entries; the
+    whole-tree check already audits full length)."""
     if seeds < 1:
         raise InvalidInputError("need at least one seed")
-    nu = (nu_digit,)
+    nu = (1,)
     full_ok = 0
     restr_ok = 0
     compared = 0
     nonempty = 0
     stop = StopRule(max_steps=n_steps)
     for s in range(seeds):
-        sub = spec.subseed(tag, s)
+        sub = spec.subseed(b"couple", s)
         direct = run_walk(sub, stop)
         ext = run_extension(sub, SubtreeSpec.full_tree(), stop)
         if (np.array_equal(direct.levels, ext.levels)
@@ -312,8 +303,8 @@ def coupling_suite(
                 == ext.visited_digest_sequence()):
             full_ok += 1
         restr = lambda_restriction_sequence(direct, nu)
-        if len(restr) > restriction_cap:
-            restr = restr[:restriction_cap]
+        if len(restr) > 2000:
+            restr = restr[:2000]
         if restr:
             nonempty += 1
             lam = run_extension(

@@ -24,6 +24,7 @@ from . import streams
 from .env import (
     EnvSpec,
     MomentReport,
+    divergence_suspected,
     make_weight_sampler,
     moment_diagnostics,
     parse_descriptor,
@@ -37,7 +38,6 @@ from .errors import (
 )
 
 DEPTH_CAP = 2 ** 14
-NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,16 @@ class _TruncationLadder:
 
 
 def beta_root(spec: EnvSpec, depth: int = 1, tol: float = 1e-6,
-              depth_cap: int = DEPTH_CAP, node_budget: int = NODE_BUDGET,
-              rel_tol: float = 0.0) -> BetaValue:
+              depth_cap: int = DEPTH_CAP, rel_tol: float = 0.0) -> BetaValue:
     """Deepening evaluation of the root non-return probability.
 
     The truncation depth grows one level at a time, at least to ``depth``,
     until the estimated remaining error drops below ``tol`` (or below
     ``rel_tol`` times the value, when rel_tol is positive), the depth cap
     is reached, or (for random environments, whose truncated tree must be
-    enumerated) the next level would exceed the node budget.  Weight
-    arrays are shared across depths, so deepening is incremental.
+    enumerated) the next level would take the tree past two million
+    weight nodes.  Weight arrays are shared across depths, so deepening is
+    incremental.
     """
     if depth < 1:
         raise InvalidInputError("depth must be at least 1")
@@ -167,7 +167,7 @@ def beta_root(spec: EnvSpec, depth: int = 1, tol: float = 1e-6,
     while True:
         if ladder.depth >= depth_cap:
             break
-        if not ladder.scalar and ladder.nodes_at_next_depth() > node_budget:
+        if not ladder.scalar and ladder.nodes_at_next_depth() > 2_000_000:
             break
         new_value, children, probs = ladder.advance()
         gaps.append(value - new_value)
@@ -245,40 +245,36 @@ class BetaMomentReport(MomentReport):
 
 
 def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
-                            depth: int = 1, tol: float = 1e-4,
-                            variant: str = "beta", epsilon: float = 0.3,
-                            max_nonconverged: float = 0.01,
+                            variant: str = "beta",
                             rel_tol: float = 0.05) -> BetaMomentReport:
     """Monte Carlo E[beta^(-p)] over environments, or the cutoff variant
-    E[gamma^(-p) 1{omega(parent) <= 1 - epsilon}].
+    E[gamma^(-p) 1{omega(parent) <= 1 - eps}] with eps = 0.3.
 
     Environments are drawn by sub-seed; each is solved by ``beta_root``.
-    More than ``max_nonconverged`` of environments failing to converge is
-    a data-quality error rather than a silently biased estimate.
+    More than 1% of environments failing to converge is a data-quality
+    error rather than a silently biased estimate.
     """
     if n_envs < 100:
         raise InsufficientDataError("need at least 100 environments")
     if variant not in ("beta", "gamma_indicator"):
         raise InvalidInputError("variant must be beta or gamma_indicator")
-    if not 0.0 < epsilon < 1.0 / 3.0:
-        raise InvalidInputError("epsilon must lie in (0, 1/3)")
     vals = np.empty(n_envs, dtype=np.float64)
     betas: List[BetaValue] = []
     bad = 0
     for i in range(n_envs):
         sub = spec.subseed(b"beta-env", i)
-        bv = beta_root(sub, depth=depth, tol=tol, rel_tol=0.4 * rel_tol)
+        bv = beta_root(sub, tol=1e-4, rel_tol=0.4 * rel_tol)
         betas.append(bv)
         if not effectively_converged(bv, rel_tol):
             bad += 1
             vals[i] = np.nan
         elif variant == "beta":
             vals[i] = bv.value ** (-p)
-        elif bv.probs[0] > 1.0 - epsilon:
+        elif bv.probs[0] > 1.0 - 0.3:
             vals[i] = 0.0
         else:
             vals[i] = gamma_vertex(bv.probs, bv.child_values) ** (-p)
-    if bad > max_nonconverged * n_envs:
+    if bad > 0.01 * n_envs:
         raise DataQualityError(
             f"{bad}/{n_envs} environments failed to converge")
     vals = vals[np.isfinite(vals)]
@@ -292,7 +288,7 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
         std_error=se,
         n_samples=len(vals),
         method="mc",
-        suspect_divergence=bool(share > 0.5 or drift > 0.25),
+        suspect_divergence=divergence_suspected(share, drift),
         max_batch_share=share,
         half_drift=drift,
         betas=tuple(betas),

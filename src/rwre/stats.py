@@ -26,6 +26,9 @@ from .regen import GapSample
 _Z99 = 2.5758293035489004
 _SQRT2 = math.sqrt(2.0)
 
+# Fractions of the walk length at which the FCLT reads the level process.
+FCLT_TIMES = (0.25, 0.5, 0.75, 1.0)
+
 
 def kolmogorov_sf(lam: float) -> float:
     """Tail of the Kolmogorov distribution, Q(lam) = 2 sum (-1)^(j-1) e^(-2 j^2 lam^2).
@@ -136,17 +139,14 @@ class TailFit:
     method: str  # "geometric_mle" or "log_survival_regression"
 
 
-def fit_geometric_tail(level_gaps: Sequence[int], min_exceedances: int = 30,
-                       tail_from: int = 2) -> Tuple[TailFit, TailFit]:
+def fit_geometric_tail(level_gaps: Sequence[int]) -> Tuple[TailFit, TailFit]:
     """Fit P(gap >= k) ~ a^k two ways and report both.
 
-    The MLE treats gap - tail_from as geometric on {0, 1, ...} over the
-    gaps of at least ``tail_from``; real gap laws are geometric only in
-    the tail, and conditioning makes the MLE estimate the same decay
-    rate the regression sees (``tail_from=1`` recovers the textbook
-    full-sample MLE on gap - 1).  The regression fits a line to the log
-    empirical survival over every k observed by at least
-    ``min_exceedances`` gaps; its r-squared measures how straight the
+    The MLE treats gap - 2 as geometric on {0, 1, ...} over the gaps of at
+    least 2; real gap laws are geometric only in the tail, and conditioning
+    makes the MLE estimate the same decay rate the regression sees.  The
+    regression fits a line to the log empirical survival over every k
+    observed by at least 30 gaps; its r-squared measures how straight the
     log-tail actually is.
     """
     g = np.asarray(level_gaps, dtype=np.int64)
@@ -154,23 +154,21 @@ def fit_geometric_tail(level_gaps: Sequence[int], min_exceedances: int = 30,
         raise InsufficientDataError("need at least 1000 gaps for a tail fit")
     if g.min() < 1:
         raise InvalidInputError("gaps must be positive")
-    if tail_from < 1:
-        raise InvalidInputError("tail_from must be at least 1")
     if g.max() == g.min():
         raise DegenerateDataError("all gaps equal: no tail to fit")
-    tail = g[g >= tail_from] - tail_from
+    tail = g[g >= 2] - 2
     if len(tail) < 100:
         raise InsufficientDataError(
-            f"only {len(tail)} gaps reach {tail_from}; tail MLE needs 100")
+            f"only {len(tail)} gaps reach 2; tail MLE needs 100")
     m = float(tail.mean())
     a_mle = m / (1.0 + m)
     mle = TailFit(a_hat=a_mle, r_squared=float("nan"),
-                  k_range=(int(tail_from), int(g.max())), method="geometric_mle")
+                  k_range=(2, int(g.max())), method="geometric_mle")
 
     n = len(g)
     counts = np.bincount(g)
     exceed = n - np.concatenate(([0], np.cumsum(counts)))[: len(counts)]
-    ks = np.nonzero(exceed >= min_exceedances)[0]
+    ks = np.nonzero(exceed >= 30)[0]
     ks = ks[ks >= 1]
     if len(ks) < 3:
         raise DegenerateDataError("fewer than 3 usable survival points")
@@ -242,34 +240,27 @@ class FcltReport:
 
 
 def fclt_increment_test(levels_at_times: np.ndarray, n: int, v: float,
-                        sigma: float, alpha: float = 0.01,
-                        times: Sequence[float] = (0.25, 0.5, 0.75, 1.0)) -> FcltReport:
+                        sigma: float, alpha: float = 0.01) -> FcltReport:
     """Brownian-increment checks on the rescaled level process.
 
     ``levels_at_times`` holds one row per walk with the level at steps
-    floor(n t) for each listed t.  Increments between consecutive listed
-    times are standardized by v and sigma and tested for (i) standard
-    normality via KS and (ii) pairwise correlations within 3 standard
-    errors of zero.  Increments start at the first listed time, not at
+    floor(n t) for each t in ``FCLT_TIMES``.  Increments between
+    consecutive times are standardized by v and sigma and tested for (i)
+    standard normality via KS and (ii) pairwise correlations within 3
+    standard errors of zero.  Increments start at the first time, not at
     zero, so the start-up transient near the root cancels; a plug-in
     error dv still shifts every z by dv*sqrt(dt)/sigma, which is why v
     must come from a large fit sample.
     """
     lv = np.asarray(levels_at_times, dtype=np.float64)
-    if lv.ndim != 2 or lv.shape[1] != len(times):
-        raise InvalidInputError("levels_at_times must be (walks, len(times))")
-    if len(times) < 2:
-        raise InvalidInputError("need at least two times")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise InvalidInputError("times must be strictly increasing")
-    if times[0] <= 0.0 or times[-1] > 1.0:
-        raise InvalidInputError("times must lie in (0, 1]")
+    if lv.ndim != 2 or lv.shape[1] != len(FCLT_TIMES):
+        raise InvalidInputError("levels_at_times must be (walks, len(FCLT_TIMES))")
     m = lv.shape[0]
     if m < 500:
         raise InsufficientDataError("need at least 500 walks")
     if sigma <= 0:
         raise InvalidInputError("sigma must be positive")
-    steps = [math.floor(n * t) for t in times]
+    steps = [math.floor(n * t) for t in FCLT_TIMES]
     zs = []
     for j in range(1, len(steps)):
         dt = steps[j] - steps[j - 1]

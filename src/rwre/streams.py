@@ -14,6 +14,12 @@ Stream layout (all hashes are unkeyed BLAKE2b over the concatenated fields):
     clock, k >= 1     digest + b"c" + walk8 + slot1 + block4
                                                       -> k = 8m+1 .. 8m+8
     derived seeds     b"T" + seed8 + tag + index8     -> uint64
+    sample digests    stream1 + seed8 + index8        -> 16-byte digest
+
+``seed8`` is the master seed as 8 little-endian bytes, so seeds run from 0
+to 2**64 - 1.  A sample digest stands in for the vertex digest of copy
+``index`` of one vertex in single-vertex Monte Carlo estimates; ``stream1``
+is b"m" for the marginal weight and b"s" for the weight sum.
 
 ``walk8`` is a walk replica index: replicas with the same seed share the
 environment (the b"W" streams do not depend on it) but have independent
@@ -70,16 +76,22 @@ def _b4(i: int) -> bytes:
 
 
 def seed_bytes(seed: int) -> bytes:
-    """Normalize a master seed to 8 little-endian bytes."""
-    if not isinstance(seed, int) or seed < 0:
-        raise InvalidInputError("seed must be a non-negative integer")
-    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    """A master seed as 8 little-endian bytes."""
+    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise InvalidInputError("seed must be an integer in [0, 2**64)")
+    return seed.to_bytes(8, "little")
 
 
 def derive_seed(seed: int, tag: bytes, index: int) -> int:
     """A reproducible 64-bit sub-seed for trial ``index`` of stream ``tag``."""
     msg = b"T" + seed_bytes(seed) + tag + index.to_bytes(8, "little")
     return _U1(_blake(msg, digest_size=8).digest())[0]
+
+
+def sample_digest(seed: int, stream: bytes, index: int) -> bytes:
+    """Digest of copy ``index`` of one vertex in sample stream ``stream``."""
+    return _blake(stream + seed_bytes(seed) + index.to_bytes(8, "little"),
+                  digest_size=16).digest()
 
 
 def root_digest(seed: int) -> bytes:

@@ -179,3 +179,21 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     assert formula["estimate"] == lerrw_negative_moment_cf(4, 1.5, 0.5)
     assert formula["pass"] is True
     assert abs(formula["estimate"] - mc["estimate"]) <= 4 * mc["detail"]["std_error"]
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("simulate", {"run": {"seed": 2 ** 64}}),
+    ("regen", {"regen": {"max_level": 200, "guard": 100}}),
+    ("regen", {"regen": {"gaps": 999}}),
+    ("clt", {"clt": {"fclt_walks": 499}}),
+    ("appendix", {"appendix": {"powers": "1.0,0"}}),
+    ("moments", {"moments": {"p": 0}}),
+    ("moments", {"moments": {"epsilon": 0.34}}),
+], ids=["seed", "max_level", "gaps", "fclt_walks", "powers", "p", "epsilon"])
+def test_invalid_config_exits_2_before_any_output(tmp_path, command,
+                                                  sections):
+    cfg = tmp_path / f"{command}.ini"
+    _write_config(cfg, sections)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)

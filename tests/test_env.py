@@ -46,6 +46,8 @@ class TestDescriptors:
             EnvSpec(b=0, kind="const:1.0", seed=0)
         with pytest.raises(ConfigError):
             EnvSpec(b=2, kind="bogus:1", seed=0)
+        with pytest.raises(InvalidInputError):  # would alias seed 0
+            EnvSpec(b=2, kind="const:1.0", seed=2 ** 64)
 
     def test_subseed_changes_seed_only(self):
         spec = EnvSpec(b=3, kind="const:1.0", seed=5)
