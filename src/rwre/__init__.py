@@ -4,14 +4,10 @@ regeneration analysis, and statistical verification tools."""
 __version__ = "0.1.0"
 
 from .clocks import (
-    ClockKey,
     IndependenceReport,
     SubtreeSpec,
-    clock_sample,
     edge_disjoint,
-    first_child,
     independence_check,
-    jump_rate,
     lambda_restriction_sequence,
     run_extension,
 )
@@ -68,12 +64,5 @@ from .stats import (
     kolmogorov_sf,
     ks_normality_test,
 )
-from .tree import ROOT, SENTINEL, child, is_sentinel, level, parent
-from .walk import (
-    EscapeEstimate,
-    StopRule,
-    Trajectory,
-    escape_probability,
-    run_walk,
-    step_walk,
-)
+from .tree import ROOT, SENTINEL
+from .walk import StopRule, Trajectory, run_walk

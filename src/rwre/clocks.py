@@ -35,9 +35,11 @@ read (jump k + 1 along a slot reads lane k mod 8 of its block k div 8), and
 the child vertex ids.  A step is one ``min`` over the sums, one lane read
 and one add.
 
-The k = 0 race at a fresh vertex is one routine, ``_k0_clocks``, shared by
-the engine, ``first_child`` and ``walk.step_walk``, so single steps and
-full runs agree by construction.
+The engine is the only reader of the clock blocks: the k = 0 race when
+the walk first leaves a vertex reads ``streams.clock_init_block``, and
+every later jump one lane of ``streams.clock_advance_block``.  Both are
+looked up on the ``streams`` module when a run starts, so a wrapper
+installed there sees every block.
 
 Every run, full-tree walk or subtree extension alike, is recorded as one
 ``Trajectory``: the per-step levels (an int64 array), the per-step vertex
@@ -49,12 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import streams
-from .env import EnvSpec, make_weight_sampler, sample_weights
+from .env import EnvSpec, make_weight_sampler
 from .errors import DegenerateDataError, InvalidInputError
 from .tree import (
     ROOT,
@@ -62,65 +64,12 @@ from .tree import (
     Vertex,
     VertexPath,
     is_ancestor_or_self,
-    parent,
     validate_path,
 )
 
 _INF = math.inf
 _SENTINEL_ID = -1
 _SENTINEL_DIGEST = b"\x00" * 16
-
-
-@dataclass(frozen=True)
-class ClockKey:
-    """Oriented edge plus jump count; addresses one exponential variable."""
-
-    from_vertex: Vertex
-    to_vertex: Vertex
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InvalidInputError("jump count k must be nonnegative")
-        _slot_of(self.from_vertex, self.to_vertex)  # validates adjacency
-
-
-def _slot_of(frm: Vertex, to: Vertex) -> int:
-    """Direction slot of the oriented edge: 0 toward the parent, i toward
-    child i.  Raises for non-neighbors."""
-    if frm is SENTINEL:
-        if to == ROOT:
-            return 1
-        raise InvalidInputError("the sentinel's only neighbor is the root")
-    if to is SENTINEL:
-        if frm == ROOT:
-            return 0
-        raise InvalidInputError("only the root neighbors the sentinel")
-    if len(to) == len(frm) - 1 and frm[:-1] == to:
-        return 0
-    if len(to) == len(frm) + 1 and to[:-1] == frm:
-        return to[-1]
-    raise InvalidInputError(f"{frm!r} and {to!r} are not neighbors")
-
-
-def clock_sample(spec: EnvSpec, key: ClockKey, walk_index: int = 0) -> float:
-    """The exponential clock attached to ``key``: a pure function of
-    (spec.seed, key, walk replica)."""
-    slot = _slot_of(key.from_vertex, key.to_vertex)
-    if key.from_vertex is SENTINEL:
-        dg = streams.root_digest(spec.seed)[::-1]  # distinct stream, never raced
-    else:
-        validate_path(key.from_vertex, spec.b)
-        dg = streams.vertex_digest(spec.seed, key.from_vertex)
-    return streams.clock_exponential(dg, streams.walk_token(walk_index), slot, key.k)
-
-
-def jump_rate(spec: EnvSpec, frm: Vertex, to: Vertex) -> float:
-    """Rate of the oriented edge: 1 toward the parent, A_i toward child i."""
-    slot = _slot_of(frm, to)
-    if frm is SENTINEL or slot == 0:
-        return 1.0
-    return sample_weights(spec, frm)[slot - 1]
 
 
 @dataclass(frozen=True)
@@ -152,10 +101,6 @@ class SubtreeSpec:
     @staticmethod
     def lambda_subtree(v: VertexPath) -> "SubtreeSpec":
         return SubtreeSpec(kind="lambda", vertex=tuple(v))
-
-    @property
-    def root_of_subtree(self) -> Vertex:
-        return ROOT if self.kind == "full_tree" else parent(self.vertex)
 
 
 def edge_disjoint(a: SubtreeSpec, b: SubtreeSpec) -> bool:
@@ -233,74 +178,6 @@ class Trajectory:
     def visited_digest_sequence(self) -> List[bytes]:
         return [self.digest_of(i) for i in self.ids]
 
-    def vertex_path_at_step(self, step: int) -> Vertex:
-        return self.path_of(self.ids[step])
-
-    def fresh_vertex_times(self) -> List[Tuple[int, VertexPath]]:
-        """(step, vertex) pairs at first visits, in step order."""
-        return [(step, self.path_of(vid)) for step, vid in self.fresh]
-
-    def visit_counts(self) -> Dict[Vertex, int]:
-        counts: Dict[int, int] = {}
-        for i in self.ids:
-            counts[i] = counts.get(i, 0) + 1
-        return {self.path_of(vid): c for vid, c in counts.items()}
-
-    def first_passage_steps(self) -> np.ndarray:
-        """T_n for n = 0..max level: the first step at which level n is hit."""
-        lv = self.levels
-        out = np.full(int(lv.max()) + 1, -1, dtype=np.int64)
-        running = -1
-        for step, l in enumerate(lv):
-            if l > running:
-                running = l
-                if l >= 0:
-                    out[l] = step
-        return out
-
-    def distinct_per_level(self) -> np.ndarray:
-        """Number of distinct visited vertices at each level 0..max."""
-        top = int(self.levels.max())
-        out = np.zeros(top + 1, dtype=np.int64)
-        for _, vid in self.fresh:
-            d = self.dep[vid]
-            if d <= top:
-                out[d] += 1
-        return out
-
-
-def _k0_clocks(digest: bytes, walk8: bytes, rates: Sequence[float],
-               slots: Sequence[int]) -> List[float]:
-    """The k = 0 race at a fresh vertex: rate-scaled first clocks of the
-    allowed ``slots`` (0 toward the parent, i toward child i, with
-    ``rates[0] == 1.0``), ``inf`` for every other slot.  The walk leaves
-    through the smallest entry; ties go to the smaller slot, which is what
-    ``list.index(min(...))`` returns."""
-    log = math.log
-    two53 = streams.TWO53
-    two54 = streams.TWO54
-    s = [_INF] * len(rates)
-    blk: Sequence[int] = ()
-    blk_m = -1
-    for j in slots:
-        m = j >> 3
-        if m != blk_m:
-            blk = streams.clock_init_block(digest, walk8, m)
-            blk_m = m
-        s[j] = -log((blk[j & 7] >> 11) * two53 + two54) / rates[j]
-    return s
-
-
-def _first_move(spec: EnvSpec, v: VertexPath, walk_index: int,
-                slots: Sequence[int]) -> int:
-    """Slot through which a walk first leaves ``v`` when only ``slots`` are
-    open: the winner of the k = 0 race there."""
-    validate_path(v, spec.b)
-    dg = streams.vertex_digest(spec.seed, v)
-    s = _k0_clocks(dg, streams.walk_token(walk_index),
-                   (1.0,) + make_weight_sampler(spec)(dg), slots)
-    return s.index(min(s))
-
 
 def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
               walk_index: int = 0) -> Trajectory:
@@ -335,6 +212,7 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     two53 = streams.TWO53
     two54 = streams.TWO54
     child_digest = streams.child_digest
+    init_block = streams.clock_init_block
     adv_block = streams.clock_advance_block
     n_slots = b + 1
 
@@ -385,11 +263,20 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
             continue
         st = state[cur]
         if st is None:
+            # The k = 0 race: each open slot's first clock over its rate,
+            # inf for the closed slots.  Ties go to the smaller slot,
+            # which is what s.index(min(s)) returns.
             dg = dgs[cur]
             rates = (1.0,) + sampler(dg)
-            slots = anchor_slots if cur == 0 else all_slots
-            st = state[cur] = (_k0_clocks(dg, w8, rates, slots), rates,
-                               [0] * n_slots, [()] * n_slots, [-1] * n_slots)
+            s = [_INF] * n_slots
+            m = -1
+            for j in (anchor_slots if cur == 0 else all_slots):
+                if j >> 3 != m:
+                    m = j >> 3
+                    blk = init_block(dg, w8, m)
+                s[j] = -log((blk[j & 7] >> 11) * two53 + two54) / rates[j]
+            st = state[cur] = (s, rates, [0] * n_slots, [()] * n_slots,
+                               [-1] * n_slots)
         s, rates, jumps, blocks, kids = st
         j = s.index(min(s))
         k = jumps[j]
@@ -439,14 +326,6 @@ def run_extension(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
                   walk_index: int = 0) -> Trajectory:
     """Clock-driven walk on ``subtree`` starting at the subtree root."""
     return _simulate(spec, subtree, stop, walk_index)
-
-
-def first_child(spec: EnvSpec, v: VertexPath, walk_index: int = 0) -> VertexPath:
-    """The child of ``v`` whose k=0 clock over its edge rate is smallest;
-    the walk's first descent from ``v`` always goes there."""
-    if v is SENTINEL:
-        raise InvalidInputError("the sentinel has no children to race")
-    return v + (_first_move(spec, v, walk_index, range(1, spec.b + 1)),)
 
 
 def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:

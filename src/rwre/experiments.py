@@ -270,11 +270,6 @@ class CouplingReport:
     restriction_compared: int
     nonempty_restrictions: int
 
-    @property
-    def all_exact(self) -> bool:
-        return (self.full_matches == self.seeds
-                and self.restriction_matches == self.seeds)
-
 
 def coupling_suite(
     spec: EnvSpec,

@@ -211,8 +211,8 @@ def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
     """
     if not 0.0 < theta < 1.0:
         raise InvalidInputError("theta must lie in (0, 1)")
-    if p <= 0:
-        raise InvalidInputError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise InvalidInputError("p must be positive and finite")
     q = 1.0 - theta
     lam = -math.log(q)
     c_p = p ** (p + 1) * math.exp(-p) + math.gamma(p + 1)

@@ -140,18 +140,6 @@ def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> T
     return uniforms_from(digest + b"c" + walk8 + BYTE1[slot] + _b4(block))
 
 
-def clock_exponential(digest: bytes, walk8: bytes, slot: int, k: int) -> float:
-    """The unit-mean exponential attached to (oriented edge slot, jump count k).
-
-    Random access into the same values the walk engine consumes in bulk.
-    """
-    if k == 0:
-        w = clock_init_block(digest, walk8, slot >> 3)[slot & 7]
-    else:
-        w = clock_advance_block(digest, walk8, slot, (k - 1) >> 3)[(k - 1) & 7]
-    return -math.log((w >> 11) * TWO53 + TWO54)
-
-
 def gamma_variates(digest: bytes, shapes: Sequence[float]) -> List[float]:
     """One gamma variate per entry of ``shapes``, drawn in order from the
     flat weight stream of ``digest`` by Marsaglia-Tsang rejection.

@@ -31,37 +31,6 @@ SENTINEL = _Sentinel()
 Vertex = Union[VertexPath, _Sentinel]
 
 
-def is_sentinel(v: Vertex) -> bool:
-    return v is SENTINEL
-
-
-def level(v: Vertex) -> int:
-    """Distance from the root; -1 for the sentinel."""
-    if v is SENTINEL:
-        return -1
-    return len(v)
-
-
-def parent(v: Vertex) -> Vertex:
-    """Parent of ``v``; the root's parent is the sentinel."""
-    if v is SENTINEL:
-        raise InvalidInputError("the sentinel has no parent")
-    if not v:
-        return SENTINEL
-    return v[:-1]
-
-
-def child(v: Vertex, i: int, b: int) -> VertexPath:
-    """The i-th child of ``v``, 1 <= i <= b; the sentinel's only child is the root."""
-    if not 1 <= i <= b:
-        raise InvalidInputError(f"child index {i} outside 1..{b}")
-    if v is SENTINEL:
-        if i != 1:
-            raise InvalidInputError("the sentinel has a single child, the root")
-        return ROOT
-    return v + (i,)
-
-
 def validate_path(v: Vertex, b: int) -> None:
     """Check every digit of a path lies in 1..b."""
     if v is SENTINEL:

@@ -164,6 +164,9 @@ def test_moments_at_default_law_and_power(tmp_path):
     formula = entries["weight_sum_negative_moment_formula"]
     assert formula["detail"] == {"divergent": True}
     assert formula["estimate"] is None
+    # so the Monte Carlo entry passes exactly when its detector alarms
+    mc = entries["weight_sum_negative_moment_mc"]
+    assert mc["pass"] == mc["detail"]["suspect"]
     assert rc == (1 if any(e["pass"] is False for e in entries.values()) else 0)
 
 
@@ -189,7 +192,10 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("appendix", {"appendix": {"powers": "1.0,0"}}),
     ("moments", {"moments": {"p": 0}}),
     ("moments", {"moments": {"epsilon": 0.34}}),
-], ids=["seed", "max_level", "gaps", "fclt_walks", "powers", "p", "epsilon"])
+    ("coupling", {"coupling": {"alpha": "nan"}}),
+    ("appendix", {"appendix": {"powers": "1.0,inf"}}),
+], ids=["seed", "max_level", "gaps", "fclt_walks", "powers", "p", "epsilon",
+        "alpha_nan", "powers_inf"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"

@@ -1,22 +1,19 @@
-"""Exponential-clock machinery: keys, rates, subtree extensions, and the
-restriction/independence structure they support."""
+"""Exponential-clock machinery: the clock values, subtree extensions, and
+the restriction/independence structure they support."""
 
 import numpy as np
 import pytest
 
+from rwre import streams
 from rwre.clocks import (
-    ClockKey,
     IndependenceReport,
     SubtreeSpec,
-    clock_sample,
     edge_disjoint,
-    first_child,
     independence_check,
-    jump_rate,
     lambda_restriction_sequence,
     run_extension,
 )
-from rwre.env import EnvSpec, sample_weights
+from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
 from rwre.tree import ROOT, SENTINEL
 from rwre.walk import StopRule, run_walk
@@ -25,58 +22,37 @@ from rwre.walk import StopRule, run_walk
 SPEC = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
 
 
-class TestClockKey:
-    def test_negative_jump_count_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ClockKey(from_vertex=(1,), to_vertex=(), k=-1)
-
-    def test_non_neighbors_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ClockKey(from_vertex=(1,), to_vertex=(2, 1), k=0)
-        with pytest.raises(InvalidInputError):
-            ClockKey(from_vertex=SENTINEL, to_vertex=(1,), k=0)
-
-    def test_sentinel_root_edge_is_valid(self):
-        key = ClockKey(from_vertex=SENTINEL, to_vertex=ROOT, k=0)
-        assert clock_sample(SPEC, key) > 0.0
+def _advance_clocks(v, slot, n, walk_index=0):
+    """Clocks k = 1..n of one slot of ``v``, read off its advance blocks
+    eight at a time, as the walk engine reads them."""
+    dg = streams.vertex_digest(SPEC.seed, v)
+    w8 = streams.walk_token(walk_index)
+    words = [x for m in range((n + 7) // 8)
+             for x in streams.clock_advance_block(dg, w8, slot, m)]
+    return np.array([-np.log((x >> 11) * streams.TWO53 + streams.TWO54)
+                     for x in words[:n]])
 
 
 class TestClockSample:
     def test_deterministic_in_key_and_replica(self):
-        key = ClockKey(from_vertex=(2,), to_vertex=(2, 3), k=5)
-        a = clock_sample(SPEC, key, walk_index=7)
-        b = clock_sample(SPEC, key, walk_index=7)
-        assert a == b
-        assert clock_sample(SPEC, key, walk_index=8) != a
+        a = _advance_clocks((2,), 3, 16, walk_index=7)
+        assert np.array_equal(a, _advance_clocks((2,), 3, 16, walk_index=7))
+        assert not np.any(a == _advance_clocks((2,), 3, 16, walk_index=8))
 
     def test_distinct_jump_counts_decouple(self):
-        vals = {clock_sample(SPEC, ClockKey((1,), (1, 2), k=k)) for k in range(32)}
-        assert len(vals) == 32
+        assert len(set(_advance_clocks((1,), 2, 32))) == 32
 
     def test_unit_mean_over_many_edges(self):
         # k-indexed clocks over one edge form an i.i.d. unit-exponential family
-        vals = [clock_sample(SPEC, ClockKey((3,), (3, 1), k=k)) for k in range(20000)]
+        vals = _advance_clocks((3,), 1, 20000)
         assert np.mean(vals) == pytest.approx(1.0, abs=0.03)
 
     def test_paired_directions_uncorrelated(self):
-        up = np.array([clock_sample(SPEC, ClockKey((1, 1), (1,), k=k))
-                       for k in range(20000)])
-        down = np.array([clock_sample(SPEC, ClockKey((1,), (1, 1), k=k))
-                         for k in range(20000)])
+        # the two orientations of the edge between (1,) and (1, 1)
+        up = _advance_clocks((1, 1), 0, 20000)
+        down = _advance_clocks((1,), 1, 20000)
         corr = np.corrcoef(up, down)[0, 1]
         assert abs(corr) < 0.03
-
-
-class TestJumpRate:
-    def test_parent_edge_rate_is_one(self):
-        assert jump_rate(SPEC, (2, 1), (2,)) == 1.0
-        assert jump_rate(SPEC, ROOT, SENTINEL) == 1.0
-        assert jump_rate(SPEC, SENTINEL, ROOT) == 1.0
-
-    def test_child_edge_rate_matches_environment(self):
-        w = sample_weights(SPEC, (2,))
-        for i in range(1, SPEC.b + 1):
-            assert jump_rate(SPEC, (2,), (2, i)) == w[i - 1]
 
 
 class TestSubtreeSpec:
@@ -91,9 +67,14 @@ class TestSubtreeSpec:
             SubtreeSpec(kind="lambda")
 
     def test_subtree_roots(self):
-        assert SubtreeSpec.full_tree().root_of_subtree == ROOT
-        assert SubtreeSpec.lambda_subtree((2, 3)).root_of_subtree == (2,)
-        assert SubtreeSpec.lambda_subtree(ROOT).root_of_subtree is SENTINEL
+        # a run starts at its subtree's root: the vertex closest to the root
+        def start(st):
+            run = run_extension(SPEC, st, StopRule(max_steps=1))
+            return run.path_of(run.ids[0]), int(run.levels[0])
+
+        assert start(SubtreeSpec.full_tree()) == (ROOT, 0)
+        assert start(SubtreeSpec.lambda_subtree((2, 3))) == ((2,), 1)
+        assert start(SubtreeSpec.lambda_subtree(ROOT)) == (SENTINEL, -1)
 
 
 class TestEdgeDisjoint:
@@ -117,7 +98,7 @@ class TestExtensions:
         returns = 0
         for w in range(8):
             traj = run_extension(SPEC, st, StopRule(max_steps=500), walk_index=w)
-            paths = [traj.vertex_path_at_step(t) for t in range(len(traj.ids))]
+            paths = [traj.path_of(i) for i in traj.ids]
             assert paths[:2] == [(2,), (2, 1)]
             assert all(p == (2,) or p[:2] == (2, 1) for p in paths)
             returns += paths[2:].count((2,))
@@ -133,7 +114,7 @@ class TestExtensions:
     def test_anchor_is_subtree_root(self):
         st = SubtreeSpec.lambda_subtree((2, 1))
         traj = run_extension(SPEC, st, StopRule(max_steps=50))
-        assert traj.vertex_path_at_step(0) == (2,)
+        assert traj.path_of(traj.ids[0]) == (2,)
         assert traj.levels[0] == 1
 
     def test_root_race_frequency(self):
@@ -149,23 +130,11 @@ class TestExtensions:
         assert ups / trials == pytest.approx(1 / 7, abs=0.02)
 
 
-class TestFirstChild:
-    def test_matches_first_descent_of_extension(self):
-        for walk_index in range(6):
-            traj = run_extension(SPEC, SubtreeSpec.full_tree(),
-                                 StopRule(max_level=1), walk_index=walk_index)
-            assert traj.vertex_path_at_step(traj.steps_taken) == \
-                first_child(SPEC, ROOT, walk_index=walk_index)
-
-    def test_sentinel_rejected(self):
-        with pytest.raises(InvalidInputError):
-            first_child(SPEC, SENTINEL)
-
-
 class TestRestriction:
     def test_restriction_matches_extension_prefix(self):
-        nu = first_child(SPEC, ROOT)  # cone the walk is guaranteed to enter
         traj = run_walk(SPEC, StopRule(max_steps=3000))
+        # the cone of the root's first descent: the walk is sure to enter it
+        nu = traj.path_of(traj.ids[int(np.argmax(traj.levels == 1))])
         restr = lambda_restriction_sequence(traj, nu)
         assert len(restr) > 2
         ext = run_extension(SPEC, SubtreeSpec.lambda_subtree(nu),

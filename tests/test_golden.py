@@ -15,15 +15,15 @@ sqrt and pow).
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from rwre import streams
-from rwre.clocks import StopRule, SubtreeSpec, _simulate, first_child
+from rwre.clocks import StopRule, SubtreeSpec, _simulate
 from rwre.env import EnvSpec, make_weight_sampler
 from rwre.tree import ROOT, SENTINEL
-from rwre.walk import step_walk
 
 SEEDS = (5, 1234)
 BRANCHING = (3, 9)  # nine children put slots 8 and 9 in a second clock block
@@ -75,6 +75,34 @@ def _run(spec, subtree, walk_index=0, **stop):
     return _simulate(spec, subtree, StopRule(**stop), walk_index)
 
 
+def _exponential(word: int) -> float:
+    return -math.log((word >> 11) * streams.TWO53 + streams.TWO54)
+
+
+def _race(spec, v, walk_index, slots) -> int:
+    """Reference k = 0 race at ``v``: the slot among ``slots`` (0 toward
+    the parent, i toward child i) whose first clock over its rate is
+    smallest, the smaller slot on a tie.  A walk first leaves a fresh
+    vertex through it."""
+    dg = streams.vertex_digest(spec.seed, v)
+    w8 = streams.walk_token(walk_index)
+    rates = (1.0,) + make_weight_sampler(spec)(dg)
+    clock = {j: _exponential(streams.clock_init_block(dg, w8, j >> 3)[j & 7])
+             / rates[j] for j in slots}
+    return min(slots, key=clock.__getitem__)
+
+
+def _first_step(spec, v, walk_index):
+    j = _race(spec, v, walk_index, range(spec.b + 1))
+    if j:
+        return v + (j,)
+    return SENTINEL if v == ROOT else v[:-1]
+
+
+def _first_descent(spec, v, walk_index):
+    return v + (_race(spec, v, walk_index, range(1, spec.b + 1)),)
+
+
 def _kind_digest(kind: str) -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
@@ -84,14 +112,31 @@ def _kind_digest(kind: str) -> str:
                 _hash_run(h, _run(spec, subtree, **kw))
             for w in range(8):
                 for v in (ROOT, (1, 2)):
-                    _hash_vertex(h, step_walk(spec, v, walk_index=w))
-                    _hash_vertex(h, first_child(spec, v, walk_index=w))
+                    _hash_vertex(h, _first_step(spec, v, w))
+                    _hash_vertex(h, _first_descent(spec, v, w))
     return h.hexdigest()[:32]
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_stream_layout_digest(kind):
     assert _kind_digest(kind) == GOLDEN[kind]
+
+
+def test_first_step_matches_the_race():
+    spec = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
+    for w in range(8):
+        run = _run(spec, SubtreeSpec.full_tree(), walk_index=w, max_steps=1)
+        assert run.path_of(run.ids[1]) == _first_step(spec, ROOT, w)
+
+
+def test_first_descent_matches_the_race():
+    # clocks of edges the walk has not yet taken keep their k = 0 values,
+    # so however often the root is left upward first, the first descent
+    # goes to the child that wins the children's race
+    spec = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
+    for w in range(8):
+        run = _run(spec, SubtreeSpec.full_tree(), walk_index=w, max_level=1)
+        assert run.path_of(run.ids[-1]) == _first_descent(spec, ROOT, w)
 
 
 def test_sentinel_stop_digest():
@@ -147,7 +192,16 @@ def test_sampler_value_digest(kind, monkeypatch):
     assert len(blocks) == SAMPLER_BLOCKS[kind]
 
 
-def test_clock_exponential_value_digest():
+def _clock(dg, w8, slot, k) -> float:
+    """Clock k of one slot: lane slot mod 8 of k = 0 block slot div 8, or
+    lane (k - 1) mod 8 of the slot's advance block (k - 1) div 8."""
+    if k == 0:
+        return _exponential(streams.clock_init_block(dg, w8, slot >> 3)[slot & 7])
+    block = streams.clock_advance_block(dg, w8, slot, (k - 1) >> 3)
+    return _exponential(block[(k - 1) & 7])
+
+
+def test_clock_value_digest():
     h = hashlib.sha256()
     for s in range(16):
         dg = streams.vertex_digest(s, (1, 2))
@@ -155,6 +209,5 @@ def test_clock_exponential_value_digest():
             w8 = streams.walk_token(w)
             for slot in (0, 1, 9):
                 for k in (0, 1, 7, 8, 9):
-                    x = streams.clock_exponential(dg, w8, slot, k)
-                    h.update(np.float64(x).tobytes())
+                    h.update(np.float64(_clock(dg, w8, slot, k)).tobytes())
     assert h.hexdigest()[:32] == GOLDEN_CLOCKS

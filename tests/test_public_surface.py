@@ -1,14 +1,22 @@
-"""Every public function and class of the package must be reached, and
-every defaulted parameter of a public function must be set by a caller.
+"""Every public function, class, method and property of the package must
+be reached by the program, and every defaulted parameter of a public
+function must be set by a caller.
 
-A top-level public name counts as reached when some other package module
-(``__init__.py`` aside, since re-exporting is not use) or some test names
-it.  Anything else is dead API: wire it into a command or a test of a
-paper claim, make it private, or delete it.
+A public definition counts as reached when one of these holds:
+
+* another package module (``__init__.py`` aside, since re-exporting is
+  not use) imports it with ``from .m import name``, reads it off its
+  module (``m.name``) or, for a method or property, reads it as an
+  attribute of anything;
+* its own module names it outside its definition;
+* a benchmark file (``bench/*.py``) reaches it in one of those ways.
+
+A test naming a definition does not reach it, and neither does a local
+variable that shares its name.  Anything else is dead API: wire it into a
+command or the benchmark, make it private, or delete it.
 
 A defaulted parameter counts as set when some call in the package, in a
-test or in the benchmark (``bench/*.py``) passes it, by keyword or by
-position.
+test or in the benchmark passes it, by keyword or by position.
 """
 
 import ast
@@ -21,33 +29,75 @@ TESTS = Path(__file__).parent
 BENCH = TESTS.parent / "bench"
 
 
-def _names_used(path: Path) -> set:
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def _identifiers(tree: ast.AST):
+    """(node, name) for every identifier ``tree`` names."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            yield node, node.id
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            yield node, node.attr
         elif isinstance(node, ast.alias):
-            used.add(node.name)
-    return used
+            yield node, node.name
 
 
-def _public_definitions(path: Path) -> list:
-    return [node.name for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _reach(tree: ast.AST) -> tuple:
+    """What a file reaches in the package: (names it imports from package
+    modules, (module, name) pairs it reads off package modules, every
+    attribute name it reads)."""
+    imported, module_attrs, attrs = set(), set(), set()
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rwre"):
+            if node.module in (None, "rwre"):
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            else:
+                imported.update(a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                module_attrs.add((modules[node.value.id], node.attr))
+    return imported, module_attrs, attrs
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node, is a member) of each public top-level
+    function and class and each public method and property of a top-level
+    class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item, True
 
 
 def test_every_public_name_is_reached():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    uses = {p: _names_used(p) for p in modules}
-    in_tests = set().union(*(_names_used(p) for p in TESTS.glob("test_*.py")))
+    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"}
+    reach = {p: _reach(t) for p, t in trees.items()}
+    bench = [_reach(ast.parse(p.read_text())) for p in sorted(BENCH.glob("*.py"))]
     unreached = []
-    for path in modules:
-        elsewhere = in_tests.union(*(u for p, u in uses.items() if p != path))
-        unreached += [f"{path.stem}.{name}" for name in _public_definitions(path)
-                      if name not in elsewhere]
+    for path, tree in trees.items():
+        named = list(_identifiers(tree))
+        others = [r for p, r in reach.items() if p != path] + bench
+        for qualname, node, member in _public_definitions(tree):
+            name = node.name
+            inside = {id(n) for n in ast.walk(node)}
+            if any(n == name and id(x) not in inside for x, n in named):
+                continue
+            if member:
+                if any(name in attrs for _, _, attrs in others):
+                    continue
+            elif any(name in imported or (path.stem, name) in module_attrs
+                     for imported, module_attrs, _ in others):
+                continue
+            unreached.append(f"{path.stem}.{qualname}")
     assert not unreached, f"public but unreached: {unreached}"
 
 

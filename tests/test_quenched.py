@@ -108,3 +108,8 @@ class TestGeometricMomentBound:
         exact, bound = geometric_moment_bound(0.25, 1.0)
         assert exact == pytest.approx(3.0, rel=1e-9)
         assert exact <= bound
+
+    def test_power_must_be_positive_and_finite(self):
+        for p in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError):
+                geometric_moment_bound(0.25, p)

@@ -106,7 +106,7 @@ class TestOnRealWalks:
         recs = detect_regenerations(traj, guard=60)
         confirmed = [r for r in recs if r.m >= 1 and r.confirmed]
         assert len(confirmed) > 50
-        per_level = traj.distinct_per_level()
+        per_level = np.bincount([traj.dep[vid] for _, vid in traj.fresh])
         for r in confirmed:
             assert per_level[r.level] == 1
         # levels and times are strictly ordered along the record chain

@@ -14,7 +14,6 @@ from scipy import stats as st
 from rwre import streams
 from rwre.env import EnvSpec, make_weight_sampler
 from rwre.errors import InvalidInputError
-from rwre.tree import ROOT, SENTINEL
 
 
 class TestDigests:
@@ -85,6 +84,14 @@ class TestUniformBlocks:
         assert a != b
 
 
+def _clock_uniforms(d, w8):
+    init = streams.clock_init_block(d, w8, 0)
+    for slot in (0, 1):
+        advance = (streams.clock_advance_block(d, w8, slot, 0)
+                   + streams.clock_advance_block(d, w8, slot, 1))
+        yield from _lane_uniforms((init[slot],) + advance[:9])
+
+
 class TestUniformStream:
     """Draws read off the flat weight streams and the clock blocks."""
 
@@ -108,10 +115,11 @@ class TestUniformStream:
         assert st.skew(x) == pytest.approx(0.0, abs=0.08)
 
     def test_exponential_moments(self):
+        # clock k = 0 of slots 0 and 1 and clocks k = 1..9 of each slot:
+        # the k = 0 block and the first two advance blocks of each slot
         w8 = streams.walk_token(0)
-        x = np.array([streams.clock_exponential(d, w8, slot, k)
-                      for d in _digests(b"e", 1000)
-                      for slot in (0, 1) for k in range(10)])
+        x = np.array([-math.log(u) for d in _digests(b"e", 1000)
+                      for u in _clock_uniforms(d, w8)])
         assert x.mean() == pytest.approx(1.0, abs=0.03)
         assert x.var() == pytest.approx(1.0, abs=0.08)
 
@@ -136,20 +144,3 @@ class TestUniformStream:
         for shapes in ((0.0,), (1.0, -2.0)):
             with pytest.raises(InvalidInputError):
                 streams.gamma_variates(d, shapes)
-
-
-class TestClockPrimitives:
-    def test_clock_exponential_positive_and_deterministic(self):
-        d = streams.vertex_digest(8, (1, 2))
-        w8 = streams.walk_token(0)
-        x = streams.clock_exponential(d, w8, 0, 0)
-        assert x > 0.0
-        assert x == streams.clock_exponential(d, w8, 0, 0)
-
-    def test_clock_exponential_mean_over_keys(self):
-        w8 = streams.walk_token(0)
-        vals = []
-        for i in range(4000):
-            d = streams.vertex_digest(i, ROOT)
-            vals.append(streams.clock_exponential(d, w8, 0, 0))
-        assert np.mean(vals) == pytest.approx(1.0, abs=0.05)

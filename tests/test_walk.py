@@ -1,21 +1,18 @@
-"""Step-level behavior of the quenched walk runner and its summaries."""
+"""Step-level behavior of the quenched walk runner, its CSV export, and
+its agreement with the quenched escape probability of the ladder."""
 
 import io
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
+from rwre.clocks import SubtreeSpec, run_extension
 from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
-from rwre.tree import ROOT, SENTINEL
-from rwre.walk import (
-    EscapeEstimate,
-    StopRule,
-    escape_probability,
-    run_walk,
-    step_walk,
-    trajectory_to_csv,
-)
+from rwre.quenched import beta_root
+from rwre.tree import ROOT
+from rwre.walk import StopRule, run_walk, trajectory_to_csv
 
 
 SPEC = EnvSpec(b=2, kind="lerrw:1.0", seed=88)
@@ -63,40 +60,24 @@ class TestRunWalk:
         assert halted.stop_reason == "sentinel"
         assert halted.levels[-1] == -1
 
-    def test_first_step_matches_step_walk(self):
-        for w in range(8):
-            traj = run_walk(SPEC, StopRule(max_steps=1), walk_index=w)
-            assert traj.vertex_path_at_step(1) == step_walk(SPEC, ROOT, walk_index=w)
-
     def test_step_from_sentinel_returns_to_root(self):
-        assert step_walk(SPEC, SENTINEL) == ROOT
+        # lambda_subtree(ROOT) starts its run at the sentinel
+        traj = run_extension(SPEC, SubtreeSpec.lambda_subtree(ROOT),
+                             StopRule(max_steps=1))
+        assert list(traj.levels) == [-1, 0]
+        assert traj.path_of(traj.ids[1]) == ROOT
 
 
 class TestTrajectoryViews:
-    def test_visit_counts_account_for_every_step(self):
-        traj = run_walk(SPEC, StopRule(max_steps=700))
-        counts = traj.visit_counts()
-        assert sum(counts.values()) == traj.steps_taken + 1
-        assert counts[ROOT] >= 1
-
     def test_fresh_vertices_start_at_root(self):
+        # fresh lists each visited vertex once, at the step it is first hit
         traj = run_walk(SPEC, StopRule(max_steps=700))
-        fresh = traj.fresh_vertex_times()
-        assert fresh[0] == (0, ROOT)
-        steps = [s for s, _ in fresh]
-        assert steps == sorted(steps)
-        assert traj.distinct_per_level()[0] == 1
-        assert traj.distinct_per_level().sum() == len(
-            [v for _, v in fresh if v is not SENTINEL])
-
-    def test_first_passage_steps_are_first_hits(self):
-        traj = run_walk(SPEC, StopRule(max_level=25))
-        tn = traj.first_passage_steps()
-        assert tn[0] == 0
-        assert len(tn) == 26
-        for n in (1, 10, 25):
-            assert traj.levels[tn[n]] == n
-            assert np.all(traj.levels[: tn[n]] < n)
+        assert traj.fresh[0] == (0, 0)
+        assert traj.path_of(0) == ROOT
+        assert [traj.ids.index(vid) for _, vid in traj.fresh] == \
+            [step for step, _ in traj.fresh]
+        assert sorted(vid for _, vid in traj.fresh) == \
+            sorted(set(traj.ids) - {-1})
 
 
 class TestCsvExport:
@@ -116,19 +97,28 @@ class TestCsvExport:
             trajectory_to_csv(traj, io.StringIO(), stride=0)
 
 
-class TestEscapeProbability:
-    def test_depth_one_equal_weights_oracle(self):
-        # A == 1 at the root: first move decides, two of three edges go down
-        spec = EnvSpec(b=2, kind="const:1.0", seed=12)
-        est = escape_probability(spec, 1, trials=4000)
-        assert isinstance(est, EscapeEstimate)
-        assert est.probability == pytest.approx(2.0 / 3.0, abs=0.025)
-        assert est.ci_low < 2.0 / 3.0 < est.ci_high
-        assert est.scaled_estimate == pytest.approx(2 * est.probability)
-        assert est.successes == round(est.probability * est.trials)
+# Replicas per environment and environments per case of the oracle below.
+ORACLE_REPLICAS = 400
+ORACLE_ENVS = 24
 
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            escape_probability(SPEC, 0, trials=500)
-        with pytest.raises(InvalidInputError):
-            escape_probability(SPEC, 2, trials=50)
+
+@pytest.mark.parametrize("kind, b, n", [("lerrw:1.0", 4, 5), ("lerrw:0.5", 3, 6)])
+def test_escape_counts_match_the_ladder(kind, b, n):
+    # In a fixed environment the ladder's boundary-one depth-n value is
+    # exactly the chance of reaching level n before the sentinel, and walk
+    # indices give independent clocks in that environment, so each escape
+    # count is Binomial(ORACLE_REPLICAS, beta_n).  Nothing is fitted, so
+    # Pearson's statistic over the environments has ORACLE_ENVS degrees of
+    # freedom; the test rejects at p < 1e-3 (statistic above 51.2).
+    spec = EnvSpec(b=b, kind=kind, seed=7)
+    stop = StopRule(max_level=n, stop_at_sentinel=True)
+    chi2 = 0.0
+    for e in range(ORACLE_ENVS):
+        sub = spec.subseed(b"oracle", e)
+        beta = beta_root(sub, depth=n, depth_cap=n).value
+        reasons = [run_walk(sub, stop, walk_index=r).stop_reason
+                   for r in range(ORACLE_REPLICAS)]
+        assert set(reasons) <= {"level", "sentinel"}
+        expected = ORACLE_REPLICAS * beta
+        chi2 += (reasons.count("level") - expected) ** 2 / (expected * (1.0 - beta))
+    assert st.chi2.sf(chi2, ORACLE_ENVS) > 1e-3, chi2
