@@ -23,23 +23,31 @@ use.  One ``StopRule`` says when a run ends; ``walk.run_walk`` and
 
 The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
-on demand, and cumulative sums are advanced incrementally, so memory and
-time are proportional to the number of distinct visited vertices plus the
-number of steps.
+on demand, and cumulative sums are advanced incrementally when a race
+reads them, so memory and time are proportional to the number of distinct
+visited vertices plus the number of steps.
 
-Each vertex the walk has left keeps one race-state record, indexed by slot
-(0 toward the parent, i toward child i): the rate-scaled clock sums, the
-rates (1.0 toward the parent, so the parent slot needs no special case:
+Each vertex the walk has raced at keeps one race-state record, indexed by
+slot (0 toward the parent, i toward child i): the rate-scaled clock sums,
+the rates (1.0 toward the parent, so the parent slot needs no special case:
 y / 1.0 == y exactly), the jump counts, the advance block currently being
 read (jump k + 1 along a slot reads lane k mod 8 of its block k div 8), and
-the child vertex ids.  A step is one ``min`` over the sums, one lane read
-and one add.
+the child vertex ids; then the pending slot, the one the walk last left
+through.  A jump's next clock is drawn only when the walk races at that
+vertex again: the race first adds it to the pending slot's sum, so every
+sum a race compares is the one an eager redraw at jump time would give,
+and a clock no race reads is never drawn.  A step is one ``min``, plus at
+most one deferred lane read and add.
+
+The anchor of a lambda subtree below the root, the parent of its vertex,
+has one open slot, so the walk leaves it toward that vertex on every step
+from it without a race: the anchor draws no weights and no clocks.
 
 The engine is the only reader of the clock blocks: the k = 0 race when
-the walk first leaves a vertex reads ``streams.clock_init_block``, and
-every later jump one lane of ``streams.clock_advance_block``.  Both are
-looked up on the ``streams`` module when a run starts, so a wrapper
-installed there sees every block.
+the walk first leaves a vertex reads ``streams.clock_init_block``, and a
+race that follows a jump one lane of ``streams.clock_advance_block``.
+Both are looked up on the ``streams`` module when a run starts, so a
+wrapper installed there sees every block.
 
 Every run, full-tree walk or subtree extension alike, is recorded as one
 ``Trajectory``: the per-step levels (an int64 array), the per-step vertex
@@ -67,7 +75,6 @@ from .tree import (
     validate_path,
 )
 
-_INF = math.inf
 _SENTINEL_ID = -1
 _SENTINEL_DIGEST = b"\x00" * 16
 
@@ -190,13 +197,13 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     sampler = make_weight_sampler(spec)
     seed = spec.seed
     w8 = streams.walk_token(walk_index)
-    all_slots = tuple(range(b + 1))
 
-    # Resolve anchor vertex, start position, and the anchor's open slots;
-    # every other vertex has all its slots open.
+    # Resolve anchor vertex and start position.  A lambda subtree below
+    # the root leaves its anchor, the parent of nu, one open slot, so the
+    # walk always leaves the anchor toward nu without a race.
     start_at_sentinel = False
     anchor = ROOT
-    anchor_slots: Tuple[int, ...] = all_slots
+    anchor_slot = 0
     if subtree.kind == "lambda":
         nu = subtree.vertex
         validate_path(nu, b)
@@ -204,7 +211,7 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
             start_at_sentinel = True
         else:
             anchor = nu[:-1]
-            anchor_slots = (nu[-1],)
+            anchor_slot = nu[-1]
 
     run = Trajectory(anchor)
     anchor_level = len(anchor)
@@ -222,10 +229,11 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     dep = run.dep
     dgs = run.dgs
     fresh = run.fresh
-    # Race state of each vertex, created when the walk first leaves it:
-    # (clock sums, rates, jump counts, current advance block, child ids),
-    # each indexed by slot.
-    state: List[Optional[tuple]] = [None]
+    # Race state of each vertex, created at its first race:
+    # [clock sums, rates, jump counts, current advance block, child ids],
+    # each indexed by slot, then the pending slot.
+    state: List[Optional[list]] = [None]
+    anchor_kids = [-1] * n_slots
     par.append(-1)
     dig.append(0)
     dep.append(anchor_level)
@@ -262,30 +270,38 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
                 break
             continue
         st = state[cur]
-        if st is None:
-            # The k = 0 race: each open slot's first clock over its rate,
-            # inf for the closed slots.  Ties go to the smaller slot,
-            # which is what s.index(min(s)) returns.
+        if st is not None:
+            # Add the clock the last jump from here uncovered: jump k + 1
+            # along slot j reads lane k mod 8 of j's advance block k div 8.
+            s, rates, jumps, blocks, kids, j = st
+            k = jumps[j] - 1
+            if k & 7:
+                blk = blocks[j]
+            else:
+                blk = blocks[j] = adv_block(dgs[cur], w8, j, k >> 3)
+            s[j] += -log((blk[k & 7] >> 11) * two53 + two54) / rates[j]
+            j = s.index(min(s))
+            st[5] = j
+            jumps[j] += 1
+        elif cur or not anchor_slot:
+            # The k = 0 race: each slot's first clock over its rate.  Ties
+            # go to the smaller slot, which is what s.index(min(s)) returns.
             dg = dgs[cur]
             rates = (1.0,) + sampler(dg)
-            s = [_INF] * n_slots
-            m = -1
-            for j in (anchor_slots if cur == 0 else all_slots):
-                if j >> 3 != m:
-                    m = j >> 3
-                    blk = init_block(dg, w8, m)
-                s[j] = -log((blk[j & 7] >> 11) * two53 + two54) / rates[j]
-            st = state[cur] = (s, rates, [0] * n_slots, [()] * n_slots,
-                               [-1] * n_slots)
-        s, rates, jumps, blocks, kids = st
-        j = s.index(min(s))
-        k = jumps[j]
-        jumps[j] = k + 1
-        if k & 7:
-            blk = blocks[j]
+            s = []
+            for j in range(n_slots):
+                if not j & 7:
+                    blk = init_block(dg, w8, j >> 3)
+                s.append(-log((blk[j & 7] >> 11) * two53 + two54) / rates[j])
+            j = s.index(min(s))
+            jumps = [0] * n_slots
+            jumps[j] = 1
+            kids = [-1] * n_slots
+            state[cur] = [s, rates, jumps, [()] * n_slots, kids, j]
         else:
-            blk = blocks[j] = adv_block(dgs[cur], w8, j, k >> 3)
-        s[j] += -log((blk[k & 7] >> 11) * two53 + two54) / rates[j]
+            # The one-slot anchor: the walk leaves it toward nu, no race.
+            j = anchor_slot
+            kids = anchor_kids
         if j == 0:
             p = par[cur]
             if p == -1:

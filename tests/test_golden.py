@@ -8,6 +8,10 @@ pinned-seed outputs byte-identical leaves every digest here unchanged; any
 change to the stream layout, the race order or the tie rule moves at least
 one.
 
+The eager reference walk at the end draws each clock at jump time and
+races at every vertex it leaves; the engine, which draws a clock only
+when a race reads it, must reproduce its runs step for step.
+
 The sampler and clock digests hash raw float64 bytes, so a sampler or a
 clock read that drifts by one ulp moves them.  Like the CLI output
 digests, those constants depend on the platform's libm (log, exp, cos,
@@ -211,3 +215,60 @@ def test_clock_value_digest():
                 for k in (0, 1, 7, 8, 9):
                     h.update(np.float64(_clock(dg, w8, slot, k)).tobytes())
     assert h.hexdigest()[:32] == GOLDEN_CLOCKS
+
+
+def _eager_walk(spec, subtree, walk_index, steps):
+    """Reference walk that draws each jump's next clock when it jumps and
+    races at every vertex it leaves, the anchor of a lambda subtree too
+    (with only the slot toward nu open).  Returns the engine's ids, levels
+    and fresh, and the highest advance block any race read."""
+    b = spec.b
+    w8 = streams.walk_token(walk_index)
+    sampler = make_weight_sampler(spec)
+    nu = ROOT if subtree.kind == "full_tree" else subtree.vertex
+    anchor = nu[:-1] if nu else ROOT
+    v = SENTINEL if subtree.kind == "lambda" and not nu else anchor
+    ids, fresh, races, read = {}, [], {}, 0
+    out_ids, levels = [], []
+    for step in range(steps + 1):
+        if step and v is SENTINEL:
+            v = ROOT
+        elif step:
+            if v not in races:
+                dg = streams.vertex_digest(spec.seed, v)
+                rates = (1.0,) + sampler(dg)
+                slots = (nu[-1],) if nu and v == anchor else range(b + 1)
+                races[v] = (dg, rates, [0] * (b + 1), {
+                    j: _exponential(streams.clock_init_block(dg, w8, j >> 3)[j & 7])
+                    / rates[j] for j in slots})
+            dg, rates, jumps, s = races[v]
+            j = min(s, key=s.__getitem__)
+            k = jumps[j]
+            jumps[j] += 1
+            if k:
+                read = max(read, (k - 1) >> 3)
+            s[j] += _exponential(streams.clock_advance_block(dg, w8, j, k >> 3)[k & 7]) / rates[j]
+            v = v + (j,) if j else (v[:-1] if v else SENTINEL)
+        if v is not SENTINEL and v not in ids:
+            ids[v] = len(ids)
+            fresh.append((step, ids[v]))
+        out_ids.append(-1 if v is SENTINEL else ids[v])
+        levels.append(-1 if v is SENTINEL else len(v))
+    return out_ids, levels, fresh, read
+
+
+@pytest.mark.parametrize("kind, b", [
+    ("const:0.3", 2), ("lerrw:1.0", 3), ("lerrw:0.5", 4), ("gamma:0.5,2", 3)])
+def test_engine_matches_the_eager_reference_walk(kind, b):
+    spec = EnvSpec(b=b, kind=kind, seed=77)
+    deepest = 0
+    for subtree in (SubtreeSpec.full_tree(), SubtreeSpec.lambda_subtree(ROOT),
+                    SubtreeSpec.lambda_subtree((2, 1))):
+        for w in range(8):
+            run = _run(spec, subtree, walk_index=w, max_steps=300)
+            ids, levels, fresh, read = _eager_walk(spec, subtree, w, 300)
+            assert (run.ids, run.levels.tolist(), run.fresh) == (ids, levels, fresh)
+            deepest = max(deepest, read)
+    if kind == "const:0.3":
+        # some race read a clock from a slot's second advance block
+        assert deepest >= 1

@@ -7,7 +7,7 @@ tracer wraps.  A code path that hashes a block without going through
 ``clock_advance_block``, breaks one of the identities.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -61,16 +61,27 @@ class _Counts:
                                       + c["sampler_blocks"])
 
 
-def _advance_blocks(run) -> int:
-    """Advance blocks a run must read: ceil(K / 8) for each oriented edge
-    its walk jumped along K times (steps out of the sentinel use none)."""
-    jumps = Counter()
+def _departures(run) -> dict:
+    """Slots each vertex id was left through, in step order (steps out of
+    the sentinel leave no vertex)."""
+    out = defaultdict(list)
     lv = run.levels
     for t in range(1, len(run.ids)):
         a, c = run.ids[t - 1], run.ids[t]
-        if a == -1:
-            continue
-        jumps[(a, run.dig[c] if lv[t] > lv[t - 1] else 0)] += 1
+        if a != -1:
+            out[a].append(run.dig[c] if lv[t] > lv[t - 1] else 0)
+    return out
+
+
+def _advance_blocks(departures) -> int:
+    """Advance blocks a run must read: ceil(K' / 8) for each (vertex, slot),
+    K' counting the jumps along the slot that another race at the vertex
+    follows.  A jump's next clock is drawn only when the walk races there
+    again, so each vertex's last jump draws none."""
+    jumps = Counter()
+    for v, slots in departures.items():
+        for j in slots[:-1]:
+            jumps[(v, j)] += 1
     return sum((k + 7) // 8 for k in jumps.values())
 
 
@@ -89,9 +100,14 @@ def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subt
     assert run.steps_taken == 3000
     counts.assert_blocks_balance()
     assert c["child_digest"] == len(run.fresh) - 1
-    # b + 1 <= 8 slots: one k = 0 block and one weight draw per left vertex
-    assert c["clock_init_block"] == c["sampler"] > 0
-    assert c["clock_advance_block"] == _advance_blocks(run) > 0
+    departures = _departures(run)
+    if subtree.kind == "lambda":
+        # the anchor's one open slot leads to nu, so the walk leaves it
+        # without a race: no weights and no clocks there
+        assert set(departures.pop(0)) == {subtree.vertex[-1]}
+    # b + 1 <= 8 slots: one k = 0 block and one weight draw per raced vertex
+    assert c["clock_init_block"] == c["sampler"] == len(departures) > 0
+    assert c["clock_advance_block"] == _advance_blocks(departures) > 0
     if kind == "lerrw:1.0":
         # one exponential and b normals: nine uniforms, two blocks
         assert c["sampler_blocks"] == 2 * c["sampler"]
