@@ -224,15 +224,15 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
             fr = experiments.fclt_report(spec, n_walks=fclt_walks,
                                          n_steps=n_steps, alpha=alpha,
                                          gap_target=speed_gaps)
-            max_corr = max(abs(c) for c in fr.report.correlations)
+            max_corr = max(abs(c) for c in fr.correlations)
             results.append(_entry(
                 "fclt_increments", "experiments.fclt_report",
                 estimate=max_corr,
-                p_value=min(t.p_value for t in fr.report.increment_tests),
-                ok=bool(fr.report.passed),
+                p_value=min(t.p_value for t in fr.increment_tests),
+                ok=bool(fr.passed),
                 increment_p_values=[float(t.p_value) for t in
-                                    fr.report.increment_tests],
-                correlation_limit=fr.report.correlation_limit))
+                                    fr.increment_tests],
+                correlation_limit=fr.correlation_limit))
     with open(os.path.join(out, "clt_z.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "z"])

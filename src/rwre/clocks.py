@@ -9,7 +9,8 @@ rate-scaled cumulative clock sum
 
 is smallest, where k_u counts the jumps already made from v to u and the
 rate r(v, u) is 1 toward the parent and the child weight A_i toward child
-i.  Competing exponentials reproduce the one-step law exactly, and because
+i; a weight of zero gives its edge S = inf, so that edge is never taken.
+Competing exponentials reproduce the one-step law exactly, and because
 the clocks are keyed (not drawn sequentially), a walk restricted to a
 subtree consumes the very same clock values as the full walk: runs on
 nested subtrees coincide step for step, and runs on edge-disjoint subtrees
@@ -292,7 +293,10 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
             for j in range(n_slots):
                 if not j & 7:
                     blk = init_block(dg, w8, j >> 3)
-                s.append(-log((blk[j & 7] >> 11) * two53 + two54) / rates[j])
+                try:
+                    s.append(-log((blk[j & 7] >> 11) * two53 + two54) / rates[j])
+                except ZeroDivisionError:  # a weight that underflowed to 0.0
+                    s.append(math.inf)
             j = s.index(min(s))
             jumps = [0] * n_slots
             jumps[j] = 1

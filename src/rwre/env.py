@@ -68,16 +68,12 @@ class EnvSpec:
 class MomentReport:
     """Outcome of a scalar moment estimate or check."""
 
-    quantity: str
     estimate: float
     std_error: Optional[float]
     n_samples: Optional[int]
-    method: str
     passed: Optional[bool] = None
     threshold: Optional[float] = None
     suspect_divergence: Optional[bool] = None
-    max_batch_share: Optional[float] = None
-    half_drift: Optional[float] = None
 
 
 @lru_cache(maxsize=256)
@@ -209,12 +205,14 @@ def transition_probs(w: WeightVector) -> ProbVector:
     """One-step law out of a vertex: parent edge first, then children.
 
     The parent edge has weight one, so the parent entry is 1/(1+sum(w)).
+    A weight of exactly zero is a legal draw (a gamma variate of shape
+    below one can underflow) and gives its child probability zero.
     """
     if len(w) < 1:
         raise InvalidInputError("weight vector must have at least one entry")
     for x in w:
-        if not (x > 0) or math.isinf(x):
-            raise InvalidInputError("weights must be positive and finite")
+        if not (x >= 0) or math.isinf(x):
+            raise InvalidInputError("weights must be non-negative and finite")
     total = 1.0 + math.fsum(w)
     return (1.0 / total,) + tuple(x / total for x in w)
 
@@ -265,16 +263,13 @@ def check_assumption_a(
     if method == "closed_form":
         vals = [marginal_weight_moment(spec, float(t)) for t in grid]
         est = min(vals)
-        report = MomentReport(
-            quantity="inf_t E[A^t]",
+        return MomentReport(
             estimate=est,
             std_error=None,
             n_samples=None,
-            method="closed_form",
             threshold=threshold,
             passed=bool(est > threshold),
         )
-        return report
     a = _weight_samples(spec, n_samples, b"m", itemgetter(0))
     loga = np.log(a)
     best = math.inf
@@ -286,11 +281,9 @@ def check_assumption_a(
             best = m
             best_se = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return MomentReport(
-        quantity="inf_t E[A^t]",
         estimate=best,
         std_error=best_se,
         n_samples=n_samples,
-        method="mc",
         threshold=threshold,
         passed=bool(best > threshold),
     )
@@ -351,16 +344,11 @@ def negative_moment_mc(
     vals = s ** (-p)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    max_batch_share, drift = moment_diagnostics(vals)
     return MomentReport(
-        quantity=f"E[(sum A)^-{p}]",
         estimate=est,
         std_error=se,
         n_samples=n_samples,
-        method="mc",
-        suspect_divergence=divergence_suspected(max_batch_share, drift),
-        max_batch_share=max_batch_share,
-        half_drift=float(drift),
+        suspect_divergence=divergence_suspected(*moment_diagnostics(vals)),
     )
 
 

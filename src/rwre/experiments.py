@@ -40,7 +40,6 @@ class HarvestResult:
 
     gaps: GapSample
     walks: int
-    total_steps: int
 
 
 def harvest_gaps(
@@ -64,12 +63,10 @@ def harvest_gaps(
         raise InvalidInputError("max_level must exceed twice the guard")
     parts: List[GapSample] = []
     total = 0
-    steps = 0
     for i in range(max_walks):
         sub = spec.subseed(tag, i)
         traj = run_walk(sub, StopRule(max_level=max_level,
                                       max_steps=max_steps_per_walk))
-        steps += traj.steps_taken
         recs = detect_regenerations(traj, guard=guard)
         try:
             g = regeneration_gaps(recs, drop_first=True)
@@ -78,8 +75,7 @@ def harvest_gaps(
         parts.append(g)
         total += len(g)
         if total >= n_gaps:
-            return HarvestResult(gaps=concat_gaps(parts), walks=i + 1,
-                                 total_steps=steps)
+            return HarvestResult(gaps=concat_gaps(parts), walks=i + 1)
     raise DataQualityError(
         f"collected {total} gaps from {max_walks} walks, wanted {n_gaps}; "
         "the environment may be recurrent or nearly so")
@@ -124,9 +120,6 @@ class CltReport:
 
     v_hat: float
     sigma_hat: float
-    n_fit: int
-    n_test: int
-    n_steps: int
     ks: NormalityReport
     z_scores: np.ndarray
 
@@ -142,20 +135,9 @@ def clt_report(
     v = float(fit.mean()) / n_steps
     sig = direct_sigma(fit, n_steps, v)
     test = final_distances(spec, n_walks, n_steps, tag=b"clt-test")
-    z = (test - v * n_steps) / (sig.sigma_hat * math.sqrt(n_steps))
-    return CltReport(v_hat=v, sigma_hat=sig.sigma_hat, n_fit=n_walks,
-                     n_test=n_walks, n_steps=n_steps,
-                     ks=ks_normality_test(z), z_scores=z)
-
-
-@dataclass(frozen=True)
-class FcltRunReport:
-    v_hat: float
-    sigma_hat: float
-    speed: SpeedEstimate
-    report: FcltReport
-    n_walks: int
-    n_steps: int
+    z = (test - v * n_steps) / (sig * math.sqrt(n_steps))
+    return CltReport(v_hat=v, sigma_hat=sig, ks=ks_normality_test(z),
+                     z_scores=z)
 
 
 def fclt_report(
@@ -164,7 +146,7 @@ def fclt_report(
     n_steps: int = 4000,
     gap_target: int = 180_000,
     alpha: float = 0.01,
-) -> FcltRunReport:
+) -> FcltReport:
     """Increment normality and cross-increment correlation tests, with the
     drift and scale plug-ins fitted from an independent gap harvest.
 
@@ -182,9 +164,7 @@ def fclt_report(
     for i in range(n_walks):
         traj = run_walk(spec.subseed(b"fclt", i), stop)
         mat[i] = traj.levels[idx]
-    rep = fclt_increment_test(mat, n_steps, v, sig.sigma_hat, alpha=alpha)
-    return FcltRunReport(v_hat=v, sigma_hat=sig.sigma_hat, speed=sr.estimate,
-                         report=rep, n_walks=n_walks, n_steps=n_steps)
+    return fclt_increment_test(mat, n_steps, v, sig, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -194,7 +174,6 @@ class MomentHarvest:
 
     root_visits: np.ndarray
     first_regen_times: np.ndarray
-    trials: int
 
 
 def moment_harvest(
@@ -254,8 +233,7 @@ def moment_harvest(
             f"{bad}/{trials} walks had no confirmed regeneration below "
             "max_level - guard; increase max_level")
     return MomentHarvest(root_visits=visits,
-                         first_regen_times=times[np.isfinite(times)],
-                         trials=trials)
+                         first_regen_times=times[np.isfinite(times)])
 
 
 @dataclass(frozen=True)
@@ -263,8 +241,6 @@ class CouplingReport:
     """Exact-identity audit between direct walks, whole-tree extensions and
     subtree extensions, over independent seeds."""
 
-    seeds: int
-    n_steps: int
     full_matches: int
     restriction_matches: int
     restriction_compared: int
@@ -312,7 +288,7 @@ def coupling_suite(
                 restr_ok += 1
         else:
             restr_ok += 1
-    return CouplingReport(seeds=seeds, n_steps=n_steps, full_matches=full_ok,
+    return CouplingReport(full_matches=full_ok,
                           restriction_matches=restr_ok,
                           restriction_compared=compared,
                           nonempty_restrictions=nonempty)

@@ -280,16 +280,10 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
     vals = vals[np.isfinite(vals)]
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    share, drift = moment_diagnostics(vals)
-    name = "E[beta^-p]" if variant == "beta" else "E[gamma^-p; omega_parent <= 1-eps]"
     return BetaMomentReport(
-        quantity=name,
         estimate=est,
         std_error=se,
         n_samples=len(vals),
-        method="mc",
-        suspect_divergence=divergence_suspected(share, drift),
-        max_batch_share=share,
-        half_drift=drift,
+        suspect_divergence=divergence_suspected(*moment_diagnostics(vals)),
         betas=tuple(betas),
     )

@@ -37,7 +37,6 @@ class GapSample:
 
     level_gaps: np.ndarray
     time_gaps: np.ndarray
-    drop_first: bool
 
     def __post_init__(self):
         lg, tg = self.level_gaps, self.time_gaps
@@ -98,7 +97,6 @@ def regeneration_gaps(records: Sequence[RegenRecord], drop_first: bool) -> GapSa
     return GapSample(
         level_gaps=np.diff(levels)[start:],
         time_gaps=np.diff(times)[start:],
-        drop_first=drop_first,
     )
 
 
@@ -109,5 +107,4 @@ def concat_gaps(samples: Sequence[GapSample]) -> GapSample:
     return GapSample(
         level_gaps=np.concatenate([s.level_gaps for s in samples]),
         time_gaps=np.concatenate([s.time_gaps for s in samples]),
-        drop_first=all(s.drop_first for s in samples),
     )

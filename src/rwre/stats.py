@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.stats
 
 from .errors import (
     DegenerateDataError,
@@ -89,14 +88,7 @@ def estimate_speed(gaps: GapSample) -> SpeedEstimate:
 # ---------------------------------------------------------------- sigma
 
 
-@dataclass(frozen=True)
-class SigmaEstimate:
-    sigma_hat: float
-    method: str  # "regeneration_blocks" or "direct_variance"
-    n: int
-
-
-def estimate_sigma(gaps: GapSample, v: float) -> SigmaEstimate:
+def estimate_sigma(gaps: GapSample, v: float) -> float:
     """Per-step diffusion constant from regeneration blocks.
 
     The centered block variables level_gap - v * time_gap are i.i.d.; their
@@ -110,11 +102,10 @@ def estimate_sigma(gaps: GapSample, v: float) -> SigmaEstimate:
     var = float(np.var(y, ddof=1))
     if var == 0.0:
         raise DegenerateDataError("zero block variance: deterministic gaps")
-    s2 = var / float(gaps.time_gaps.mean())
-    return SigmaEstimate(sigma_hat=math.sqrt(s2), method="regeneration_blocks", n=len(gaps))
+    return math.sqrt(var / float(gaps.time_gaps.mean()))
 
 
-def direct_sigma(final_levels: Sequence[float], n: int, v: float) -> SigmaEstimate:
+def direct_sigma(final_levels: Sequence[float], n: int, v: float) -> float:
     """Diffusion constant from the endpoint spread of independent walks:
     Var(|X_n| - v n)/n over walks run for exactly n steps."""
     lv = np.asarray(final_levels, dtype=np.float64)
@@ -125,7 +116,7 @@ def direct_sigma(final_levels: Sequence[float], n: int, v: float) -> SigmaEstima
     var = float(np.var(lv - v * n, ddof=1))
     if var == 0.0:
         raise DegenerateDataError("zero endpoint variance")
-    return SigmaEstimate(sigma_hat=math.sqrt(var / n), method="direct_variance", n=len(lv))
+    return math.sqrt(var / n)
 
 
 # ---------------------------------------------------------------- tail fit
@@ -136,7 +127,6 @@ class TailFit:
     a_hat: float
     r_squared: float
     k_range: Tuple[int, int]
-    method: str  # "geometric_mle" or "log_survival_regression"
 
 
 def fit_geometric_tail(level_gaps: Sequence[int]) -> Tuple[TailFit, TailFit]:
@@ -163,7 +153,7 @@ def fit_geometric_tail(level_gaps: Sequence[int]) -> Tuple[TailFit, TailFit]:
     m = float(tail.mean())
     a_mle = m / (1.0 + m)
     mle = TailFit(a_hat=a_mle, r_squared=float("nan"),
-                  k_range=(2, int(g.max())), method="geometric_mle")
+                  k_range=(2, int(g.max())))
 
     n = len(g)
     counts = np.bincount(g)
@@ -179,7 +169,7 @@ def fit_geometric_tail(level_gaps: Sequence[int]) -> Tuple[TailFit, TailFit]:
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 0.0
     reg = TailFit(a_hat=float(math.exp(slope)), r_squared=r2,
-                  k_range=(int(ks[0]), int(ks[-1])), method="log_survival_regression")
+                  k_range=(int(ks[0]), int(ks[-1])))
     return mle, reg
 
 
@@ -213,6 +203,8 @@ def ks_normality_test(samples: Sequence[float]) -> NormalityReport:
 
 def chi_square_independence(table: Sequence[Sequence[float]]) -> Tuple[float, float, int]:
     """Independence test for a two-way contingency table."""
+    from scipy.stats import chi2
+
     t = np.asarray(table, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] < 2 or t.shape[1] < 2:
         raise InvalidInputError("table must be at least 2x2")
@@ -224,7 +216,7 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> Tuple[float, fl
     exp = np.outer(rows, cols) / total
     stat = float(((t - exp) ** 2 / exp).sum())
     dof = (t.shape[0] - 1) * (t.shape[1] - 1)
-    return stat, float(scipy.stats.chi2.sf(stat, dof)), dof
+    return stat, float(chi2.sf(stat, dof)), dof
 
 
 # ---------------------------------------------------------------- FCLT
@@ -235,7 +227,6 @@ class FcltReport:
     increment_tests: Tuple[NormalityReport, ...]
     correlations: Tuple[float, ...]
     correlation_limit: float
-    alpha: float
     passed: bool
 
 
@@ -277,7 +268,6 @@ def fclt_increment_test(levels_at_times: np.ndarray, n: int, v: float,
         increment_tests=reports,
         correlations=tuple(corrs),
         correlation_limit=limit,
-        alpha=alpha,
         passed=ok,
     )
 
@@ -292,10 +282,7 @@ class StabilityReport:
     passed: bool
     drift: float
     estimate: float
-    half_estimate: float
     n_samples: int
-    power: float
-    rel_tol: float
 
 
 def doubling_stability(samples: Sequence[float], p: float,
@@ -313,9 +300,7 @@ def doubling_stability(samples: Sequence[float], p: float,
     half = float(x[: len(x) // 2].mean())
     if full == 0.0:
         return StabilityReport(passed=True, drift=0.0, estimate=0.0,
-                               half_estimate=0.0, n_samples=len(x), power=p,
-                               rel_tol=rel_tol)
+                               n_samples=len(x))
     drift = abs(full - half) / full
     return StabilityReport(passed=drift < rel_tol, drift=drift, estimate=full,
-                           half_estimate=half, n_samples=len(x), power=p,
-                           rel_tol=rel_tol)
+                           n_samples=len(x))

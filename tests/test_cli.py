@@ -10,6 +10,8 @@ here.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +154,19 @@ def test_clt_smoke_config_runs_the_fclt(three_runs):
     entry = {e["name"]: e for e in report["results"]}["fclt_increments"]
     assert "skipped" not in entry["detail"]
     assert len(entry["detail"]["increment_p_values"]) == 3
+
+
+def test_entry_modules_load_without_scipy():
+    # scipy.stats takes about a second to import.  Only the chi-square test
+    # and the quadrature need scipy, and each imports it when called; the
+    # coupling and moments digests above pin what those calls return.
+    code = ("import sys, rwre.cli, rwre.quenched; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert got.stdout.strip() == "[]"
 
 
 def test_moments_at_default_law_and_power(tmp_path):

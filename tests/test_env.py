@@ -74,9 +74,14 @@ class TestTransitionProbs:
         with pytest.raises(InvalidInputError):
             transition_probs(())
         with pytest.raises(InvalidInputError):
-            transition_probs((1.0, 0.0))
+            transition_probs((1.0, -0.5))
+        with pytest.raises(InvalidInputError):
+            transition_probs((1.0, math.nan))
         with pytest.raises(InvalidInputError):
             transition_probs((1.0, math.inf))
+
+    def test_zero_weight_is_a_closed_edge(self):
+        assert transition_probs((1.0, 0.0)) == (0.5, 0.5, 0.0)
 
 
 class TestWeightSampling:

@@ -12,7 +12,6 @@ from rwre.errors import DataQualityError
 from rwre.experiments import (
     CltReport,
     CouplingReport,
-    FcltRunReport,
     HarvestResult,
     MomentHarvest,
     SpeedReport,
@@ -24,6 +23,7 @@ from rwre.experiments import (
     moment_harvest,
     speed_report,
 )
+from rwre.stats import FcltReport
 from rwre.walk import StopRule, run_walk
 
 CONST = EnvSpec(b=4, kind="const:1.0", seed=17)
@@ -34,7 +34,6 @@ def test_harvest_pools_confirmed_gaps():
     assert isinstance(h, HarvestResult)
     assert len(h.gaps) >= 16
     assert h.walks >= 1
-    assert h.total_steps >= int(h.gaps.time_gaps.sum())
 
 
 def test_harvest_skips_walks_too_short_to_regenerate():
@@ -63,23 +62,21 @@ def test_final_distances_are_walk_endpoints():
 def test_clt_plug_ins_match_the_exact_constants():
     cr = clt_report(CONST, n_walks=100, n_steps=200)
     assert isinstance(cr, CltReport)
-    assert len(cr.z_scores) == cr.n_test == 100
+    assert len(cr.z_scores) == 100
     assert cr.v_hat == pytest.approx(0.6, abs=0.05)
     assert cr.sigma_hat == pytest.approx(0.8, rel=0.25)
 
 
 def test_fclt_report_shapes():
     fr = fclt_report(CONST, n_walks=500, n_steps=200, gap_target=500)
-    assert isinstance(fr, FcltRunReport)
-    assert fr.v_hat == fr.speed.v_hat
-    assert len(fr.report.increment_tests) == 3
-    assert len(fr.report.correlations) == 3
+    assert isinstance(fr, FcltReport)
+    assert len(fr.increment_tests) == 3
+    assert len(fr.correlations) == 3
 
 
 def test_moment_harvest_counts():
     mh = moment_harvest(CONST, trials=20, max_level=80, guard=30)
     assert isinstance(mh, MomentHarvest)
-    assert mh.trials == 20
     assert (mh.root_visits >= 1).all()
     assert len(mh.first_regen_times) >= 19
     assert (mh.first_regen_times >= 1).all()
@@ -89,6 +86,6 @@ def test_coupling_identities_are_exact():
     rep = coupling_suite(EnvSpec(b=2, kind="lerrw:1.0", seed=2), seeds=6,
                          n_steps=500)
     assert isinstance(rep, CouplingReport)
-    assert rep.full_matches == rep.restriction_matches == rep.seeds
+    assert rep.full_matches == rep.restriction_matches == 6
     assert rep.nonempty_restrictions >= 1
     assert rep.restriction_compared > rep.nonempty_restrictions

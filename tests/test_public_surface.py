@@ -1,15 +1,28 @@
-"""Every public function, class, method and property of the package must
-be reached by the program, and every defaulted parameter of a public
-function must be set by a caller.
+"""Every public function, class, method, property and record field of the
+package must be reached by the program, and every defaulted parameter of a
+public function must be set by a caller.
 
 A public definition counts as reached when one of these holds:
 
-* another package module (``__init__.py`` aside, since re-exporting is
-  not use) imports it with ``from .m import name``, reads it off its
-  module (``m.name``) or, for a method or property, reads it as an
-  attribute of anything;
+* another package module imports it with ``from .m import name``, reads
+  it off its module (``m.name``) or, for a method or property, reads it as
+  an attribute of anything;
 * its own module names it outside its definition;
 * a benchmark file (``bench/*.py``) reaches it in one of those ways.
+
+``__init__.py`` holds only ``__version__``, so nothing is reached through a
+re-export.
+
+A field of a public dataclass (a record) counts as reached when a package
+module or a benchmark file reads it as an attribute.  The test follows
+types far enough to tell which record a read is on: through parameter and
+return annotations, record constructors, record fields, and ``for`` and
+comprehension targets over sequences of records.  A read on a value it
+cannot type reaches the field only when no other record has a field of
+that name.  A read off ``self`` in a method does not reach a field: a
+record's own methods do not use it, and another class's attributes are
+not record fields.  Neither does a read inside a keyword of the record's
+own constructor (``drop_first=all(s.drop_first for s in samples)``).
 
 A test naming a definition does not reach it, and neither does a local
 variable that shares its name.  Anything else is dead API: wire it into a
@@ -18,7 +31,6 @@ command or the benchmark, make it private, or delete it.
 A defaulted parameter counts as set when some call in the package, in a
 test or in the benchmark passes it, by keyword or by position.
 """
-
 import ast
 from pathlib import Path
 
@@ -77,11 +89,160 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item, True
 
 
+SEQUENCES = ("Tuple", "List", "Sequence", "tuple", "list")
+
+
+def _records(trees: dict) -> dict:
+    """Record name -> (module stem, base names, field names) for each public
+    top-level dataclass."""
+    records = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and any(getattr(d.func if isinstance(d, ast.Call) else d,
+                                    "id", None) == "dataclass"
+                            for d in node.decorator_list)):
+                fields = {s.target.id: s.annotation for s in node.body
+                          if isinstance(s, ast.AnnAssign)}
+                bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                records[node.name] = (path.stem, bases, fields)
+    return records
+
+
+def _annotation_kind(ann, records: dict):
+    """(record, is a sequence of it) that an annotation names, or None."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if isinstance(ann, ast.Name):
+        return (ann.id, False) if ann.id in records else None
+    if isinstance(ann, ast.Subscript) and isinstance(ann.value, ast.Name):
+        inner = ann.slice.elts if isinstance(ann.slice, ast.Tuple) else [ann.slice]
+        kinds = {_annotation_kind(x, records) for x in inner
+                 if not (isinstance(x, ast.Constant) and x.value is Ellipsis)}
+        if ann.value.id in SEQUENCES and len(kinds) == 1:
+            (kind,) = kinds
+            if kind and not kind[1]:
+                return kind[0], True
+    return None
+
+
+def _scopes(tree: ast.Module):
+    """(nodes, whether a method) for the module-level code, each top-level
+    function and each method of a top-level class."""
+    yield [s for s in tree.body
+           if not isinstance(s, (ast.FunctionDef, ast.ClassDef))], False
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield [node], False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield [item], True
+
+
+def _fields_read(trees, records: dict) -> set:
+    """(record, field) pairs that ``trees`` read as attributes."""
+    def owner(rec, attr):
+        while rec in records:
+            _, bases, fields = records[rec]
+            if attr in fields:
+                return rec
+            rec = bases[0] if bases else None
+        return None
+
+    def element(kind):
+        return (kind[0], False) if kind and kind[1] else None
+
+    returns: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                kind = _annotation_kind(node.returns, records)
+                returns[node.name] = (kind if returns.get(node.name, kind) == kind
+                                      else None)
+    defining: dict = {}
+    for rec, (_, _, fields) in records.items():
+        for f in fields:
+            defining.setdefault(f, set()).add(rec)
+
+    def kind_of(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if isinstance(node, ast.Attribute):
+            kind = kind_of(node.value, env)
+            rec = kind and not kind[1] and owner(kind[0], node.attr)
+            return _annotation_kind(records[rec][2][node.attr], records) if rec else None
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            return (name, False) if name in records else returns.get(name)
+        if isinstance(node, ast.Subscript):
+            return element(kind_of(node.value, env))
+        return None
+
+    def bound_kind(how, node, env):
+        if how == "annotation":
+            return _annotation_kind(node, records)
+        kind = kind_of(node, env)
+        return element(kind) if how == "element" else kind
+
+    reached = set()
+    for tree in trees:
+        for roots, in_method in _scopes(tree):
+            nodes = [n for r in roots for n in ast.walk(r)]
+            # (name, how its kind follows from node, node)
+            bindings = []
+            for n in nodes:
+                if isinstance(n, ast.arg) and n.annotation is not None:
+                    bindings.append((n.arg, "annotation", n.annotation))
+                elif isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name):
+                    bindings.append((n.target.id, "annotation", n.annotation))
+                elif (isinstance(n, ast.Assign) and len(n.targets) == 1
+                      and isinstance(n.targets[0], ast.Name)):
+                    bindings.append((n.targets[0].id, "value", n.value))
+                elif (isinstance(n, (ast.For, ast.comprehension))
+                      and isinstance(n.target, ast.Name)):
+                    bindings.append((n.target.id, "element", n.iter))
+            env: dict = {}
+            for _ in range(3):  # a binding may use a name bound after it
+                kinds: dict = {}
+                for name, how, node in bindings:
+                    kind = bound_kind(how, node, env)
+                    if kind is not None:
+                        kinds.setdefault(name, set()).add(kind)
+                # a name bound to two kinds of record gets none
+                env = {n: ks.pop() for n, ks in kinds.items() if len(ks) == 1}
+            # A read inside a record constructor's keyword of the same field
+            # feeds the field only to itself.
+            own_keyword = set()
+            for n in nodes:
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) in records:
+                    for k in n.keywords:
+                        if owner(n.func.id, k.arg):
+                            own_keyword.update(
+                                id(x) for x in ast.walk(k.value)
+                                if isinstance(x, ast.Attribute) and x.attr == k.arg)
+            for n in nodes:
+                if (not isinstance(n, ast.Attribute) or not isinstance(n.ctx, ast.Load)
+                        or id(n) in own_keyword):
+                    continue
+                if in_method and getattr(n.value, "id", None) == "self":
+                    continue
+                kind = kind_of(n.value, env)
+                if kind is None:
+                    if len(defining.get(n.attr, ())) == 1:
+                        reached.add((next(iter(defining[n.attr])), n.attr))
+                elif not kind[1] and owner(kind[0], n.attr):
+                    reached.add((owner(kind[0], n.attr), n.attr))
+    return reached
+
+
 def test_every_public_name_is_reached():
     trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "__init__.py"}
     reach = {p: _reach(t) for p, t in trees.items()}
-    bench = [_reach(ast.parse(p.read_text())) for p in sorted(BENCH.glob("*.py"))]
+    bench_trees = [ast.parse(p.read_text()) for p in sorted(BENCH.glob("*.py"))]
+    bench = [_reach(t) for t in bench_trees]
     unreached = []
     for path, tree in trees.items():
         named = list(_identifiers(tree))
@@ -98,6 +259,11 @@ def test_every_public_name_is_reached():
                      for imported, module_attrs, _ in others):
                 continue
             unreached.append(f"{path.stem}.{qualname}")
+    records = _records(trees)
+    read = _fields_read(list(trees.values()) + bench_trees, records)
+    unreached += [f"{module}.{rec}.{f}"
+                  for rec, (module, _, fields) in records.items()
+                  for f in fields if (rec, f) not in read]
     assert not unreached, f"public but unreached: {unreached}"
 
 

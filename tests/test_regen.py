@@ -71,7 +71,6 @@ class TestGaps:
         g2 = regeneration_gaps(self.RECS, drop_first=True)
         assert list(g2.level_gaps) == [1]
         assert list(g2.time_gaps) == [1]
-        assert g2.drop_first
 
     def test_insufficient_confirmed_records(self):
         recs = detect_regenerations(fake_traj([0, 1, 0, 1, 2, 3]), guard=1)
@@ -80,18 +79,15 @@ class TestGaps:
 
     def test_gap_sample_validation(self):
         with pytest.raises(InvalidInputError):
-            GapSample(level_gaps=np.array([2]), time_gaps=np.array([1]),
-                      drop_first=True)
+            GapSample(level_gaps=np.array([2]), time_gaps=np.array([1]))
         with pytest.raises(InvalidInputError):
-            GapSample(level_gaps=np.array([1, 1]), time_gaps=np.array([3]),
-                      drop_first=True)
+            GapSample(level_gaps=np.array([1, 1]), time_gaps=np.array([3]))
         with pytest.raises(InvalidInputError):
-            GapSample(level_gaps=np.array([0]), time_gaps=np.array([2]),
-                      drop_first=True)
+            GapSample(level_gaps=np.array([0]), time_gaps=np.array([2]))
 
     def test_concat_pools_in_order(self):
-        a = GapSample(np.array([1, 2]), np.array([1, 4]), drop_first=True)
-        b = GapSample(np.array([3]), np.array([5]), drop_first=True)
+        a = GapSample(np.array([1, 2]), np.array([1, 4]))
+        b = GapSample(np.array([3]), np.array([5]))
         pool = concat_gaps([a, b])
         assert list(pool.level_gaps) == [1, 2, 3]
         assert list(pool.time_gaps) == [1, 4, 5]

@@ -9,7 +9,6 @@ import scipy.stats
 from rwre.errors import InsufficientDataError, InvalidInputError
 from rwre.regen import GapSample
 from rwre.stats import (
-    SigmaEstimate,
     StabilityReport,
     TailFit,
     direct_sigma,
@@ -34,16 +33,14 @@ class TestSigma:
     def test_blocks_by_hand(self):
         # y = level_gap - v * time_gap = (0.5, 1.5): variance 0.5, mean
         # time gap 2, so sigma^2 = 0.25
-        gaps = GapSample(np.array([1, 3]), np.array([1, 3]), drop_first=True)
+        gaps = GapSample(np.array([1, 3]), np.array([1, 3]))
         est = estimate_sigma(gaps, 0.5)
-        assert isinstance(est, SigmaEstimate)
-        assert est.sigma_hat == pytest.approx(0.5)
-        assert est.method == "regeneration_blocks"
+        assert isinstance(est, float)
+        assert est == pytest.approx(0.5)
 
     def test_direct_by_hand(self):
         est = direct_sigma([0.0, 2.0], 1, 0.0)
-        assert est.sigma_hat == pytest.approx(math.sqrt(2.0))
-        assert est.method == "direct_variance"
+        assert est == pytest.approx(math.sqrt(2.0))
         with pytest.raises(InvalidInputError):
             direct_sigma([0.0, 2.0], 0, 0.0)
 
@@ -56,8 +53,6 @@ class TestGeometricTail:
         gaps = [1 + int(math.log(x) / math.log(a)) for x in u]
         mle, reg = fit_geometric_tail(gaps)
         assert isinstance(mle, TailFit)
-        assert mle.method == "geometric_mle"
-        assert reg.method == "log_survival_regression"
         assert mle.a_hat == pytest.approx(a, abs=0.02)
         assert reg.a_hat == pytest.approx(a, abs=0.03)
         assert reg.r_squared > 0.98

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as st
 
 from rwre.clocks import SubtreeSpec, run_extension
-from rwre.env import EnvSpec
+from rwre.env import EnvSpec, sample_weights
 from rwre.errors import InvalidInputError
 from rwre.quenched import beta_root
 from rwre.tree import ROOT
@@ -66,6 +66,20 @@ class TestRunWalk:
                              StopRule(max_steps=1))
         assert list(traj.levels) == [-1, 0]
         assert traj.path_of(traj.ids[1]) == ROOT
+
+
+    def test_zero_child_weight_is_never_taken(self):
+        # A gamma shape below one draws u ** (1 / shape), which underflows
+        # to 0.0 for small u: at this seed the root's first child weight is
+        # exactly zero, a legal draw whose edge the walk must never take.
+        spec = EnvSpec(b=3, kind="gamma:0.005,1", seed=8)
+        assert sample_weights(spec, ROOT)[0] == 0.0
+        traj = run_walk(spec, StopRule(max_steps=200))
+        assert traj.steps_taken == 200
+        assert (1,) not in {traj.path_of(vid) for vid in traj.ids}
+        bv = beta_root(spec)
+        assert bv.probs[1] == 0.0
+        assert 0.0 <= bv.value <= 1.0
 
 
 class TestTrajectoryViews:
