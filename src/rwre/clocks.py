@@ -193,7 +193,8 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
 
     Stops at the first of: absolute level == stop.max_level, arrival at
     the sentinel (if stop.stop_at_sentinel), or stop.max_steps steps (sets
-    the truncated flag when a level target was set)."""
+    the truncated flag when a level target was set).  ``walk_index`` picks
+    the clock replica (see ``streams``); the program runs replica 0."""
     b = spec.b
     sampler = make_weight_sampler(spec)
     seed = spec.seed
@@ -342,10 +343,9 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     return run
 
 
-def run_extension(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
-                  walk_index: int = 0) -> Trajectory:
+def run_extension(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule) -> Trajectory:
     """Clock-driven walk on ``subtree`` starting at the subtree root."""
-    return _simulate(spec, subtree, stop, walk_index)
+    return _simulate(spec, subtree, stop)
 
 
 def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:

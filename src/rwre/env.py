@@ -14,9 +14,18 @@ Weight laws are named by short descriptor strings:
     gamma:k,theta      i.i.d. gamma, shape k, scale theta
     lognormal:mu,s     i.i.d. exp(mu + s N(0,1))
     lerrw:delta        A_i = Z_i / Z_0 with (Z_0, .., Z_b) Dirichlet
-                       ((1+delta)/(2*delta), 1/(2*delta), .., 1/(2*delta));
-                       the discrete skeleton of linearly edge-reinforced
-                       walk with initial edge weight delta
+                       ((1+delta)/(2*delta), 1/(2*delta), .., 1/(2*delta))
+
+The lerrw shapes are those of the Dirichlet representation of linearly
+edge-reinforced walk on a tree (Pemantle 1988, Ann. Probab. 16) with unit
+initial edge weights and reinforcement delta: each crossing adds delta to
+the edge crossed.  The walk first enters a vertex through its parent
+edge, which then weighs 1 + delta against 1 for each child edge, and
+every later excursion out and back adds 2*delta to the edge it used; the
+exits form a Polya urn whose limit law is Dirichlet with shapes equal to
+those weights over 2*delta.  At the root the parent edge is the sentinel
+edge, taken as already crossed once.  ``lerrw:delta`` is therefore not
+initial edge weight delta.
 
 The lerrw components share the Z_0 denominator, so they are exchangeable
 but not independent; all other kinds have i.i.d. components.
@@ -27,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -245,86 +253,43 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
     )
 
 
-def check_assumption_a(
-    spec: EnvSpec,
-    method: str = "closed_form",
-    n_samples: int = 100_000,
-) -> MomentReport:
+def check_assumption_a(spec: EnvSpec) -> MomentReport:
     """Transience criterion: inf over t in [0,1] of E[A^t] must exceed 1/b.
 
-    The infimum is taken over a uniform grid of 101 values of t.  All
-    supported weight laws have closed-form fractional moments; the Monte
-    Carlo route exists as an independent cross-check.
+    The infimum is taken over a uniform grid of 101 values of t, in
+    closed form: every supported weight law has closed-form fractional
+    moments.
     """
-    if method not in ("closed_form", "mc"):
-        raise InvalidInputError("method must be 'closed_form' or 'mc'")
-    grid = np.linspace(0.0, 1.0, 101)
     threshold = 1.0 / spec.b
-    if method == "closed_form":
-        vals = [marginal_weight_moment(spec, float(t)) for t in grid]
-        est = min(vals)
-        return MomentReport(
-            estimate=est,
-            std_error=None,
-            n_samples=None,
-            threshold=threshold,
-            passed=bool(est > threshold),
-        )
-    a = _weight_samples(spec, n_samples, b"m", itemgetter(0))
-    loga = np.log(a)
-    best = math.inf
-    best_se = None
-    for t in grid:
-        vals = np.exp(loga * t)
-        m = float(vals.mean())
-        if m < best:
-            best = m
-            best_se = float(vals.std(ddof=1) / math.sqrt(n_samples))
+    est = min(marginal_weight_moment(spec, float(t))
+              for t in np.linspace(0.0, 1.0, 101))
     return MomentReport(
-        estimate=best,
-        std_error=best_se,
-        n_samples=n_samples,
+        estimate=est,
+        std_error=None,
+        n_samples=None,
         threshold=threshold,
-        passed=bool(best > threshold),
+        passed=bool(est > threshold),
     )
 
 
-def _weight_samples(spec: EnvSpec, n: int, stream: bytes,
-                    reduce: Callable[[WeightVector], float]) -> np.ndarray:
-    """``reduce`` of the weight vectors of n independently keyed copies of
-    one vertex, drawn from sample stream ``stream`` (see ``streams``)."""
-    sampler = make_weight_sampler(spec)
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = reduce(sampler(streams.sample_digest(spec.seed, stream, i)))
-    return out
+def divergence_suspected(vals: np.ndarray) -> bool:
+    """Divergence heuristic for a nonnegative sample of a moment statistic.
 
-
-def moment_diagnostics(vals: np.ndarray) -> Tuple[float, float]:
-    """Divergence heuristics for a nonnegative sample of a moment statistic.
-
-    Returns (max batch share, relative half-sample drift): the largest
-    fraction of the total mass carried by one of 8 contiguous batches, and
-    |mean - half-sample mean| / mean.  Both stay small for integrable
-    statistics at these sample sizes and either grows on the heavy-tailed
-    boundary (see ``divergence_suspected``); neither is a proof.
+    Fires when one of 8 contiguous batches carries more than half the
+    total mass, or when the half-sample mean drifts from the mean by more
+    than a quarter of it.  Both stay small for integrable statistics at
+    these sample sizes and either grows on the heavy-tailed boundary; the
+    rule is no proof.
     """
     n = len(vals)
     total = float(vals.sum())
     if total <= 0:
-        return 0.0, 0.0
+        return False
     cut = n - n % 8
     shares = vals[:cut].reshape(8, -1).sum(axis=1) / total
     est = total / n
     half = float(vals[: n // 2].mean())
-    return float(shares.max()), abs(est - half) / est
-
-
-def divergence_suspected(max_batch_share: float, half_drift: float) -> bool:
-    """The divergence rule on ``moment_diagnostics``: one batch carries more
-    than half the total mass, or the half-sample mean drifts by more than
-    a quarter relatively."""
-    return max_batch_share > 0.5 or half_drift > 0.25
+    return float(shares.max()) > 0.5 or abs(est - half) / est > 0.25
 
 
 def negative_moment_mc(
@@ -340,7 +305,10 @@ def negative_moment_mc(
         raise InvalidInputError("p must be positive")
     if n_samples < 16:
         raise InvalidInputError("need at least two samples per batch")
-    s = _weight_samples(spec, n_samples, b"s", math.fsum)
+    sampler = make_weight_sampler(spec)
+    s = np.empty(n_samples)
+    for i in range(n_samples):
+        s[i] = math.fsum(sampler(streams.sample_digest(spec.seed, b"s", i)))
     vals = s ** (-p)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_samples))
@@ -348,7 +316,7 @@ def negative_moment_mc(
         estimate=est,
         std_error=se,
         n_samples=n_samples,
-        suspect_divergence=divergence_suspected(*moment_diagnostics(vals)),
+        suspect_divergence=divergence_suspected(vals),
     )
 
 

@@ -33,6 +33,10 @@ from .stats import (
 )
 from .walk import StopRule, run_walk
 
+# Limits of one gap harvest: steps per walk and walks in all.
+MAX_STEPS_PER_WALK = 2_000_000
+MAX_WALKS = 4096
+
 
 @dataclass(frozen=True)
 class HarvestResult:
@@ -48,8 +52,6 @@ def harvest_gaps(
     max_level: int = 1200,
     guard: int = 100,
     tag: bytes = b"harvest",
-    max_steps_per_walk: int = 2_000_000,
-    max_walks: int = 4096,
 ) -> HarvestResult:
     """Run fresh walks (environment and clocks both re-drawn per walk) until
     at least ``n_gaps`` confirmed gaps are pooled.
@@ -63,13 +65,13 @@ def harvest_gaps(
         raise InvalidInputError("max_level must exceed twice the guard")
     parts: List[GapSample] = []
     total = 0
-    for i in range(max_walks):
+    for i in range(MAX_WALKS):
         sub = spec.subseed(tag, i)
         traj = run_walk(sub, StopRule(max_level=max_level,
-                                      max_steps=max_steps_per_walk))
+                                      max_steps=MAX_STEPS_PER_WALK))
         recs = detect_regenerations(traj, guard=guard)
         try:
-            g = regeneration_gaps(recs, drop_first=True)
+            g = regeneration_gaps(recs)
         except InsufficientDataError:  # too few confirmed records
             continue
         parts.append(g)
@@ -77,7 +79,7 @@ def harvest_gaps(
         if total >= n_gaps:
             return HarvestResult(gaps=concat_gaps(parts), walks=i + 1)
     raise DataQualityError(
-        f"collected {total} gaps from {max_walks} walks, wanted {n_gaps}; "
+        f"collected {total} gaps from {MAX_WALKS} walks, wanted {n_gaps}; "
         "the environment may be recurrent or nearly so")
 
 
@@ -90,12 +92,11 @@ class SpeedReport:
 def speed_report(
     spec: EnvSpec,
     n_gaps: int = 3000,
-    max_level: int = 1200,
-    guard: int = 100,
     tag: bytes = b"speed",
 ) -> SpeedReport:
-    """Harvest gaps and form the ratio estimator with its 99% interval."""
-    h = harvest_gaps(spec, n_gaps, max_level=max_level, guard=guard, tag=tag)
+    """Harvest gaps at the harvest's default level and guard and form the
+    ratio estimator with its 99% interval."""
+    h = harvest_gaps(spec, n_gaps, tag=tag)
     return SpeedReport(estimate=estimate_speed(h.gaps), harvest=h)
 
 
@@ -155,7 +156,7 @@ def fclt_report(
     the harvest must be much larger than the walk ensemble: the default
     keeps the two-standard-error shift below about 0.08 for dt ~ 1000.
     """
-    sr = speed_report(spec, n_gaps=gap_target, guard=100, tag=b"fclt-fit")
+    sr = speed_report(spec, n_gaps=gap_target, tag=b"fclt-fit")
     v = sr.estimate.v_hat
     sig = estimate_sigma(sr.harvest.gaps, v)
     idx = np.array([int(math.floor(n_steps * t)) for t in FCLT_TIMES])
@@ -179,12 +180,11 @@ class MomentHarvest:
 def moment_harvest(
     spec: EnvSpec,
     trials: int,
-    max_level: int = 100,
-    guard: int = 60,
     epsilon: Optional[float] = None,
 ) -> MomentHarvest:
     """One pass of fresh walks yielding both the root-visit count and the
-    first confirmed regeneration time of each walk.
+    first confirmed regeneration time of each walk.  Each walk runs to
+    level 100, and a record counts as confirmed 60 levels below that.
 
     With ``epsilon`` set, each trial's environment is redrawn until the
     root's parent-edge probability is at most 1 - epsilon.  The cubic
@@ -194,14 +194,12 @@ def moment_harvest(
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    if max_level <= guard:
-        raise InvalidInputError("max_level must exceed the guard")
     if epsilon is not None and not 0.0 < epsilon < 1.0 / 3.0:
         raise InvalidInputError("epsilon must lie in (0, 1/3)")
     visits = np.empty(trials, dtype=np.float64)
     times = np.empty(trials, dtype=np.float64)
     bad = 0
-    stop = StopRule(max_level=max_level, max_steps=800_000)
+    stop = StopRule(max_level=100, max_steps=800_000)
     for t in range(trials):
         if epsilon is None:
             sub = spec.subseed(b"moments", t)
@@ -221,7 +219,7 @@ def moment_harvest(
                 "walk exhausted its step cap before the cutoff depth; "
                 "the environment may be recurrent or nearly so")
         visits[t] = float((traj.levels == 0).sum())
-        recs = detect_regenerations(traj, guard=guard)
+        recs = detect_regenerations(traj, guard=60)
         found = next((r for r in recs if r.m >= 1 and r.confirmed), None)
         if found is None:
             bad += 1
@@ -231,7 +229,7 @@ def moment_harvest(
     if bad > max(1, trials // 100):
         raise DataQualityError(
             f"{bad}/{trials} walks had no confirmed regeneration below "
-            "max_level - guard; increase max_level")
+            "level 40")
     return MomentHarvest(root_visits=visits,
                          first_regen_times=times[np.isfinite(times)])
 

@@ -1,6 +1,6 @@
 """Quenched quantities of a fixed environment: the non-return probability
-beta at the root, the never-return-to-either quantity gamma, their negative
-moments over environments, and moment bounds for geometric variables.
+beta at the root, its negative moments over environments, and moment
+bounds for geometric variables.
 
 beta is computed by the bottom-up fixed-point recursion
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .env import (
     MomentReport,
     divergence_suspected,
     make_weight_sampler,
-    moment_diagnostics,
     parse_descriptor,
-    transition_probs,
 )
 from .errors import (
     DataQualityError,
@@ -47,17 +45,13 @@ class BetaValue:
     ``upper_gap`` estimates the remaining truncation error: the last
     inter-depth drop extrapolated by its observed geometric decay rate.
     The truncated sequence is nonincreasing, so value - upper_gap brackets
-    the limit when the decay estimate holds.  ``child_values`` are the
-    root children's values one level shallower, exactly the inputs that
-    produced ``value``.
+    the limit when the decay estimate holds.
     """
 
     value: float
     depth: int
     upper_gap: float
     converged: bool
-    child_values: Tuple[float, ...]
-    probs: Tuple[float, ...]
 
 
 def _nodes_with_weights(b: int, depth: int) -> int:
@@ -96,7 +90,6 @@ class _TruncationLadder:
         if self.scalar:
             self._c = args[0]
             self._x = 1.0  # boundary value before any levels
-            self._child = 1.0
             self.depth = 0
         else:
             self._sampler = make_weight_sampler(spec)
@@ -122,81 +115,64 @@ class _TruncationLadder:
                             dtype=np.float64, count=n * b)
             self._weights.append(w.reshape(n, b))
 
-    def advance(self) -> Tuple[float, Tuple[float, ...], Tuple[float, ...]]:
-        """Value at depth+1: (root value, child values, root probs)."""
+    def advance(self) -> float:
+        """Root value at depth+1."""
         self.depth += 1
         if self.scalar:
             s = self._c * self.b * self._x
-            self._child = self._x
             self._x = s / (1.0 + s)
-            return self._x, (self._child,) * self.b, transition_probs((self._c,) * self.b)
+            return self._x
         d = self.depth
         self._extend_weights(d)
         beta = np.ones(self.b ** d, dtype=np.float64)
-        child_vals: Tuple[float, ...] = (1.0,) * self.b
         for lvl in range(d - 1, -1, -1):
             w = self._weights[lvl]
-            if lvl == 0:
-                child_vals = tuple(beta[: self.b])
             s = (w * beta.reshape(w.shape[0], self.b)).sum(axis=1)
             beta = s / (1.0 + s)
-        return float(beta[0]), child_vals, transition_probs(tuple(self._weights[0][0]))
+        return float(beta[0])
 
 
-def beta_root(spec: EnvSpec, depth: int = 1, tol: float = 1e-6,
-              depth_cap: int = DEPTH_CAP, rel_tol: float = 0.0) -> BetaValue:
+def beta_root(spec: EnvSpec, tol: float = 1e-6, rel_tol: float = 0.0) -> BetaValue:
     """Deepening evaluation of the root non-return probability.
 
-    The truncation depth grows one level at a time, at least to ``depth``,
-    until the estimated remaining error drops below ``tol`` (or below
-    ``rel_tol`` times the value, when rel_tol is positive), the depth cap
-    is reached, or (for random environments, whose truncated tree must be
-    enumerated) the next level would take the tree past two million
-    weight nodes.  Weight arrays are shared across depths, so deepening is
-    incremental.
+    The truncation depth grows one level at a time until the estimated
+    remaining error drops below ``tol`` (or below ``rel_tol`` times the
+    value, when rel_tol is positive), the depth reaches ``DEPTH_CAP``, or
+    (for random environments, whose truncated tree must be enumerated) the
+    next level would take the tree past two million weight nodes.  Weight
+    arrays are shared across depths, so deepening is incremental.
     """
-    if depth < 1:
-        raise InvalidInputError("depth must be at least 1")
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     ladder = _TruncationLadder(spec)
-    value, children, probs = ladder.advance()
+    value = ladder.advance()
     gaps: List[float] = []
     err = float("inf")
     converged = False
     while True:
-        if ladder.depth >= depth_cap:
+        if ladder.depth >= DEPTH_CAP:
             break
         if not ladder.scalar and ladder.nodes_at_next_depth() > 2_000_000:
             break
-        new_value, children, probs = ladder.advance()
+        new_value = ladder.advance()
         gaps.append(value - new_value)
         value = new_value
         err = _tail_estimate(gaps)
-        if ladder.depth >= depth and err < max(tol, rel_tol * value):
+        if err < max(tol, rel_tol * value):
             converged = True
             break
     return BetaValue(value=value, depth=ladder.depth, upper_gap=err,
-                     converged=converged, child_values=children, probs=probs)
-
-
-def gamma_vertex(probs: Sequence[float], child_betas: Sequence[float]) -> float:
-    """Probability of escaping through a child and never coming back:
-    gamma = sum_i omega(child_i) * beta_child_i."""
-    if len(probs) != len(child_betas) + 1:
-        raise InvalidInputError("probs must be (parent, children...) for these children")
-    for x in child_betas:
-        if not 0.0 <= x <= 1.0:
-            raise InvalidInputError("child betas must lie in [0, 1]")
-    return float(np.dot(probs[1:], child_betas))
+                     converged=converged)
 
 
 def effectively_converged(bv: BetaValue, rel_tol: float = 0.02) -> bool:
-    """Accept a depth-capped value whose last doubling moved it by under
-    ``rel_tol`` relatively.  Random environments hit the node budget long
-    before an absolute 1e-6 gap; a small relative gap still pins the value
-    well enough for Monte Carlo comparisons, while recurrent environments
-    (value and gap of the same size) stay rejected."""
+    """Accept a depth-capped value whose estimated remaining error,
+    ``upper_gap`` (``_tail_estimate``'s extrapolated tail past the last
+    one-level deepening), is under ``rel_tol`` relatively.  Random
+    environments hit the node budget long before an absolute 1e-6 gap; a
+    small relative gap still pins the value well enough for Monte Carlo
+    comparisons, while recurrent environments (value and gap of the same
+    size) stay rejected."""
     if bv.converged:
         return True
     return bv.value > 0.0 and bv.upper_gap <= rel_tol * bv.value
@@ -245,10 +221,8 @@ class BetaMomentReport(MomentReport):
 
 
 def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
-                            variant: str = "beta",
                             rel_tol: float = 0.05) -> BetaMomentReport:
-    """Monte Carlo E[beta^(-p)] over environments, or the cutoff variant
-    E[gamma^(-p) 1{omega(parent) <= 1 - eps}] with eps = 0.3.
+    """Monte Carlo E[beta^(-p)] over environments.
 
     Environments are drawn by sub-seed; each is solved by ``beta_root``.
     More than 1% of environments failing to converge is a data-quality
@@ -256,8 +230,6 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
     """
     if n_envs < 100:
         raise InsufficientDataError("need at least 100 environments")
-    if variant not in ("beta", "gamma_indicator"):
-        raise InvalidInputError("variant must be beta or gamma_indicator")
     vals = np.empty(n_envs, dtype=np.float64)
     betas: List[BetaValue] = []
     bad = 0
@@ -268,12 +240,8 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
         if not effectively_converged(bv, rel_tol):
             bad += 1
             vals[i] = np.nan
-        elif variant == "beta":
-            vals[i] = bv.value ** (-p)
-        elif bv.probs[0] > 1.0 - 0.3:
-            vals[i] = 0.0
         else:
-            vals[i] = gamma_vertex(bv.probs, bv.child_values) ** (-p)
+            vals[i] = bv.value ** (-p)
     if bad > 0.01 * n_envs:
         raise DataQualityError(
             f"{bad}/{n_envs} environments failed to converge")
@@ -284,6 +252,6 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
         estimate=est,
         std_error=se,
         n_samples=len(vals),
-        suspect_divergence=divergence_suspected(*moment_diagnostics(vals)),
+        suspect_divergence=divergence_suspected(vals),
         betas=tuple(betas),
     )

@@ -79,24 +79,23 @@ def detect_regenerations(traj: Trajectory, guard: int = 100) -> List[RegenRecord
     return records
 
 
-def regeneration_gaps(records: Sequence[RegenRecord], drop_first: bool) -> GapSample:
-    """Consecutive (level, time) differences over the confirmed records.
+def regeneration_gaps(records: Sequence[RegenRecord]) -> GapSample:
+    """Consecutive (level, time) differences over the confirmed records,
+    first gap dropped.
 
     The gap between the origin record and the first regeneration has a
-    different law from the rest, so callers estimating the stationary gap
-    distribution pass ``drop_first=True``.
+    different law from the rest, so dropping the first gap leaves an
+    identically distributed sample.
     """
     conf = [r for r in records if r.confirmed]
-    need = 3 if drop_first else 2
-    if len(conf) < need:
+    if len(conf) < 3:
         raise InsufficientDataError(
-            f"need at least {need} confirmed records, have {len(conf)}")
+            f"need at least 3 confirmed records, have {len(conf)}")
     levels = np.array([r.level for r in conf], dtype=np.int64)
     times = np.array([r.time for r in conf], dtype=np.int64)
-    start = 1 if drop_first else 0
     return GapSample(
-        level_gaps=np.diff(levels)[start:],
-        time_gaps=np.diff(times)[start:],
+        level_gaps=np.diff(levels)[1:],
+        time_gaps=np.diff(times)[1:],
     )
 
 

@@ -20,9 +20,9 @@ from .env import EnvSpec
 from .errors import InvalidInputError
 
 
-def run_walk(spec: EnvSpec, stop: StopRule, walk_index: int = 0) -> Trajectory:
+def run_walk(spec: EnvSpec, stop: StopRule) -> Trajectory:
     """Run the walk from the root until the stop rule fires."""
-    return _simulate(spec, SubtreeSpec.full_tree(), stop, walk_index)
+    return _simulate(spec, SubtreeSpec.full_tree(), stop)
 
 
 def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int = 1) -> None:

@@ -8,6 +8,7 @@ from rwre import streams
 from rwre.clocks import (
     IndependenceReport,
     SubtreeSpec,
+    _simulate,
     edge_disjoint,
     independence_check,
     lambda_restriction_sequence,
@@ -97,7 +98,7 @@ class TestExtensions:
         st = SubtreeSpec.lambda_subtree((2, 1))
         returns = 0
         for w in range(8):
-            traj = run_extension(SPEC, st, StopRule(max_steps=500), walk_index=w)
+            traj = _simulate(SPEC, st, StopRule(max_steps=500), w)
             paths = [traj.path_of(i) for i in traj.ids]
             assert paths[:2] == [(2,), (2, 1)]
             assert all(p == (2,) or p[:2] == (2, 1) for p in paths)
@@ -106,8 +107,8 @@ class TestExtensions:
 
     def test_extension_is_reproducible(self):
         st = SubtreeSpec.lambda_subtree((2,))
-        a = run_extension(SPEC, st, StopRule(max_steps=500), walk_index=3)
-        b = run_extension(SPEC, st, StopRule(max_steps=500), walk_index=3)
+        a = _simulate(SPEC, st, StopRule(max_steps=500), 3)
+        b = _simulate(SPEC, st, StopRule(max_steps=500), 3)
         assert np.array_equal(a.levels, b.levels)
         assert a.visited_digest_sequence() == b.visited_digest_sequence()
 
@@ -124,8 +125,8 @@ class TestExtensions:
         ups = 0
         trials = 4000
         for w in range(trials):
-            traj = run_extension(spec, SubtreeSpec.full_tree(),
-                                 StopRule(max_steps=1), walk_index=w)
+            traj = _simulate(spec, SubtreeSpec.full_tree(),
+                             StopRule(max_steps=1), w)
             ups += int(traj.levels[1] == -1)
         assert ups / trials == pytest.approx(1 / 7, abs=0.02)
 

@@ -7,6 +7,7 @@ diffusion constant sqrt(1 - (3/5)^2) = 4/5.
 
 import pytest
 
+from rwre import experiments
 from rwre.env import EnvSpec
 from rwre.errors import DataQualityError
 from rwre.experiments import (
@@ -36,16 +37,17 @@ def test_harvest_pools_confirmed_gaps():
     assert h.walks >= 1
 
 
-def test_harvest_skips_walks_too_short_to_regenerate():
+def test_harvest_skips_walks_too_short_to_regenerate(monkeypatch):
     # 50 steps climb fewer than guard = 40 levels, so no walk confirms a
     # record: each is skipped and the harvest as a whole reports the shortfall
+    monkeypatch.setattr(experiments, "MAX_STEPS_PER_WALK", 50)
+    monkeypatch.setattr(experiments, "MAX_WALKS", 3)
     with pytest.raises(DataQualityError, match="collected 0 gaps from 3 walks"):
-        harvest_gaps(CONST, 16, max_level=100, guard=40,
-                     max_steps_per_walk=50, max_walks=3)
+        harvest_gaps(CONST, 16, max_level=100, guard=40)
 
 
 def test_speed_interval_covers_the_exact_speed():
-    sr = speed_report(CONST, n_gaps=2000, max_level=400, guard=40)
+    sr = speed_report(CONST, n_gaps=2000)
     assert isinstance(sr, SpeedReport)
     e = sr.estimate
     assert e.ci_low < 0.6 < e.ci_high
@@ -75,7 +77,7 @@ def test_fclt_report_shapes():
 
 
 def test_moment_harvest_counts():
-    mh = moment_harvest(CONST, trials=20, max_level=80, guard=30)
+    mh = moment_harvest(CONST, trials=20)
     assert isinstance(mh, MomentHarvest)
     assert (mh.root_visits >= 1).all()
     assert len(mh.first_regen_times) >= 19

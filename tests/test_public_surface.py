@@ -1,6 +1,6 @@
 """Every public function, class, method, property and record field of the
 package must be reached by the program, and every defaulted parameter of a
-public function must be set by a caller.
+public function must be set by the program.
 
 A public definition counts as reached when one of these holds:
 
@@ -22,14 +22,17 @@ cannot type reaches the field only when no other record has a field of
 that name.  A read off ``self`` in a method does not reach a field: a
 record's own methods do not use it, and another class's attributes are
 not record fields.  Neither does a read inside a keyword of the record's
-own constructor (``drop_first=all(s.drop_first for s in samples)``).
+own constructor (``walks=sum(h.walks for h in parts)``).
 
 A test naming a definition does not reach it, and neither does a local
 variable that shares its name.  Anything else is dead API: wire it into a
 command or the benchmark, make it private, or delete it.
 
-A defaulted parameter counts as set when some call in the package, in a
-test or in the benchmark passes it, by keyword or by position.
+A defaulted parameter counts as set when some call in the package or in
+the benchmark passes it, by keyword or by position.  A test passing it
+does not count: a value that only a test chooses selects a path the
+program never runs.  A test that needs another value calls a private
+function or shrinks a module-level constant.
 """
 import ast
 from pathlib import Path
@@ -293,11 +296,10 @@ def _calls_by_name(paths) -> dict:
 
 
 def test_every_optional_parameter_is_set():
-    # A default that no caller overrides is a constant with a name in the
-    # signature: write its value where it is used instead.
+    # A default that the program never overrides is a constant with a name
+    # in the signature: write its value where it is used instead.
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    calls = _calls_by_name(modules + sorted(TESTS.glob("test_*.py"))
-                           + sorted(BENCH.glob("*.py")))
+    calls = _calls_by_name(modules + sorted(BENCH.glob("*.py")))
     unset = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:

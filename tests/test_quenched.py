@@ -1,8 +1,7 @@
 """Quenched non-return probabilities and their negative moments.
 
 With every child weight equal to c, beta solves beta = S/(1+S) with
-S = c b beta, so beta = 1 - 1/(c b); the escape-through-a-child quantity
-is gamma = sum_i omega(child_i) beta = b c beta / (1 + b c).
+S = c b beta, so beta = 1 - 1/(c b).
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from rwre.quenched import (
     BetaValue,
     beta_root,
     effectively_converged,
-    gamma_vertex,
     geometric_moment_bound,
     negative_moment_of_beta,
 )
@@ -29,38 +27,20 @@ class TestBetaRoot:
         assert isinstance(bv, BetaValue)
         assert bv.converged
         assert bv.value == pytest.approx(0.75, abs=1e-5)
-        assert bv.child_values == pytest.approx((0.75,) * 4, abs=1e-5)
-        assert bv.probs == pytest.approx((0.2,) * 5)
 
     def test_random_environment_is_a_probability(self):
         bv = beta_root(EnvSpec(b=4, kind="lerrw:1.0", seed=21), rel_tol=0.02)
         assert 0.0 < bv.value < 1.0
-        assert len(bv.child_values) == 4
         assert effectively_converged(bv)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            beta_root(CONST, depth=0)
-        with pytest.raises(InvalidInputError):
             beta_root(CONST, tol=0.0)
-
-
-class TestGamma:
-    def test_constant_environment_value(self):
-        bv = beta_root(CONST)
-        assert gamma_vertex(bv.probs, bv.child_values) == pytest.approx(0.6, abs=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            gamma_vertex((0.5, 0.5), (0.5, 0.5))
-        with pytest.raises(InvalidInputError):
-            gamma_vertex((0.5, 0.5), (1.5,))
 
 
 class TestEffectivelyConverged:
     def _bv(self, value, gap):
-        return BetaValue(value=value, depth=9, upper_gap=gap, converged=False,
-                         child_values=(), probs=())
+        return BetaValue(value=value, depth=9, upper_gap=gap, converged=False)
 
     def test_small_relative_gap_is_accepted(self):
         assert effectively_converged(self._bv(0.5, 0.005))
@@ -81,11 +61,6 @@ class TestNegativeMoment:
         assert rep.std_error == 0.0
         assert not rep.suspect_divergence
 
-    def test_gamma_indicator_variant(self):
-        rep = negative_moment_of_beta(CONST, 1.0, n_envs=100,
-                                      variant="gamma_indicator")
-        assert rep.estimate == pytest.approx(1.0 / 0.6, rel=0.05)
-
     def test_estimate_comes_from_the_listed_environments(self):
         rep = negative_moment_of_beta(EnvSpec(b=4, kind="lerrw:1.0", seed=5),
                                       2.0, n_envs=100)
@@ -98,8 +73,6 @@ class TestNegativeMoment:
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
             negative_moment_of_beta(CONST, 1.0, n_envs=99)
-        with pytest.raises(InvalidInputError):
-            negative_moment_of_beta(CONST, 1.0, n_envs=100, variant="other")
 
 
 class TestGeometricMomentBound:

@@ -64,18 +64,17 @@ class TestDetection:
 class TestGaps:
     RECS = detect_regenerations(fake_traj([0, 1, 0, 1, 2, 3]), guard=0)
 
-    def test_gaps_with_and_without_first(self):
-        g = regeneration_gaps(self.RECS, drop_first=False)
-        assert list(g.level_gaps) == [2, 1]
-        assert list(g.time_gaps) == [4, 1]
-        g2 = regeneration_gaps(self.RECS, drop_first=True)
-        assert list(g2.level_gaps) == [1]
-        assert list(g2.time_gaps) == [1]
+    def test_gaps_drop_the_first(self):
+        # confirmed records at (level, time) (0, 0), (2, 4), (3, 5): the
+        # origin-to-first gap (2, 4) is dropped
+        g = regeneration_gaps(self.RECS)
+        assert list(g.level_gaps) == [1]
+        assert list(g.time_gaps) == [1]
 
     def test_insufficient_confirmed_records(self):
         recs = detect_regenerations(fake_traj([0, 1, 0, 1, 2, 3]), guard=1)
         with pytest.raises(InsufficientDataError):
-            regeneration_gaps(recs, drop_first=True)
+            regeneration_gaps(recs)
 
     def test_gap_sample_validation(self):
         with pytest.raises(InvalidInputError):
@@ -112,7 +111,6 @@ class TestOnRealWalks:
     def test_gap_consistency_on_real_walk(self):
         spec = EnvSpec(b=4, kind="lerrw:1.0", seed=33)
         traj = run_walk(spec, StopRule(max_level=400))
-        g = regeneration_gaps(detect_regenerations(traj, guard=60),
-                              drop_first=True)
+        g = regeneration_gaps(detect_regenerations(traj, guard=60))
         assert (g.level_gaps <= g.time_gaps).all()
         assert (np.asarray(g.time_gaps) % 2 == np.asarray(g.level_gaps) % 2).all()

@@ -118,8 +118,9 @@ def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subt
 def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
     counts = _Counts(monkeypatch)
     spec = EnvSpec(b=B, kind="lerrw:1.0", seed=22)
-    bv = quenched.beta_root(spec, depth=4, depth_cap=4)
-    assert bv.depth == 4
+    ladder = quenched._TruncationLadder(spec)
+    for _ in range(4):
+        ladder.advance()
     nodes = (B ** 4 - 1) // (B - 1)
     c = counts.calls
     counts.assert_blocks_balance()

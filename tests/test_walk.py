@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from rwre.clocks import SubtreeSpec, run_extension
-from rwre.env import EnvSpec, sample_weights
+from rwre.clocks import SubtreeSpec, _simulate, run_extension
+from rwre.env import EnvSpec, sample_weights, transition_probs
 from rwre.errors import InvalidInputError
-from rwre.quenched import beta_root
+from rwre.quenched import _TruncationLadder, beta_root
 from rwre.tree import ROOT
 from rwre.walk import StopRule, run_walk, trajectory_to_csv
 
@@ -34,9 +34,10 @@ class TestRunWalk:
         assert traj.levels[0] == 0
 
     def test_deterministic_per_replica(self):
-        a = run_walk(SPEC, StopRule(max_steps=800), walk_index=4)
-        b = run_walk(SPEC, StopRule(max_steps=800), walk_index=4)
-        c = run_walk(SPEC, StopRule(max_steps=800), walk_index=5)
+        full, stop = SubtreeSpec.full_tree(), StopRule(max_steps=800)
+        a = _simulate(SPEC, full, stop, 4)
+        b = _simulate(SPEC, full, stop, 4)
+        c = _simulate(SPEC, full, stop, 5)
         assert np.array_equal(a.levels, b.levels)
         assert not np.array_equal(a.levels, c.levels)
 
@@ -77,9 +78,8 @@ class TestRunWalk:
         traj = run_walk(spec, StopRule(max_steps=200))
         assert traj.steps_taken == 200
         assert (1,) not in {traj.path_of(vid) for vid in traj.ids}
-        bv = beta_root(spec)
-        assert bv.probs[1] == 0.0
-        assert 0.0 <= bv.value <= 1.0
+        assert transition_probs(sample_weights(spec, ROOT))[1] == 0.0
+        assert 0.0 <= beta_root(spec).value <= 1.0
 
 
 class TestTrajectoryViews:
@@ -125,12 +125,15 @@ def test_escape_counts_match_the_ladder(kind, b, n):
     # Pearson's statistic over the environments has ORACLE_ENVS degrees of
     # freedom; the test rejects at p < 1e-3 (statistic above 51.2).
     spec = EnvSpec(b=b, kind=kind, seed=7)
+    full = SubtreeSpec.full_tree()
     stop = StopRule(max_level=n, stop_at_sentinel=True)
     chi2 = 0.0
     for e in range(ORACLE_ENVS):
         sub = spec.subseed(b"oracle", e)
-        beta = beta_root(sub, depth=n, depth_cap=n).value
-        reasons = [run_walk(sub, stop, walk_index=r).stop_reason
+        ladder = _TruncationLadder(sub)
+        for _ in range(n):
+            beta = ladder.advance()
+        reasons = [_simulate(sub, full, stop, r).stop_reason
                    for r in range(ORACLE_REPLICAS)]
         assert set(reasons) <= {"level", "sentinel"}
         expected = ORACLE_REPLICAS * beta
