@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import env
-from .clocks import SubtreeSpec, independence_check
+from .clocks import StopRule, SubtreeSpec, independence_check
 from .env import (
     EnvSpec,
     check_assumption_a,
@@ -43,7 +43,7 @@ from .env import (
 from .errors import ConfigError, RwreError
 from .quenched import geometric_moment_bound, negative_moment_of_beta
 from .stats import doubling_stability, fit_geometric_tail
-from .walk import StopRule, run_walk, trajectory_to_csv
+from .walk import run_walk, trajectory_to_csv
 from . import experiments
 
 COMMANDS = ("simulate", "regen", "clt", "moments", "coupling", "appendix")

@@ -17,10 +17,13 @@ nested subtrees coincide step for step, and runs on edge-disjoint subtrees
 are independent.
 
 A run is restricted to one of two subtree kinds (``SubtreeSpec``): the full
-tree with its sentinel, or a lambda subtree, a vertex with its parent and
+tree, or a lambda subtree, a vertex below the root with its parent and
 everything below it, which is what the regeneration and coupling arguments
-use.  One ``StopRule`` says when a run ends; ``walk.run_walk`` and
-``run_extension`` pass it straight to the engine, ``_simulate``.
+use.  A run starts at its subtree root, the anchor, and one ``StopRule``
+says when it ends: at ``max_level`` (reason ``level``) or when its step
+budget runs out (``steps``).  ``walk.run_walk`` and ``run_extension`` pass
+it straight to the engine, ``_simulate``.  The reflecting parent of the
+root, the sentinel, is known only to the engine, as id -1 at level -1.
 
 The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
@@ -40,9 +43,9 @@ sum a race compares is the one an eager redraw at jump time would give,
 and a clock no race reads is never drawn.  A step is one ``min``, plus at
 most one deferred lane read and add.
 
-The anchor of a lambda subtree below the root, the parent of its vertex,
-has one open slot, so the walk leaves it toward that vertex on every step
-from it without a race: the anchor draws no weights and no clocks.
+The anchor of a lambda subtree, the parent of its vertex, has one open
+slot, so the walk leaves it toward that vertex on every step from it
+without a race: the anchor draws no weights and no clocks.
 
 The engine is the only reader of the clock blocks: the k = 0 race when
 the walk first leaves a vertex reads ``streams.clock_init_block``, and a
@@ -67,26 +70,19 @@ import numpy as np
 from . import streams
 from .env import EnvSpec, make_weight_sampler
 from .errors import DegenerateDataError, InvalidInputError
-from .tree import (
-    ROOT,
-    SENTINEL,
-    Vertex,
-    VertexPath,
-    is_ancestor_or_self,
-    validate_path,
-)
+from .tree import ROOT, VertexPath, is_ancestor_or_self, validate_path
 
-_SENTINEL_ID = -1
-_SENTINEL_DIGEST = b"\x00" * 16
+_ROOT_PARENT_ID = -1
+_ROOT_PARENT_DIGEST = b"\x00" * 16
 
 
 @dataclass(frozen=True)
 class SubtreeSpec:
     """A connected subtree the walk may be restricted to.
 
-    kinds: ``full_tree`` (everything, sentinel included) and ``lambda``
-    (a vertex, its parent, and all its descendants).  The subtree root is
-    its vertex closest to the tree root.
+    kinds: ``full_tree`` (everything) and ``lambda`` (a vertex below the
+    root, its parent, and all its descendants).  The subtree root is its
+    vertex closest to the tree root.
     """
 
     kind: str
@@ -97,8 +93,8 @@ class SubtreeSpec:
             if self.vertex is not None:
                 raise InvalidInputError("full_tree takes no vertex argument")
         elif self.kind == "lambda":
-            if self.vertex is None or self.vertex is SENTINEL:
-                raise InvalidInputError("lambda subtree needs a non-sentinel vertex")
+            if not self.vertex:
+                raise InvalidInputError("lambda subtree needs a vertex below the root")
         else:
             raise InvalidInputError(f"unknown subtree kind {self.kind!r}")
 
@@ -122,13 +118,12 @@ def edge_disjoint(a: SubtreeSpec, b: SubtreeSpec) -> bool:
 
 @dataclass(frozen=True)
 class StopRule:
-    """When to stop a run: at an absolute level, a step budget, or the
-    sentinel.  The step budget is a hard safety cap so recurrent
-    configurations always terminate."""
+    """When to stop a run: at an absolute level or a step budget.  The
+    step budget is a hard safety cap so recurrent configurations always
+    terminate."""
 
+    max_steps: int
     max_level: Optional[int] = None
-    max_steps: int = 10 ** 8
-    stop_at_sentinel: bool = False
 
     def __post_init__(self):
         if self.max_level is not None and self.max_level < 1:
@@ -144,8 +139,9 @@ class Trajectory:
     plus the number of distinct visited vertices.
 
     ``fresh`` lists (step, vertex id) at first visits; ``stop_reason`` is
-    ``level``, ``sentinel`` or ``steps``, and ``truncated`` marks a run that
-    hit its step budget before a requested level.
+    ``level`` or ``steps``, and ``truncated`` marks a run that hit its step
+    budget before a requested level.  A full-tree run's ids and levels
+    include the sentinel's, -1 and -1; it has a digest but no path.
     """
 
     __slots__ = ("anchor", "levels", "ids", "par", "dig", "dep", "dgs",
@@ -171,9 +167,9 @@ class Trajectory:
     def max_level_attained(self) -> int:
         return int(self.levels.max())
 
-    def path_of(self, vid: int) -> Vertex:
-        if vid == _SENTINEL_ID:
-            return SENTINEL
+    def path_of(self, vid: int) -> VertexPath:
+        if vid < 0:
+            raise InvalidInputError("the sentinel has no path")
         rel: List[int] = []
         while vid != 0:
             rel.append(self.dig[vid])
@@ -181,7 +177,7 @@ class Trajectory:
         return self.anchor + tuple(reversed(rel))
 
     def digest_of(self, vid: int) -> bytes:
-        return _SENTINEL_DIGEST if vid == _SENTINEL_ID else self.dgs[vid]
+        return _ROOT_PARENT_DIGEST if vid == _ROOT_PARENT_ID else self.dgs[vid]
 
     def visited_digest_sequence(self) -> List[bytes]:
         return [self.digest_of(i) for i in self.ids]
@@ -191,29 +187,24 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
               walk_index: int = 0) -> Trajectory:
     """Run the clock-driven walk restricted to ``subtree``.
 
-    Stops at the first of: absolute level == stop.max_level, arrival at
-    the sentinel (if stop.stop_at_sentinel), or stop.max_steps steps (sets
-    the truncated flag when a level target was set).  ``walk_index`` picks
-    the clock replica (see ``streams``); the program runs replica 0."""
+    Stops at the first of: absolute level == stop.max_level, or
+    stop.max_steps steps (sets the truncated flag when a level target was
+    set).  ``walk_index`` picks the clock replica (see ``streams``); the
+    program runs replica 0."""
     b = spec.b
     sampler = make_weight_sampler(spec)
     seed = spec.seed
     w8 = streams.walk_token(walk_index)
 
-    # Resolve anchor vertex and start position.  A lambda subtree below
-    # the root leaves its anchor, the parent of nu, one open slot, so the
-    # walk always leaves the anchor toward nu without a race.
-    start_at_sentinel = False
+    # A lambda subtree leaves its anchor, the parent of nu, one open slot,
+    # so the walk always leaves the anchor toward nu without a race.
     anchor = ROOT
     anchor_slot = 0
     if subtree.kind == "lambda":
         nu = subtree.vertex
         validate_path(nu, b)
-        if nu == ROOT:
-            start_at_sentinel = True
-        else:
-            anchor = nu[:-1]
-            anchor_slot = nu[-1]
+        anchor = nu[:-1]
+        anchor_slot = nu[-1]
 
     run = Trajectory(anchor)
     anchor_level = len(anchor)
@@ -240,36 +231,35 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     dig.append(0)
     dep.append(anchor_level)
     dgs.append(streams.vertex_digest(seed, anchor))
-    fresh.append((1 if start_at_sentinel else 0, 0))
+    fresh.append((0, 0))
 
     levels: List[int] = []
     ids = run.ids
     lap = levels.append
     iap = ids.append
 
-    at_sentinel = start_at_sentinel
+    at_sentinel = False
     cur = 0
-    lvl = -1 if start_at_sentinel else anchor_level
+    lvl = anchor_level
     lap(lvl)
-    iap(_SENTINEL_ID if at_sentinel else 0)
+    iap(0)
     # Levels never go below -1, so -2 stands for "no level target".
     target = -2 if stop.max_level is None else stop.max_level
     # A run anchored at its target level stops before its first step.
-    reason = "level" if not start_at_sentinel and lvl == target else ""
+    reason = "level" if lvl == target else ""
     limit = 0 if reason else stop.max_steps
 
     steps = 0
     while steps < limit:
         steps += 1
         if at_sentinel:
+            # Only a full-tree walk reaches the sentinel, and it reflects
+            # the walk to the root, level 0, which is never a level target.
             at_sentinel = False
             cur = 0
-            lvl = anchor_level
-            lap(lvl)
+            lvl = 0
+            lap(0)
             iap(0)
-            if lvl == target:
-                reason = "level"
-                break
             continue
         st = state[cur]
         if st is not None:
@@ -313,10 +303,7 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
                 at_sentinel = True
                 lvl = -1
                 lap(-1)
-                iap(_SENTINEL_ID)
-                if stop.stop_at_sentinel:
-                    reason = "sentinel"
-                    break
+                iap(_ROOT_PARENT_ID)
                 continue
             cur = p
             lvl -= 1
@@ -364,7 +351,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
         got = in_cone.get(vid)
         if got is not None:
             return got
-        if vid == _SENTINEL_ID or run.dep[vid] < n:
+        if vid == _ROOT_PARENT_ID or run.dep[vid] < n:
             res = False
         elif run.dep[vid] == n:
             res = run.path_of(vid) == nu
@@ -379,7 +366,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
         deeper = c if levels[t] > levels[t - 1] else a
-        if deeper != _SENTINEL_ID and cone(deeper):
+        if deeper != _ROOT_PARENT_ID and cone(deeper):
             if not seq:
                 seq.append(run.digest_of(a))
             seq.append(run.digest_of(c))
@@ -390,7 +377,7 @@ def independence_check(
     spec: EnvSpec,
     subtree_a: SubtreeSpec,
     subtree_b: SubtreeSpec,
-    trials: int = 2000,
+    trials: int,
 ) -> "IndependenceReport":
     """Chi-square independence test between discrete statistics read off the
     two extensions, across fully independent trials (fresh seed each).

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import streams
 from .errors import ConfigError, InvalidInputError
-from .tree import SENTINEL, Vertex, validate_path
+from .tree import VertexPath, validate_path
 
 WeightVector = Tuple[float, ...]
 ProbVector = Tuple[float, ...]
@@ -201,10 +201,8 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     return sampler
 
 
-def sample_weights(spec: EnvSpec, v: Vertex) -> WeightVector:
+def sample_weights(spec: EnvSpec, v: VertexPath) -> WeightVector:
     """Weight vector of vertex ``v``; deterministic in (spec, v)."""
-    if v is SENTINEL:
-        raise InvalidInputError("the sentinel has no weight vector")
     validate_path(v, spec.b)
     return make_weight_sampler(spec)(streams.vertex_digest(spec.seed, v))
 
@@ -295,7 +293,7 @@ def divergence_suspected(vals: np.ndarray) -> bool:
 def negative_moment_mc(
     spec: EnvSpec,
     p: float,
-    n_samples: int = 100_000,
+    n_samples: int,
 ) -> MomentReport:
     """Monte Carlo estimate of E[(A_1 + .. + A_b)^(-p)], flagged as suspect
     by ``divergence_suspected``, which fires on the heavy-tailed boundary
@@ -320,7 +318,7 @@ def negative_moment_mc(
     )
 
 
-def lerrw_negative_moment_cf(b: int, p: float, delta: float = 1.0) -> float:
+def lerrw_negative_moment_cf(b: int, p: float, delta: float) -> float:
     """Closed form of E[(sum A)^(-p)] for the lerrw law.
 
     With x = 1/(1 + sum A) a Beta((1+delta)/(2 delta), b/(2 delta)) variable,
@@ -338,7 +336,7 @@ def lerrw_negative_moment_cf(b: int, p: float, delta: float = 1.0) -> float:
     )
 
 
-def lerrw_negative_moment_quadrature(b: int, p: float, delta: float = 1.0) -> float:
+def lerrw_negative_moment_quadrature(b: int, p: float, delta: float) -> float:
     """Adaptive quadrature of the same moment, gamma-function free.
 
     Integrates (x/(1-x))^p against the Beta density of x = 1/(1 + sum A),

@@ -7,11 +7,12 @@ any report is reproducible from the master seed alone.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .clocks import (
+    StopRule,
     SubtreeSpec,
     lambda_restriction_sequence,
     run_extension,
@@ -31,7 +32,7 @@ from .stats import (
     fclt_increment_test,
     ks_normality_test,
 )
-from .walk import StopRule, run_walk
+from .walk import run_walk
 
 # Limits of one gap harvest: steps per walk and walks in all.
 MAX_STEPS_PER_WALK = 2_000_000
@@ -91,7 +92,7 @@ class SpeedReport:
 
 def speed_report(
     spec: EnvSpec,
-    n_gaps: int = 3000,
+    n_gaps: int,
     tag: bytes = b"speed",
 ) -> SpeedReport:
     """Harvest gaps at the harvest's default level and guard and form the
@@ -127,8 +128,8 @@ class CltReport:
 
 def clt_report(
     spec: EnvSpec,
-    n_walks: int = 2000,
-    n_steps: int = 5000,
+    n_walks: int,
+    n_steps: int,
 ) -> CltReport:
     if n_walks < 100:
         raise InvalidInputError("need at least 100 walks per split")
@@ -143,10 +144,10 @@ def clt_report(
 
 def fclt_report(
     spec: EnvSpec,
-    n_walks: int = 1000,
-    n_steps: int = 4000,
-    gap_target: int = 180_000,
-    alpha: float = 0.01,
+    n_walks: int,
+    n_steps: int,
+    gap_target: int,
+    alpha: float,
 ) -> FcltReport:
     """Increment normality and cross-increment correlation tests, with the
     drift and scale plug-ins fitted from an independent gap harvest.
@@ -180,39 +181,36 @@ class MomentHarvest:
 def moment_harvest(
     spec: EnvSpec,
     trials: int,
-    epsilon: Optional[float] = None,
+    epsilon: float,
 ) -> MomentHarvest:
     """One pass of fresh walks yielding both the root-visit count and the
     first confirmed regeneration time of each walk.  Each walk runs to
     level 100, and a record counts as confirmed 60 levels below that.
 
-    With ``epsilon`` set, each trial's environment is redrawn until the
-    root's parent-edge probability is at most 1 - epsilon.  The cubic
-    visit moment and the 5/2 regeneration-time moment are finite under
-    that root condition; without it a heavy root-parent edge inflates
-    both statistics and their raw moments need not exist.
+    Each trial's environment is redrawn until the root's parent-edge
+    probability is at most 1 - epsilon.  The cubic visit moment and the
+    5/2 regeneration-time moment are finite under that root condition;
+    without it a heavy root-parent edge inflates both statistics and their
+    raw moments need not exist.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    if epsilon is not None and not 0.0 < epsilon < 1.0 / 3.0:
+    if not 0.0 < epsilon < 1.0 / 3.0:
         raise InvalidInputError("epsilon must lie in (0, 1/3)")
     visits = np.empty(trials, dtype=np.float64)
     times = np.empty(trials, dtype=np.float64)
     bad = 0
     stop = StopRule(max_level=100, max_steps=800_000)
     for t in range(trials):
-        if epsilon is None:
-            sub = spec.subseed(b"moments", t)
+        for j in range(t * 64, t * 64 + 64):
+            sub = spec.subseed(b"moments", j)
+            probs = transition_probs(sample_weights(sub, ROOT))
+            if probs[0] <= 1.0 - epsilon:
+                break
         else:
-            for j in range(t * 64, t * 64 + 64):
-                sub = spec.subseed(b"moments", j)
-                probs = transition_probs(sample_weights(sub, ROOT))
-                if probs[0] <= 1.0 - epsilon:
-                    break
-            else:
-                raise DataQualityError(
-                    "64 straight environment redraws failed the root "
-                    "condition; the weight law puts almost no mass there")
+            raise DataQualityError(
+                "64 straight environment redraws failed the root "
+                "condition; the weight law puts almost no mass there")
         traj = run_walk(sub, stop)
         if traj.stop_reason != "level":
             raise DataQualityError(
@@ -247,8 +245,8 @@ class CouplingReport:
 
 def coupling_suite(
     spec: EnvSpec,
-    seeds: int = 50,
-    n_steps: int = 10_000,
+    seeds: int,
+    n_steps: int,
 ) -> CouplingReport:
     """For each derived seed: the whole-tree extension must reproduce the
     direct walk exactly, and the extension on the subtree hanging above

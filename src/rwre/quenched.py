@@ -132,15 +132,16 @@ class _TruncationLadder:
         return float(beta[0])
 
 
-def beta_root(spec: EnvSpec, tol: float = 1e-6, rel_tol: float = 0.0) -> BetaValue:
+def beta_root(spec: EnvSpec, tol: float, rel_tol: float) -> BetaValue:
     """Deepening evaluation of the root non-return probability.
 
     The truncation depth grows one level at a time until the estimated
     remaining error drops below ``tol`` (or below ``rel_tol`` times the
-    value, when rel_tol is positive), the depth reaches ``DEPTH_CAP``, or
-    (for random environments, whose truncated tree must be enumerated) the
-    next level would take the tree past two million weight nodes.  Weight
-    arrays are shared across depths, so deepening is incremental.
+    value, when that is larger) and below the value itself, the depth
+    reaches ``DEPTH_CAP``, or (for random environments, whose truncated
+    tree must be enumerated) the next level would take the tree past two
+    million weight nodes.  Weight arrays are shared across depths, so
+    deepening is incremental.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
@@ -158,14 +159,14 @@ def beta_root(spec: EnvSpec, tol: float = 1e-6, rel_tol: float = 0.0) -> BetaVal
         gaps.append(value - new_value)
         value = new_value
         err = _tail_estimate(gaps)
-        if err < max(tol, rel_tol * value):
+        if err < min(value, max(tol, rel_tol * value)):
             converged = True
             break
     return BetaValue(value=value, depth=ladder.depth, upper_gap=err,
                      converged=converged)
 
 
-def effectively_converged(bv: BetaValue, rel_tol: float = 0.02) -> bool:
+def effectively_converged(bv: BetaValue, rel_tol: float) -> bool:
     """Accept a depth-capped value whose estimated remaining error,
     ``upper_gap`` (``_tail_estimate``'s extrapolated tail past the last
     one-level deepening), is under ``rel_tol`` relatively.  Random
@@ -220,7 +221,7 @@ class BetaMomentReport(MomentReport):
     betas: Tuple[BetaValue, ...] = ()
 
 
-def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int = 200,
+def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int,
                             rel_tol: float = 0.05) -> BetaMomentReport:
     """Monte Carlo E[beta^(-p)] over environments.
 

@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .walk import Trajectory
+from .clocks import Trajectory
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class GapSample:
         return len(self.level_gaps)
 
 
-def detect_regenerations(traj: Trajectory, guard: int = 100) -> List[RegenRecord]:
+def detect_regenerations(traj: Trajectory, guard: int) -> List[RegenRecord]:
     """All regeneration records of a trajectory, oldest first.
 
     Record 0 is the conventional origin record (level 0, time 0).  A record

@@ -231,7 +231,7 @@ class FcltReport:
 
 
 def fclt_increment_test(levels_at_times: np.ndarray, n: int, v: float,
-                        sigma: float, alpha: float = 0.01) -> FcltReport:
+                        sigma: float, alpha: float) -> FcltReport:
     """Brownian-increment checks on the rescaled level process.
 
     ``levels_at_times`` holds one row per walk with the level at steps
@@ -286,7 +286,7 @@ class StabilityReport:
 
 
 def doubling_stability(samples: Sequence[float], p: float,
-                       rel_tol: float = 0.05) -> StabilityReport:
+                       rel_tol: float) -> StabilityReport:
     """Sample-doubling check: does the running p-th moment settle?
 
     Compares the moment over the first half with the full sample; the check

@@ -59,7 +59,7 @@ import struct
 from typing import List, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .tree import SENTINEL, Vertex
+from .tree import VertexPath
 
 _blake = hashlib.blake2b
 _U8 = struct.Struct("<8Q").unpack
@@ -107,10 +107,8 @@ def child_digest(digest: bytes, i: int) -> bytes:
     return _blake(digest + BYTE1[i], digest_size=16).digest()
 
 
-def vertex_digest(seed: int, v: Vertex) -> bytes:
-    """Digest of a vertex given by its full path (the sentinel has none)."""
-    if v is SENTINEL:
-        raise InvalidInputError("the sentinel carries no randomness")
+def vertex_digest(seed: int, v: VertexPath) -> bytes:
+    """Digest of a vertex given by its full path."""
     d = root_digest(seed)
     for i in v:
         d = _blake(d + BYTE1[i], digest_size=16).digest()

@@ -6,8 +6,8 @@ the full-tree case of the clock engine, so the exact-coupling and
 restriction identities with subtree extensions hold by construction rather
 than by a separate code path.  ``run_walk`` takes the engine's one stop
 type, ``clocks.StopRule``, and returns the engine's own record,
-``clocks.Trajectory``; both are re-exported here, and they are the same
-types every subtree extension takes and returns.
+``clocks.Trajectory``, the same types every subtree extension takes and
+returns.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def run_walk(spec: EnvSpec, stop: StopRule) -> Trajectory:
     return _simulate(spec, SubtreeSpec.full_tree(), stop)
 
 
-def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int = 1) -> None:
+def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int) -> None:
     """(step, level) rows, downsampled by ``stride``; the last step is
     always included."""
     if stride < 1:

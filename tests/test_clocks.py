@@ -7,6 +7,7 @@ import pytest
 from rwre import streams
 from rwre.clocks import (
     IndependenceReport,
+    StopRule,
     SubtreeSpec,
     _simulate,
     edge_disjoint,
@@ -16,8 +17,8 @@ from rwre.clocks import (
 )
 from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
-from rwre.tree import ROOT, SENTINEL
-from rwre.walk import StopRule, run_walk
+from rwre.tree import ROOT
+from rwre.walk import run_walk
 
 
 SPEC = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
@@ -63,9 +64,10 @@ class TestSubtreeSpec:
         with pytest.raises(InvalidInputError):
             SubtreeSpec(kind="full_tree", vertex=(1,))
         with pytest.raises(InvalidInputError):
-            SubtreeSpec(kind="lambda", vertex=SENTINEL)
-        with pytest.raises(InvalidInputError):
             SubtreeSpec(kind="lambda")
+        # a lambda vertex lies below the root
+        with pytest.raises(InvalidInputError):
+            SubtreeSpec.lambda_subtree(ROOT)
 
     def test_subtree_roots(self):
         # a run starts at its subtree's root: the vertex closest to the root
@@ -75,7 +77,6 @@ class TestSubtreeSpec:
 
         assert start(SubtreeSpec.full_tree()) == (ROOT, 0)
         assert start(SubtreeSpec.lambda_subtree((2, 3))) == ((2,), 1)
-        assert start(SubtreeSpec.lambda_subtree(ROOT)) == (SENTINEL, -1)
 
 
 class TestEdgeDisjoint:

@@ -29,7 +29,6 @@ from rwre.env import (
     transition_probs,
 )
 from rwre.errors import ConfigError, InvalidInputError
-from rwre.tree import SENTINEL
 
 
 class TestDescriptors:
@@ -91,11 +90,6 @@ class TestWeightSampling:
         spec = EnvSpec(b=3, kind="gamma:2.0,1.0", seed=9)
         assert sample_weights(spec, (1, 2)) == sample_weights(spec, (1, 2))
         assert sample_weights(spec, (1, 2)) != sample_weights(spec, (2, 1))
-
-    def test_sentinel_has_no_weights(self):
-        spec = EnvSpec(b=2, kind="const:1.0", seed=0)
-        with pytest.raises(InvalidInputError):
-            sample_weights(spec, SENTINEL)
 
     def test_const_weights_are_constant(self):
         spec = EnvSpec(b=2, kind="const:2.5", seed=4)
@@ -160,16 +154,16 @@ class TestTransienceCriterion:
 
 class TestNegativeMoments:
     def test_closed_form_value_for_five_children(self):
-        assert lerrw_negative_moment_cf(5, 2.0) == pytest.approx(8.0 / 3.0)
+        assert lerrw_negative_moment_cf(5, 2.0, 1.0) == pytest.approx(8.0 / 3.0)
 
     @pytest.mark.parametrize("b,p", [(5, 2.0), (6, 2.0), (5, 1.5)])
     def test_closed_form_matches_quadrature(self, b, p):
-        cf = lerrw_negative_moment_cf(b, p)
-        quad = lerrw_negative_moment_quadrature(b, p)
+        cf = lerrw_negative_moment_cf(b, p, 1.0)
+        quad = lerrw_negative_moment_quadrature(b, p, 1.0)
         assert abs(cf - quad) < 1e-8
 
     def test_divergent_case_reports_infinity(self):
-        assert lerrw_negative_moment_cf(4, 2.0) == math.inf
+        assert lerrw_negative_moment_cf(4, 2.0, 1.0) == math.inf
 
     def test_mc_estimate_brackets_closed_form(self):
         spec = EnvSpec(b=5, kind="lerrw:1.0", seed=14)

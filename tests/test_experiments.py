@@ -25,7 +25,8 @@ from rwre.experiments import (
     speed_report,
 )
 from rwre.stats import FcltReport
-from rwre.walk import StopRule, run_walk
+from rwre.clocks import StopRule
+from rwre.walk import run_walk
 
 CONST = EnvSpec(b=4, kind="const:1.0", seed=17)
 
@@ -70,14 +71,15 @@ def test_clt_plug_ins_match_the_exact_constants():
 
 
 def test_fclt_report_shapes():
-    fr = fclt_report(CONST, n_walks=500, n_steps=200, gap_target=500)
+    fr = fclt_report(CONST, n_walks=500, n_steps=200, gap_target=500,
+                     alpha=0.01)
     assert isinstance(fr, FcltReport)
     assert len(fr.increment_tests) == 3
     assert len(fr.correlations) == 3
 
 
 def test_moment_harvest_counts():
-    mh = moment_harvest(CONST, trials=20)
+    mh = moment_harvest(CONST, trials=20, epsilon=0.3)
     assert isinstance(mh, MomentHarvest)
     assert (mh.root_visits >= 1).all()
     assert len(mh.first_regen_times) >= 19

@@ -1,6 +1,6 @@
 """Every public function, class, method, property and record field of the
 package must be reached by the program, and every defaulted parameter of a
-public function must be set by the program.
+public function must be both set and left at its default by the program.
 
 A public definition counts as reached when one of these holds:
 
@@ -32,7 +32,10 @@ A defaulted parameter counts as set when some call in the package or in
 the benchmark passes it, by keyword or by position.  A test passing it
 does not count: a value that only a test chooses selects a path the
 program never runs.  A test that needs another value calls a private
-function or shrinks a module-level constant.
+function or shrinks a module-level constant.  The default itself counts as
+used when some call in the package or the benchmark omits the parameter;
+a default that every such call overrides is read only by tests, so the
+parameter should have none.
 """
 import ast
 from pathlib import Path
@@ -297,20 +300,24 @@ def _calls_by_name(paths) -> dict:
 
 def test_every_optional_parameter_is_set():
     # A default that the program never overrides is a constant with a name
-    # in the signature: write its value where it is used instead.
+    # in the signature: write its value where it is used instead.  One that
+    # the program always overrides is never read: delete it.
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     calls = _calls_by_name(modules + sorted(BENCH.glob("*.py")))
-    unset = []
+    unset, overridden = [], []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
             if (not isinstance(node, ast.FunctionDef)
                     or node.name.startswith("_")):
                 continue
             positional, optional = _optional_parameters(node)
-            passed = set()
-            for n_args, keywords in calls.get(node.name, ()):
-                passed.update(positional[:n_args])
-                passed.update(keywords)
-            unset += [f"{path.stem}.{node.name}({name})" for name in optional
-                      if name not in passed]
+            for name in optional:
+                passes = [name in positional[:n_args] or name in keywords
+                          for n_args, keywords in calls.get(node.name, ())]
+                if not any(passes):
+                    unset.append(f"{path.stem}.{node.name}({name})")
+                elif all(passes):
+                    overridden.append(f"{path.stem}.{node.name}({name})")
     assert not unset, f"defaulted parameters that no caller sets: {unset}"
+    assert not overridden, \
+        f"defaulted parameters that every caller sets: {overridden}"

@@ -23,19 +23,29 @@ CONST = EnvSpec(b=4, kind="const:1.0", seed=21)
 
 class TestBetaRoot:
     def test_constant_environment_fixed_point(self):
-        bv = beta_root(CONST)
+        bv = beta_root(CONST, tol=1e-6, rel_tol=0.0)
         assert isinstance(bv, BetaValue)
         assert bv.converged
         assert bv.value == pytest.approx(0.75, abs=1e-5)
 
     def test_random_environment_is_a_probability(self):
-        bv = beta_root(EnvSpec(b=4, kind="lerrw:1.0", seed=21), rel_tol=0.02)
+        bv = beta_root(EnvSpec(b=4, kind="lerrw:1.0", seed=21),
+                       tol=1e-6, rel_tol=0.02)
         assert 0.0 < bv.value < 1.0
-        assert effectively_converged(bv)
+        assert effectively_converged(bv, 0.02)
+
+    def test_claimed_error_is_below_a_tiny_value(self):
+        # gamma shape 0.005 makes most weights underflow, so beta is far
+        # below tol: converging needs an error below the value itself
+        bv = beta_root(EnvSpec(b=3, kind="gamma:0.005,1", seed=8),
+                       tol=1e-4, rel_tol=0.02)
+        assert bv.converged
+        assert 0.0 < bv.value < 1e-100
+        assert bv.upper_gap < bv.value
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            beta_root(CONST, tol=0.0)
+            beta_root(CONST, tol=0.0, rel_tol=0.0)
 
 
 class TestEffectivelyConverged:
@@ -43,11 +53,11 @@ class TestEffectivelyConverged:
         return BetaValue(value=value, depth=9, upper_gap=gap, converged=False)
 
     def test_small_relative_gap_is_accepted(self):
-        assert effectively_converged(self._bv(0.5, 0.005))
+        assert effectively_converged(self._bv(0.5, 0.005), 0.02)
 
     def test_recurrent_looking_value_is_rejected(self):
-        assert not effectively_converged(self._bv(0.5, 0.5))
-        assert not effectively_converged(self._bv(0.0, 0.0))
+        assert not effectively_converged(self._bv(0.5, 0.5), 0.02)
+        assert not effectively_converged(self._bv(0.0, 0.0), 0.02)
 
 
 class TestNegativeMoment:

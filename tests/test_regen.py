@@ -15,7 +15,8 @@ from rwre.regen import (
     detect_regenerations,
     regeneration_gaps,
 )
-from rwre.walk import StopRule, run_walk
+from rwre.clocks import StopRule
+from rwre.walk import run_walk
 
 
 def fake_traj(levels):
@@ -97,7 +98,7 @@ class TestGaps:
 class TestOnRealWalks:
     def test_cut_levels_hold_one_distinct_vertex(self):
         spec = EnvSpec(b=4, kind="lerrw:1.0", seed=33)
-        traj = run_walk(spec, StopRule(max_level=400))
+        traj = run_walk(spec, StopRule(max_steps=10 ** 8, max_level=400))
         recs = detect_regenerations(traj, guard=60)
         confirmed = [r for r in recs if r.m >= 1 and r.confirmed]
         assert len(confirmed) > 50
@@ -110,7 +111,7 @@ class TestOnRealWalks:
 
     def test_gap_consistency_on_real_walk(self):
         spec = EnvSpec(b=4, kind="lerrw:1.0", seed=33)
-        traj = run_walk(spec, StopRule(max_level=400))
+        traj = run_walk(spec, StopRule(max_steps=10 ** 8, max_level=400))
         g = regeneration_gaps(detect_regenerations(traj, guard=60))
         assert (g.level_gaps <= g.time_gaps).all()
         assert (np.asarray(g.time_gaps) % 2 == np.asarray(g.level_gaps) % 2).all()

@@ -12,9 +12,9 @@ from collections import Counter, defaultdict
 import pytest
 
 from rwre import clocks, quenched, streams
-from rwre.clocks import SubtreeSpec, run_extension
+from rwre.clocks import StopRule, SubtreeSpec, run_extension
 from rwre.env import EnvSpec
-from rwre.walk import StopRule, run_walk
+from rwre.walk import run_walk
 
 B = 4
 

@@ -3,13 +3,13 @@
 import pytest
 
 from rwre.errors import InvalidInputError
-from rwre.tree import ROOT, SENTINEL, is_ancestor_or_self, validate_path
+from rwre.tree import ROOT, is_ancestor_or_self, validate_path
 
 
 class TestValidation:
     def test_validate_accepts_in_range(self):
         validate_path((1, 2, 2), b=2)
-        validate_path(SENTINEL, b=2)
+        validate_path(ROOT, b=2)
 
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -22,11 +22,6 @@ class TestAncestry:
     def test_root_is_ancestor_of_all_paths(self):
         assert is_ancestor_or_self(ROOT, (1, 2, 1))
         assert is_ancestor_or_self(ROOT, ROOT)
-
-    def test_sentinel_is_ancestor_of_everything(self):
-        assert is_ancestor_or_self(SENTINEL, ROOT)
-        assert is_ancestor_or_self(SENTINEL, SENTINEL)
-        assert not is_ancestor_or_self(ROOT, SENTINEL)
 
     def test_proper_prefix_relation(self):
         assert is_ancestor_or_self((1,), (1, 2))

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
-from rwre.clocks import SubtreeSpec, _simulate, run_extension
+from rwre.clocks import StopRule, SubtreeSpec, _simulate
 from rwre.env import EnvSpec, sample_weights, transition_probs
 from rwre.errors import InvalidInputError
 from rwre.quenched import _TruncationLadder, beta_root
 from rwre.tree import ROOT
-from rwre.walk import StopRule, run_walk, trajectory_to_csv
+from rwre.walk import run_walk, trajectory_to_csv
 
 
 SPEC = EnvSpec(b=2, kind="lerrw:1.0", seed=88)
@@ -21,7 +21,7 @@ SPEC = EnvSpec(b=2, kind="lerrw:1.0", seed=88)
 class TestStopRule:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            StopRule(max_level=0)
+            StopRule(max_steps=100, max_level=0)
         with pytest.raises(InvalidInputError):
             StopRule(max_steps=0)
 
@@ -45,28 +45,23 @@ class TestRunWalk:
         caps = run_walk(SPEC, StopRule(max_steps=100))
         assert caps.stop_reason == "steps"
         assert caps.steps_taken == 100
-        lvl = run_walk(SPEC, StopRule(max_level=30))
+        lvl = run_walk(SPEC, StopRule(max_steps=10 ** 8, max_level=30))
         assert lvl.stop_reason == "level"
         assert lvl.levels[-1] == 30
         assert lvl.max_level_attained == 30
 
-    def test_sentinel_reflects_and_can_stop(self):
-        # const:1.0 at b=1 is recurrent, so the sentinel is hit quickly
+    def test_sentinel_reflects_and_has_no_path(self):
+        # const:1.0 at b=1 is recurrent, so the sentinel is hit quickly; a
+        # step onto it (id -1, level -1) is followed by one back to the root
         spec = EnvSpec(b=1, kind="const:1.0", seed=3)
         bounce = run_walk(spec, StopRule(max_steps=5000))
-        assert bounce.levels.min() == -1
+        assert bounce.stop_reason == "steps"
         i = int(np.argmin(bounce.levels))
-        assert bounce.levels[i + 1] == 0
-        halted = run_walk(spec, StopRule(max_steps=5000, stop_at_sentinel=True))
-        assert halted.stop_reason == "sentinel"
-        assert halted.levels[-1] == -1
-
-    def test_step_from_sentinel_returns_to_root(self):
-        # lambda_subtree(ROOT) starts its run at the sentinel
-        traj = run_extension(SPEC, SubtreeSpec.lambda_subtree(ROOT),
-                             StopRule(max_steps=1))
-        assert list(traj.levels) == [-1, 0]
-        assert traj.path_of(traj.ids[1]) == ROOT
+        assert bounce.levels[i] == -1 and bounce.ids[i] == -1
+        assert bounce.levels[i + 1] == 0 and bounce.ids[i + 1] == 0
+        assert bounce.path_of(0) == ROOT
+        with pytest.raises(InvalidInputError):
+            bounce.path_of(-1)
 
 
     def test_zero_child_weight_is_never_taken(self):
@@ -77,9 +72,9 @@ class TestRunWalk:
         assert sample_weights(spec, ROOT)[0] == 0.0
         traj = run_walk(spec, StopRule(max_steps=200))
         assert traj.steps_taken == 200
-        assert (1,) not in {traj.path_of(vid) for vid in traj.ids}
+        assert (1,) not in {traj.path_of(vid) for vid in traj.ids if vid >= 0}
         assert transition_probs(sample_weights(spec, ROOT))[1] == 0.0
-        assert 0.0 <= beta_root(spec).value <= 1.0
+        assert 0.0 <= beta_root(spec, tol=1e-6, rel_tol=0.0).value <= 1.0
 
 
 class TestTrajectoryViews:
@@ -119,23 +114,25 @@ ORACLE_ENVS = 24
 @pytest.mark.parametrize("kind, b, n", [("lerrw:1.0", 4, 5), ("lerrw:0.5", 3, 6)])
 def test_escape_counts_match_the_ladder(kind, b, n):
     # In a fixed environment the ladder's boundary-one depth-n value is
-    # exactly the chance of reaching level n before the sentinel, and walk
-    # indices give independent clocks in that environment, so each escape
-    # count is Binomial(ORACLE_REPLICAS, beta_n).  Nothing is fitted, so
-    # Pearson's statistic over the environments has ORACLE_ENVS degrees of
-    # freedom; the test rejects at p < 1e-3 (statistic above 51.2).
+    # exactly the chance of reaching level n before the sentinel (level
+    # -1), and walk indices give independent clocks in that environment,
+    # so each escape count is Binomial(ORACLE_REPLICAS, beta_n).  A run
+    # escaped when it reaches level n without ever visiting level -1.
+    # Nothing is fitted, so Pearson's statistic over the environments has
+    # ORACLE_ENVS degrees of freedom; the test rejects at p < 1e-3
+    # (statistic above 51.2).
     spec = EnvSpec(b=b, kind=kind, seed=7)
     full = SubtreeSpec.full_tree()
-    stop = StopRule(max_level=n, stop_at_sentinel=True)
+    stop = StopRule(max_steps=10 ** 8, max_level=n)
     chi2 = 0.0
     for e in range(ORACLE_ENVS):
         sub = spec.subseed(b"oracle", e)
         ladder = _TruncationLadder(sub)
         for _ in range(n):
             beta = ladder.advance()
-        reasons = [_simulate(sub, full, stop, r).stop_reason
-                   for r in range(ORACLE_REPLICAS)]
-        assert set(reasons) <= {"level", "sentinel"}
+        runs = [_simulate(sub, full, stop, r) for r in range(ORACLE_REPLICAS)]
+        assert {run.stop_reason for run in runs} == {"level"}
+        escapes = sum(int(run.levels.min()) >= 0 for run in runs)
         expected = ORACLE_REPLICAS * beta
-        chi2 += (reasons.count("level") - expected) ** 2 / (expected * (1.0 - beta))
+        chi2 += (escapes - expected) ** 2 / (expected * (1.0 - beta))
     assert st.chi2.sf(chi2, ORACLE_ENVS) > 1e-3, chi2
