@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import env
-from .clocks import StopRule, SubtreeSpec, independence_check
+from .clocks import StopRule, independence_check
 from .env import (
     EnvSpec,
     check_assumption_a,
@@ -310,8 +310,7 @@ def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     if spec.b < 2:
         raise ConfigError("coupling checks need at least two children")
     cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps)
-    ir = independence_check(spec, SubtreeSpec.lambda_subtree((1,)),
-                            SubtreeSpec.lambda_subtree((2,)), trials=trials)
+    ir = independence_check(spec, (1,), (2,), trials=trials)
     with open(os.path.join(out, "independence_table.csv"), "w",
               newline="") as fh:
         w = csv.writer(fh)

@@ -16,14 +16,16 @@ subtree consumes the very same clock values as the full walk: runs on
 nested subtrees coincide step for step, and runs on edge-disjoint subtrees
 are independent.
 
-A run is restricted to one of two subtree kinds (``SubtreeSpec``): the full
-tree, or a lambda subtree, a vertex below the root with its parent and
-everything below it, which is what the regeneration and coupling arguments
-use.  A run starts at its subtree root, the anchor, and one ``StopRule``
-says when it ends: at ``max_level`` (reason ``level``) or when its step
-budget runs out (``steps``).  ``walk.run_walk`` and ``run_extension`` pass
-it straight to the engine, ``_simulate``.  The reflecting parent of the
-root, the sentinel, is known only to the engine, as id -1 at level -1.
+A run is restricted to the subtree of one vertex ``nu``: ``nu``, its
+parent and everything below ``nu``, which is what the regeneration and
+coupling arguments use.  ``nu = ROOT`` is the full tree, whose root's
+parent is the reflecting sentinel.  Vertex 0 of every run is that parent,
+the anchor: a lambda run (``nu`` below the root) starts there, a full-tree
+run at the root, vertex 1.  One ``StopRule`` says when a run ends: at
+``max_level`` (reason ``level``) or when its step budget runs out
+(``steps``).  ``walk.run_walk`` and ``run_extension`` pass it straight to
+the engine, ``_simulate``.  The sentinel is known only to the engine, as
+vertex 0 of a full-tree run, at level -1 with a zero digest.
 
 The engine below simulates any such walk lazily: vertices get 16-byte
 chained digests on first visit, weight vectors and clock sums are created
@@ -43,9 +45,9 @@ sum a race compares is the one an eager redraw at jump time would give,
 and a clock no race reads is never drawn.  A step is one ``min``, plus at
 most one deferred lane read and add.
 
-The anchor of a lambda subtree, the parent of its vertex, has one open
-slot, so the walk leaves it toward that vertex on every step from it
-without a race: the anchor draws no weights and no clocks.
+The anchor has one open slot, so the walk leaves it toward ``nu`` (the
+root, for the sentinel) on every step from it without a race: the anchor
+draws no weights and no clocks.
 
 The engine is the only reader of the clock blocks: the k = 0 race when
 the walk first leaves a vertex reads ``streams.clock_init_block``, and a
@@ -72,48 +74,12 @@ from .env import EnvSpec, make_weight_sampler
 from .errors import DegenerateDataError, InvalidInputError
 from .tree import ROOT, VertexPath, is_ancestor_or_self, validate_path
 
-_ROOT_PARENT_ID = -1
-_ROOT_PARENT_DIGEST = b"\x00" * 16
 
-
-@dataclass(frozen=True)
-class SubtreeSpec:
-    """A connected subtree the walk may be restricted to.
-
-    kinds: ``full_tree`` (everything) and ``lambda`` (a vertex below the
-    root, its parent, and all its descendants).  The subtree root is its
-    vertex closest to the tree root.
-    """
-
-    kind: str
-    vertex: Optional[VertexPath] = None
-
-    def __post_init__(self):
-        if self.kind == "full_tree":
-            if self.vertex is not None:
-                raise InvalidInputError("full_tree takes no vertex argument")
-        elif self.kind == "lambda":
-            if not self.vertex:
-                raise InvalidInputError("lambda subtree needs a vertex below the root")
-        else:
-            raise InvalidInputError(f"unknown subtree kind {self.kind!r}")
-
-    @staticmethod
-    def full_tree() -> "SubtreeSpec":
-        return SubtreeSpec(kind="full_tree")
-
-    @staticmethod
-    def lambda_subtree(v: VertexPath) -> "SubtreeSpec":
-        return SubtreeSpec(kind="lambda", vertex=tuple(v))
-
-
-def edge_disjoint(a: SubtreeSpec, b: SubtreeSpec) -> bool:
-    """Each subtree's edges are those whose deeper endpoint lies at or below
-    one vertex (the root for the full tree), so two subtrees share an edge
-    exactly when one of those vertices is an ancestor of the other."""
-    va = ROOT if a.kind == "full_tree" else a.vertex
-    vb = ROOT if b.kind == "full_tree" else b.vertex
-    return not (is_ancestor_or_self(va, vb) or is_ancestor_or_self(vb, va))
+def edge_disjoint(a: VertexPath, b: VertexPath) -> bool:
+    """The subtree of a vertex holds the edges whose deeper endpoint lies at
+    or below it, so two subtrees share an edge exactly when one top vertex
+    is an ancestor of the other."""
+    return not (is_ancestor_or_self(a, b) or is_ancestor_or_self(b, a))
 
 
 @dataclass(frozen=True)
@@ -138,17 +104,19 @@ class Trajectory:
     paths are rebuilt lazily.  Memory is proportional to the number of steps
     plus the number of distinct visited vertices.
 
-    ``fresh`` lists (step, vertex id) at first visits; ``stop_reason`` is
-    ``level`` or ``steps``, and ``truncated`` marks a run that hit its step
-    budget before a requested level.  A full-tree run's ids and levels
-    include the sentinel's, -1 and -1; it has a digest but no path.
+    ``nu`` is the run's top vertex (``ROOT`` for the full tree) and vertex
+    1 is ``nu`` itself; vertex 0 is the anchor above it, which for the full
+    tree is the sentinel, at level -1 with a zero digest and no path.
+    ``fresh`` lists (step, vertex id) at first visits, the sentinel
+    excepted; ``stop_reason`` is ``level`` or ``steps``, and ``truncated``
+    marks a run that hit its step budget before a requested level.
     """
 
-    __slots__ = ("anchor", "levels", "ids", "par", "dig", "dep", "dgs",
+    __slots__ = ("nu", "levels", "ids", "par", "dig", "dep", "dgs",
                  "fresh", "stop_reason", "truncated")
 
-    def __init__(self, anchor: VertexPath):
-        self.anchor = anchor
+    def __init__(self, nu: VertexPath):
+        self.nu = nu
         self.levels: np.ndarray = np.zeros(0, dtype=np.int64)
         self.ids: List[int] = []
         self.par: List[int] = []
@@ -168,46 +136,35 @@ class Trajectory:
         return int(self.levels.max())
 
     def path_of(self, vid: int) -> VertexPath:
-        if vid < 0:
-            raise InvalidInputError("the sentinel has no path")
+        if vid == 0:
+            if not self.nu:
+                raise InvalidInputError("the sentinel has no path")
+            return self.nu[:-1]
         rel: List[int] = []
-        while vid != 0:
+        while vid != 1:
             rel.append(self.dig[vid])
             vid = self.par[vid]
-        return self.anchor + tuple(reversed(rel))
-
-    def digest_of(self, vid: int) -> bytes:
-        return _ROOT_PARENT_DIGEST if vid == _ROOT_PARENT_ID else self.dgs[vid]
+        return self.nu + tuple(reversed(rel))
 
     def visited_digest_sequence(self) -> List[bytes]:
-        return [self.digest_of(i) for i in self.ids]
+        return [self.dgs[i] for i in self.ids]
 
 
-def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
+def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
               walk_index: int = 0) -> Trajectory:
-    """Run the clock-driven walk restricted to ``subtree``.
+    """Run the clock-driven walk restricted to the subtree of ``nu``.
 
     Stops at the first of: absolute level == stop.max_level, or
     stop.max_steps steps (sets the truncated flag when a level target was
     set).  ``walk_index`` picks the clock replica (see ``streams``); the
     program runs replica 0."""
     b = spec.b
+    validate_path(nu, b)
     sampler = make_weight_sampler(spec)
     seed = spec.seed
     w8 = streams.walk_token(walk_index)
 
-    # A lambda subtree leaves its anchor, the parent of nu, one open slot,
-    # so the walk always leaves the anchor toward nu without a race.
-    anchor = ROOT
-    anchor_slot = 0
-    if subtree.kind == "lambda":
-        nu = subtree.vertex
-        validate_path(nu, b)
-        anchor = nu[:-1]
-        anchor_slot = nu[-1]
-
-    run = Trajectory(anchor)
-    anchor_level = len(anchor)
+    run = Trajectory(nu)
     log = math.log
     two53 = streams.TWO53
     two54 = streams.TWO54
@@ -226,23 +183,33 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     # [clock sums, rates, jump counts, current advance block, child ids],
     # each indexed by slot, then the pending slot.
     state: List[Optional[list]] = [None]
+    # Vertex 0, the anchor, has one open slot (slot 1 for the sentinel):
+    # the walk always leaves it toward nu, vertex 1, without a race.
+    anchor_slot = nu[-1] if nu else 1
     anchor_kids = [-1] * n_slots
     par.append(-1)
     dig.append(0)
-    dep.append(anchor_level)
-    dgs.append(streams.vertex_digest(seed, anchor))
-    fresh.append((0, 0))
+    dep.append(len(nu) - 1)
+    dgs.append(streams.vertex_digest(seed, nu[:-1]) if nu else bytes(16))
+    cur = 0
+    if not nu:
+        # A full-tree run starts at the root, below the sentinel.
+        cur = anchor_kids[anchor_slot] = 1
+        par.append(0)
+        dig.append(anchor_slot)
+        dep.append(0)
+        dgs.append(streams.vertex_digest(seed, ROOT))
+        state.append(None)
+    fresh.append((0, cur))
 
     levels: List[int] = []
     ids = run.ids
     lap = levels.append
     iap = ids.append
 
-    at_sentinel = False
-    cur = 0
-    lvl = anchor_level
+    lvl = dep[cur]
     lap(lvl)
-    iap(0)
+    iap(cur)
     # Levels never go below -1, so -2 stands for "no level target".
     target = -2 if stop.max_level is None else stop.max_level
     # A run anchored at its target level stops before its first step.
@@ -252,15 +219,6 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     steps = 0
     while steps < limit:
         steps += 1
-        if at_sentinel:
-            # Only a full-tree walk reaches the sentinel, and it reflects
-            # the walk to the root, level 0, which is never a level target.
-            at_sentinel = False
-            cur = 0
-            lvl = 0
-            lap(0)
-            iap(0)
-            continue
         st = state[cur]
         if st is not None:
             # Add the clock the last jump from here uncovered: jump k + 1
@@ -275,7 +233,7 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
             j = s.index(min(s))
             st[5] = j
             jumps[j] += 1
-        elif cur or not anchor_slot:
+        elif cur:
             # The k = 0 race: each slot's first clock over its rate.  Ties
             # go to the smaller slot, which is what s.index(min(s)) returns.
             dg = dgs[cur]
@@ -294,18 +252,11 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
             kids = [-1] * n_slots
             state[cur] = [s, rates, jumps, [()] * n_slots, kids, j]
         else:
-            # The one-slot anchor: the walk leaves it toward nu, no race.
+            # The anchor: the walk leaves it toward nu, no race.
             j = anchor_slot
             kids = anchor_kids
         if j == 0:
-            p = par[cur]
-            if p == -1:
-                at_sentinel = True
-                lvl = -1
-                lap(-1)
-                iap(_ROOT_PARENT_ID)
-                continue
-            cur = p
+            cur = par[cur]
             lvl -= 1
         else:
             c = kids[j]
@@ -330,9 +281,10 @@ def _simulate(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule,
     return run
 
 
-def run_extension(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule) -> Trajectory:
-    """Clock-driven walk on ``subtree`` starting at the subtree root."""
-    return _simulate(spec, subtree, stop)
+def run_extension(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> Trajectory:
+    """Clock-driven walk on the subtree of ``nu``, from the parent of
+    ``nu`` (from the root when ``nu`` is the root)."""
+    return _simulate(spec, nu, stop)
 
 
 def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
@@ -342,7 +294,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     This is the object the restriction identity says must equal the visited
     sequence of the extension on that subtree, on the shared prefix.
     """
-    if run.anchor != ROOT:
+    if run.nu:
         raise InvalidInputError("restriction applies to full-tree runs")
     n = len(nu)
     in_cone: Dict[int, bool] = {}
@@ -351,7 +303,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
         got = in_cone.get(vid)
         if got is not None:
             return got
-        if vid == _ROOT_PARENT_ID or run.dep[vid] < n:
+        if run.dep[vid] < n:
             res = False
         elif run.dep[vid] == n:
             res = run.path_of(vid) == nu
@@ -362,57 +314,58 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
 
     seq: List[bytes] = []
     ids = run.ids
+    dgs = run.dgs
     levels = run.levels.tolist()
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
-        deeper = c if levels[t] > levels[t - 1] else a
-        if deeper != _ROOT_PARENT_ID and cone(deeper):
+        if cone(c if levels[t] > levels[t - 1] else a):
             if not seq:
-                seq.append(run.digest_of(a))
-            seq.append(run.digest_of(c))
+                seq.append(dgs[a])
+            seq.append(dgs[c])
     return seq
 
 
 def independence_check(
     spec: EnvSpec,
-    subtree_a: SubtreeSpec,
-    subtree_b: SubtreeSpec,
+    nu_a: VertexPath,
+    nu_b: VertexPath,
     trials: int,
 ) -> "IndependenceReport":
     """Chi-square independence test between discrete statistics read off the
-    two extensions, across fully independent trials (fresh seed each).
+    extensions on the subtrees of ``nu_a`` and ``nu_b``, across fully
+    independent trials (fresh seed each).
 
-    The statistic of a lambda subtree is the digit of the first grandchild
-    level the extension descends to (the first child chosen at the subtree's
-    defining vertex).  Edge-disjointness is required, exactness of the
-    independence claim is what the p-value probes.
+    The statistic of a subtree is the digit of the first grandchild level
+    the extension descends to (the first child chosen at its top vertex).
+    Both vertices lie below the root, and edge-disjointness is required;
+    exactness of the independence claim is what the p-value probes.
     """
     from .stats import chi_square_independence
 
-    if subtree_a.kind != "lambda" or subtree_b.kind != "lambda":
-        raise InvalidInputError("independence statistics are defined for lambda subtrees")
-    if not edge_disjoint(subtree_a, subtree_b):
+    if not nu_a or not nu_b:
+        raise InvalidInputError("independence statistics need vertices below the root")
+    if not edge_disjoint(nu_a, nu_b):
         raise InvalidInputError("subtrees share an edge")
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
     b = spec.b
-    stop_a = StopRule(max_level=len(subtree_a.vertex) + 1, max_steps=10_000)
-    stop_b = StopRule(max_level=len(subtree_b.vertex) + 1, max_steps=10_000)
+    stop_a = StopRule(max_level=len(nu_a) + 1, max_steps=10_000)
+    stop_b = StopRule(max_level=len(nu_b) + 1, max_steps=10_000)
     table = np.zeros((b, b), dtype=np.int64)
     for t in range(trials):
         s = spec.subseed(b"ind", t)
-        da = _first_descent_digit(s, subtree_a, stop_a)
-        db = _first_descent_digit(s, subtree_b, stop_b)
+        da = _first_descent_digit(s, nu_a, stop_a)
+        db = _first_descent_digit(s, nu_b, stop_b)
         table[da - 1, db - 1] += 1
     stat, p, dof = chi_square_independence(table)
     return IndependenceReport(statistic=stat, p_value=p, dof=dof, table=table, trials=trials)
 
 
-def _first_descent_digit(spec: EnvSpec, subtree: SubtreeSpec, stop: StopRule) -> int:
-    run = _simulate(spec, subtree, stop)
+def _first_descent_digit(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> int:
+    run = _simulate(spec, nu, stop)
     if run.stop_reason != "level":
         raise DegenerateDataError("extension failed to descend within its step cap")
-    return run.path_of(run.ids[-1])[-1]
+    return run.dig[run.ids[-1]]
 
 
 @dataclass

@@ -13,7 +13,6 @@ import numpy as np
 
 from .clocks import (
     StopRule,
-    SubtreeSpec,
     lambda_restriction_sequence,
     run_extension,
 )
@@ -264,7 +263,7 @@ def coupling_suite(
     for s in range(seeds):
         sub = spec.subseed(b"couple", s)
         direct = run_walk(sub, stop)
-        ext = run_extension(sub, SubtreeSpec.full_tree(), stop)
+        ext = run_extension(sub, ROOT, stop)
         if (np.array_equal(direct.levels, ext.levels)
                 and direct.visited_digest_sequence()
                 == ext.visited_digest_sequence()):
@@ -274,9 +273,8 @@ def coupling_suite(
             restr = restr[:2000]
         if restr:
             nonempty += 1
-            lam = run_extension(
-                sub, SubtreeSpec.lambda_subtree(nu),
-                StopRule(max_steps=max(1, len(restr) - 1)))
+            lam = run_extension(sub, nu,
+                                StopRule(max_steps=max(1, len(restr) - 1)))
             lam_seq = lam.visited_digest_sequence()
             k = min(len(restr), len(lam_seq))
             compared += k

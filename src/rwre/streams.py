@@ -44,8 +44,8 @@ and each consumer maps only the lanes it reads:
   (``gamma``, ``lerrw`` with delta != 1) read as many lanes as their
   rejection sampler, ``gamma_variates``, asks for;
 * a k = 0 clock block serves slots 8m..8m+7 of one vertex, and the first
-  race at a vertex reads the lanes of all its slots (a lambda subtree's
-  one-slot anchor never races);
+  race at a vertex reads the lanes of all its slots (a run's one-slot
+  anchor never races);
 * an advance block of one slot is read one lane per race that follows a
   jump along it, not one lane per jump: the engine adds a jump's next
   clock only when the walk races at that vertex again.

@@ -3,8 +3,8 @@
 A vertex is addressed by its path from the root: a tuple of child digits,
 each in 1..b.  The root is the empty tuple.  The reflecting vertex that
 sits above the root (the walk bounces back from it with probability one)
-has no path: it belongs to the walk engine, ``clocks._simulate``, which
-gives it id -1 at level -1.
+has no path: it belongs to the walk engine, ``clocks._simulate``, as
+vertex 0 of a full-tree run, at level -1.
 """
 
 from __future__ import annotations

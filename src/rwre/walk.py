@@ -15,14 +15,15 @@ from __future__ import annotations
 import csv
 from typing import IO
 
-from .clocks import StopRule, SubtreeSpec, Trajectory, _simulate
+from .clocks import StopRule, Trajectory, _simulate
 from .env import EnvSpec
 from .errors import InvalidInputError
+from .tree import ROOT
 
 
 def run_walk(spec: EnvSpec, stop: StopRule) -> Trajectory:
     """Run the walk from the root until the stop rule fires."""
-    return _simulate(spec, SubtreeSpec.full_tree(), stop)
+    return _simulate(spec, ROOT, stop)
 
 
 def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int) -> None:

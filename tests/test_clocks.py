@@ -8,7 +8,6 @@ from rwre import streams
 from rwre.clocks import (
     IndependenceReport,
     StopRule,
-    SubtreeSpec,
     _simulate,
     edge_disjoint,
     independence_check,
@@ -57,49 +56,42 @@ class TestClockSample:
         assert abs(corr) < 0.03
 
 
-class TestSubtreeSpec:
+class TestSubtrees:
     def test_validation(self):
+        # a top vertex is a path of digits in 1..b
+        for nu in ((0,), (1, SPEC.b + 1)):
+            with pytest.raises(InvalidInputError):
+                run_extension(SPEC, nu, StopRule(max_steps=1))
+        # independence statistics need two vertices below the root
         with pytest.raises(InvalidInputError):
-            SubtreeSpec(kind="blob")
-        with pytest.raises(InvalidInputError):
-            SubtreeSpec(kind="full_tree", vertex=(1,))
-        with pytest.raises(InvalidInputError):
-            SubtreeSpec(kind="lambda")
-        # a lambda vertex lies below the root
-        with pytest.raises(InvalidInputError):
-            SubtreeSpec.lambda_subtree(ROOT)
+            independence_check(SPEC, ROOT, (2,), trials=400)
 
     def test_subtree_roots(self):
         # a run starts at its subtree's root: the vertex closest to the root
-        def start(st):
-            run = run_extension(SPEC, st, StopRule(max_steps=1))
+        def start(nu):
+            run = run_extension(SPEC, nu, StopRule(max_steps=1))
             return run.path_of(run.ids[0]), int(run.levels[0])
 
-        assert start(SubtreeSpec.full_tree()) == (ROOT, 0)
-        assert start(SubtreeSpec.lambda_subtree((2, 3))) == ((2,), 1)
+        assert start(ROOT) == (ROOT, 0)
+        assert start((2, 3)) == ((2,), 1)
 
 
 class TestEdgeDisjoint:
     def test_sibling_cones_are_disjoint(self):
-        a = SubtreeSpec.lambda_subtree((1,))
-        b = SubtreeSpec.lambda_subtree((2,))
-        assert edge_disjoint(a, b)
+        assert edge_disjoint((1,), (2,))
 
     def test_nested_cones_share_edges(self):
-        a = SubtreeSpec.lambda_subtree((1,))
-        b = SubtreeSpec.lambda_subtree((1, 1))
-        assert not edge_disjoint(a, b)
-        assert not edge_disjoint(SubtreeSpec.full_tree(), a)
+        assert not edge_disjoint((1,), (1, 1))
+        assert not edge_disjoint(ROOT, (1,))
 
 
 class TestExtensions:
     def test_lambda_run_stays_in_its_cone(self):
         # the anchor (2,) may only step down to (2, 1), also when the run
         # comes back to it; everything else the run visits lies below (2, 1)
-        st = SubtreeSpec.lambda_subtree((2, 1))
         returns = 0
         for w in range(8):
-            traj = _simulate(SPEC, st, StopRule(max_steps=500), w)
+            traj = _simulate(SPEC, (2, 1), StopRule(max_steps=500), w)
             paths = [traj.path_of(i) for i in traj.ids]
             assert paths[:2] == [(2,), (2, 1)]
             assert all(p == (2,) or p[:2] == (2, 1) for p in paths)
@@ -107,15 +99,13 @@ class TestExtensions:
         assert returns
 
     def test_extension_is_reproducible(self):
-        st = SubtreeSpec.lambda_subtree((2,))
-        a = _simulate(SPEC, st, StopRule(max_steps=500), 3)
-        b = _simulate(SPEC, st, StopRule(max_steps=500), 3)
+        a = _simulate(SPEC, (2,), StopRule(max_steps=500), 3)
+        b = _simulate(SPEC, (2,), StopRule(max_steps=500), 3)
         assert np.array_equal(a.levels, b.levels)
         assert a.visited_digest_sequence() == b.visited_digest_sequence()
 
     def test_anchor_is_subtree_root(self):
-        st = SubtreeSpec.lambda_subtree((2, 1))
-        traj = run_extension(SPEC, st, StopRule(max_steps=50))
+        traj = run_extension(SPEC, (2, 1), StopRule(max_steps=50))
         assert traj.path_of(traj.ids[0]) == (2,)
         assert traj.levels[0] == 1
 
@@ -126,8 +116,7 @@ class TestExtensions:
         ups = 0
         trials = 4000
         for w in range(trials):
-            traj = _simulate(spec, SubtreeSpec.full_tree(),
-                             StopRule(max_steps=1), w)
+            traj = _simulate(spec, ROOT, StopRule(max_steps=1), w)
             ups += int(traj.levels[1] == -1)
         assert ups / trials == pytest.approx(1 / 7, abs=0.02)
 
@@ -139,22 +128,19 @@ class TestRestriction:
         nu = traj.path_of(traj.ids[int(np.argmax(traj.levels == 1))])
         restr = lambda_restriction_sequence(traj, nu)
         assert len(restr) > 2
-        ext = run_extension(SPEC, SubtreeSpec.lambda_subtree(nu),
-                            StopRule(max_steps=len(restr) - 1))
+        ext = run_extension(SPEC, nu, StopRule(max_steps=len(restr) - 1))
         full = ext.visited_digest_sequence()
         assert full[: len(restr)] == restr
 
     def test_restriction_requires_full_tree_run(self):
-        ext = run_extension(SPEC, SubtreeSpec.lambda_subtree((1, 2)),
-                            StopRule(max_steps=100))
+        ext = run_extension(SPEC, (1, 2), StopRule(max_steps=100))
         with pytest.raises(InvalidInputError):
             lambda_restriction_sequence(ext, (1, 2, 1))
 
 
 class TestIndependence:
     def test_disjoint_cones_pass(self):
-        rep = independence_check(SPEC, SubtreeSpec.lambda_subtree((1,)),
-                                 SubtreeSpec.lambda_subtree((2,)), trials=400)
+        rep = independence_check(SPEC, (1,), (2,), trials=400)
         assert isinstance(rep, IndependenceReport)
         assert rep.table.sum() == 400
         assert rep.dof == (SPEC.b - 1) ** 2
@@ -162,10 +148,8 @@ class TestIndependence:
 
     def test_overlapping_cones_rejected(self):
         with pytest.raises(InvalidInputError):
-            independence_check(SPEC, SubtreeSpec.lambda_subtree((1,)),
-                               SubtreeSpec.lambda_subtree((1, 2)), trials=400)
+            independence_check(SPEC, (1,), (1, 2), trials=400)
 
     def test_non_lambda_subtree_rejected(self):
         with pytest.raises(InvalidInputError):
-            independence_check(SPEC, SubtreeSpec.full_tree(),
-                               SubtreeSpec.lambda_subtree((2,)), trials=400)
+            independence_check(SPEC, ROOT, (2,), trials=400)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from rwre import streams
-from rwre.clocks import StopRule, SubtreeSpec, _simulate
+from rwre.clocks import StopRule, _simulate
 from rwre.env import EnvSpec, make_weight_sampler
 from rwre.tree import ROOT
 
@@ -33,18 +33,18 @@ SEEDS = (5, 1234)
 BRANCHING = (3, 9)  # nine children put slots 8 and 9 in a second clock block
 
 # The sentinel above the root, where a reference walk may step; the
-# engine gives it id -1 at level -1, and the digests hash it as [-1].
+# engine gives it id 0 at level -1, and the digests hash it as [-1].
 ABOVE_ROOT = object()
 
-# (subtree, walk index and stop-rule keyword arguments); max_level=1 on a
-# depth-two lambda stops at the anchor before the first step.
+# (top vertex, walk index and stop-rule keyword arguments); max_level=1 on
+# a depth-two lambda stops at the anchor before the first step.
 RUNS = (
-    (SubtreeSpec.full_tree(), dict(max_steps=5000, max_level=12)),
-    (SubtreeSpec.full_tree(), dict(max_steps=300, walk_index=3)),
-    (SubtreeSpec.full_tree(), dict(max_steps=5, max_level=4)),
-    (SubtreeSpec.lambda_subtree((1,)), dict(max_steps=200)),
-    (SubtreeSpec.lambda_subtree((2, 1)), dict(max_steps=2000, max_level=4)),
-    (SubtreeSpec.lambda_subtree((2, 1)), dict(max_steps=10, max_level=1)),
+    (ROOT, dict(max_steps=5000, max_level=12)),
+    (ROOT, dict(max_steps=300, walk_index=3)),
+    (ROOT, dict(max_steps=5, max_level=4)),
+    ((1,), dict(max_steps=200)),
+    ((2, 1), dict(max_steps=2000, max_level=4)),
+    ((2, 1), dict(max_steps=10, max_level=1)),
 )
 
 GOLDEN = {
@@ -76,8 +76,8 @@ def _hash_vertex(h, v) -> None:
     _ints(h, [-1] if v is ABOVE_ROOT else [len(v), *v])
 
 
-def _run(spec, subtree, walk_index=0, **stop):
-    return _simulate(spec, subtree, StopRule(**stop), walk_index)
+def _run(spec, nu, walk_index=0, **stop):
+    return _simulate(spec, nu, StopRule(**stop), walk_index)
 
 
 def _exponential(word: int) -> float:
@@ -113,8 +113,8 @@ def _kind_digest(kind: str) -> str:
     for seed in SEEDS:
         for b in BRANCHING:
             spec = EnvSpec(b=b, kind=kind, seed=seed)
-            for subtree, kw in RUNS:
-                _hash_run(h, _run(spec, subtree, **kw))
+            for nu, kw in RUNS:
+                _hash_run(h, _run(spec, nu, **kw))
             for w in range(8):
                 for v in (ROOT, (1, 2)):
                     _hash_vertex(h, _first_step(spec, v, w))
@@ -130,9 +130,9 @@ def test_stream_layout_digest(kind):
 def test_first_step_matches_the_race():
     spec = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
     for w in range(8):
-        run = _run(spec, SubtreeSpec.full_tree(), walk_index=w, max_steps=1)
+        run = _run(spec, ROOT, walk_index=w, max_steps=1)
         vid = run.ids[1]
-        assert (run.path_of(vid) if vid >= 0 else ABOVE_ROOT) == \
+        assert (run.path_of(vid) if vid else ABOVE_ROOT) == \
             _first_step(spec, ROOT, w)
 
 
@@ -142,8 +142,7 @@ def test_first_descent_matches_the_race():
     # goes to the child that wins the children's race
     spec = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
     for w in range(8):
-        run = _run(spec, SubtreeSpec.full_tree(), walk_index=w,
-                   max_steps=10 ** 8, max_level=1)
+        run = _run(spec, ROOT, walk_index=w, max_steps=10 ** 8, max_level=1)
         assert run.path_of(run.ids[-1]) == _first_descent(spec, ROOT, w)
 
 
@@ -211,7 +210,7 @@ def test_clock_value_digest():
     assert h.hexdigest()[:32] == GOLDEN_CLOCKS
 
 
-def _eager_walk(spec, subtree, walk_index, steps):
+def _eager_walk(spec, nu, walk_index, steps):
     """Reference walk that draws each jump's next clock when it jumps and
     races at every vertex it leaves, the anchor of a lambda subtree too
     (with only the slot toward nu open).  Returns the engine's ids, levels
@@ -219,9 +218,10 @@ def _eager_walk(spec, subtree, walk_index, steps):
     b = spec.b
     w8 = streams.walk_token(walk_index)
     sampler = make_weight_sampler(spec)
-    nu = ROOT if subtree.kind == "full_tree" else subtree.vertex
     anchor = v = nu[:-1]
-    ids, fresh, races, read = {}, [], {}, 0
+    # the engine's vertex 0 is the anchor, the sentinel for the full tree
+    ids = {} if nu else {ABOVE_ROOT: 0}
+    fresh, races, read = [], {}, 0
     out_ids, levels = [], []
     for step in range(steps + 1):
         if step and v is ABOVE_ROOT:
@@ -242,10 +242,10 @@ def _eager_walk(spec, subtree, walk_index, steps):
                 read = max(read, (k - 1) >> 3)
             s[j] += _exponential(streams.clock_advance_block(dg, w8, j, k >> 3)[k & 7]) / rates[j]
             v = v + (j,) if j else (v[:-1] if v else ABOVE_ROOT)
-        if v is not ABOVE_ROOT and v not in ids:
+        if v not in ids:
             ids[v] = len(ids)
             fresh.append((step, ids[v]))
-        out_ids.append(-1 if v is ABOVE_ROOT else ids[v])
+        out_ids.append(ids[v])
         levels.append(-1 if v is ABOVE_ROOT else len(v))
     return out_ids, levels, fresh, read
 
@@ -255,10 +255,10 @@ def _eager_walk(spec, subtree, walk_index, steps):
 def test_engine_matches_the_eager_reference_walk(kind, b):
     spec = EnvSpec(b=b, kind=kind, seed=77)
     deepest = 0
-    for subtree in (SubtreeSpec.full_tree(), SubtreeSpec.lambda_subtree((2, 1))):
+    for nu in (ROOT, (2, 1)):
         for w in range(8):
-            run = _run(spec, subtree, walk_index=w, max_steps=300)
-            ids, levels, fresh, read = _eager_walk(spec, subtree, w, 300)
+            run = _run(spec, nu, walk_index=w, max_steps=300)
+            ids, levels, fresh, read = _eager_walk(spec, nu, w, 300)
             assert (run.ids, run.levels.tolist(), run.fresh) == (ids, levels, fresh)
             deepest = max(deepest, read)
     if kind == "const:0.3":

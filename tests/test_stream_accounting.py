@@ -8,12 +8,14 @@ tracer wraps.  A code path that hashes a block without going through
 """
 
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
-from rwre import clocks, quenched, streams
-from rwre.clocks import StopRule, SubtreeSpec, run_extension
+from rwre import clocks, quenched, streams, walk
+from rwre.clocks import StopRule, run_extension
 from rwre.env import EnvSpec
+from rwre.tree import ROOT
 from rwre.walk import run_walk
 
 B = 4
@@ -62,14 +64,12 @@ class _Counts:
 
 
 def _departures(run) -> dict:
-    """Slots each vertex id was left through, in step order (steps out of
-    the sentinel leave no vertex)."""
+    """Slots each vertex id was left through, in step order."""
     out = defaultdict(list)
     lv = run.levels
     for t in range(1, len(run.ids)):
         a, c = run.ids[t - 1], run.ids[t]
-        if a != -1:
-            out[a].append(run.dig[c] if lv[t] > lv[t - 1] else 0)
+        out[a].append(run.dig[c] if lv[t] > lv[t - 1] else 0)
     return out
 
 
@@ -86,13 +86,13 @@ def _advance_blocks(departures) -> int:
 
 
 @pytest.mark.parametrize("kind, subtree", [
-    ("lerrw:1.0", SubtreeSpec.full_tree()),
-    ("lerrw:0.5", SubtreeSpec.lambda_subtree((1,))),
+    ("lerrw:1.0", ROOT),
+    ("lerrw:0.5", (1,)),
 ])
 def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subtree):
     counts = _Counts(monkeypatch)
     spec = EnvSpec(b=B, kind=kind, seed=21)
-    if subtree.kind == "full_tree":
+    if subtree == ROOT:
         run = run_walk(spec, StopRule(max_steps=3000))
     else:
         run = run_extension(spec, subtree, StopRule(max_steps=3000))
@@ -101,10 +101,10 @@ def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subt
     counts.assert_blocks_balance()
     assert c["child_digest"] == len(run.fresh) - 1
     departures = _departures(run)
-    if subtree.kind == "lambda":
-        # the anchor's one open slot leads to nu, so the walk leaves it
-        # without a race: no weights and no clocks there
-        assert set(departures.pop(0)) == {subtree.vertex[-1]}
+    # vertex 0, the anchor (nu's parent or the sentinel), has one open slot,
+    # toward nu, vertex 1, so the walk leaves it without a race: no weights
+    # and no clocks there
+    assert set(departures.pop(0)) == {run.dig[1]}
     # b + 1 <= 8 slots: one k = 0 block and one weight draw per raced vertex
     assert c["clock_init_block"] == c["sampler"] == len(departures) > 0
     assert c["clock_advance_block"] == _advance_blocks(departures) > 0
@@ -128,3 +128,25 @@ def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
     assert c["child_digest"] == nodes - 1
     assert c["sampler_blocks"] == 2 * nodes
     assert c["clock_init_block"] == c["clock_advance_block"] == 0
+
+
+def test_benchmark_tracer_identities_hold(monkeypatch):
+    # The benchmark's tracer checks from outside that every hash block,
+    # engine step and child digest went through a binding it wraps, and
+    # that child digests number the fresh vertices less one anchor or root
+    # per run.  It rebinds module attributes, so the entry points are
+    # called through them.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
+        walk.run_walk(spec, clocks.StopRule(max_steps=2000))
+        clocks.run_extension(spec, (2, 1), clocks.StopRule(max_steps=2000))
+        clocks.independence_check(spec, (1,), (2,), trials=100)
+    finally:
+        tracer.uninstall()
+    assert tracer.engine_runs == 2 + 2 * 100
+    assert tracer.identity_failures() == []
