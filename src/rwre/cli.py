@@ -42,7 +42,13 @@ from .env import (
 )
 from .errors import ConfigError, RwreError
 from .quenched import geometric_moment_bound, negative_moment_of_beta
-from .stats import doubling_stability, fit_geometric_tail
+from .stats import (
+    doubling_stability,
+    estimate_sigma,
+    estimate_speed,
+    fclt_increment_test,
+    fit_geometric_tail,
+)
 from .walk import run_walk, trajectory_to_csv
 from . import experiments
 
@@ -54,8 +60,8 @@ _DEFAULTS = {
     "simulate": {"walks": "5", "n_steps": "2000", "stride": "10"},
     "regen": {"gaps": "2000", "max_level": "1200", "guard": "100",
               "r2_min": "0.98", "agree_tol": "0.05"},
-    "clt": {"walks": "500", "n_steps": "4000", "fclt_walks": "500",
-            "speed_gaps": "2000", "alpha": "0.01"},
+    "clt": {"walks": "500", "n_steps": "4000", "speed_gaps": "2000",
+            "alpha": "0.01"},
     "moments": {"p": "2.0", "epsilon": "0.3", "n_envs": "300",
                 "mc_samples": "200000", "tau_trials": "1000",
                 "drift_tol": "0.05"},
@@ -194,45 +200,47 @@ def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
 def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     walks = _as_int(s, "walks", 100)
     n_steps = _as_int(s, "n_steps", 10)
-    fclt_walks = _as_int(s, "fclt_walks", 0)
+    # One harvest gives v_hat for the speed entry and both FCLT plug-ins.
+    # A plug-in error dv shifts every standardized FCLT increment by
+    # dv*sqrt(dt)/sigma, and sd(v_hat) ~ sigma/sqrt(mean_tgap * gaps), so
+    # about 180k gaps keep the two-standard-error shift below 0.08 for
+    # dt ~ 1000; the default 2000 is far below that.
     speed_gaps = _as_int(s, "speed_gaps", 16)
     alpha = _as_float(s, "alpha")
-    if 0 < fclt_walks < 500:
-        raise ConfigError("fclt_walks must be 0 (no FCLT) or at least 500")
-    results = []
-    sr = experiments.speed_report(spec, n_gaps=speed_gaps)
-    e = sr.estimate
-    results.append(_entry(
-        "speed", "experiments.speed_report", estimate=e.v_hat,
+    h = experiments.harvest_gaps(spec, speed_gaps, tag=b"speed")
+    e = estimate_speed(h.gaps)
+    results = [_entry(
+        "speed", "stats.estimate_speed", estimate=e.v_hat,
         ci=(e.ci_low, e.ci_high), ok=bool(e.ci_low > 0.0),
-        n_gaps=e.n_gaps))
+        n_gaps=e.n_gaps)]
     cr = experiments.clt_report(spec, n_walks=walks, n_steps=n_steps)
     results.append(_entry(
         "clt_normality", "experiments.clt_report",
         estimate=cr.ks.ks_statistic, p_value=cr.ks.p_value,
         ok=bool(cr.ks.p_value >= alpha), v_hat=cr.v_hat,
         sigma_hat=cr.sigma_hat, n=cr.ks.n))
-    if fclt_walks > 0:
-        name, params = env.parse_descriptor(spec.kind)
-        if name == "lerrw" and not env.lerrw_fclt_condition(spec.b, params[0]):
-            results.append(_entry(
-                "fclt_increments", "experiments.fclt_report",
-                ok=True, skipped=True,
-                reason="functional scaling condition delta < b/4 fails; "
-                       "increment normality is not expected"))
-        else:
-            fr = experiments.fclt_report(spec, n_walks=fclt_walks,
-                                         n_steps=n_steps, alpha=alpha,
-                                         gap_target=speed_gaps)
-            max_corr = max(abs(c) for c in fr.correlations)
-            results.append(_entry(
-                "fclt_increments", "experiments.fclt_report",
-                estimate=max_corr,
-                p_value=min(t.p_value for t in fr.increment_tests),
-                ok=bool(fr.passed),
-                increment_p_values=[float(t.p_value) for t in
-                                    fr.increment_tests],
-                correlation_limit=fr.correlation_limit))
+    name, params = env.parse_descriptor(spec.kind)
+    skip = None
+    if name == "lerrw" and not env.lerrw_fclt_condition(spec.b, params[0]):
+        skip = ("functional scaling condition delta < b/4 fails; "
+                "increment normality is not expected")
+    elif walks < 500:
+        skip = "the increment tests need at least 500 walks"
+    if skip:
+        results.append(_entry(
+            "fclt_increments", "stats.fclt_increment_test",
+            ok=True, skipped=True, reason=skip))
+    else:
+        fr = fclt_increment_test(cr.levels, n_steps, e.v_hat,
+                                 estimate_sigma(h.gaps, e.v_hat), alpha=alpha)
+        results.append(_entry(
+            "fclt_increments", "stats.fclt_increment_test",
+            estimate=max(abs(c) for c in fr.correlations),
+            p_value=min(t.p_value for t in fr.increment_tests),
+            ok=bool(fr.passed),
+            increment_p_values=[float(t.p_value) for t in
+                                fr.increment_tests],
+            correlation_limit=fr.correlation_limit))
     with open(os.path.join(out, "clt_z.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "z"])
@@ -318,9 +326,6 @@ def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         for row in ir.table:
             w.writerow([int(x) for x in row])
     return [
-        _entry("whole_tree_identity", "experiments.coupling_suite",
-               estimate=cr.full_matches, ok=bool(cr.full_matches == seeds),
-               seeds=seeds),
         _entry("restriction_identity", "experiments.coupling_suite",
                estimate=cr.restriction_matches,
                ok=bool(cr.restriction_matches == seeds),

@@ -22,13 +22,8 @@ from .tree import ROOT
 from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_gaps
 from .stats import (
     FCLT_TIMES,
-    FcltReport,
     NormalityReport,
-    SpeedEstimate,
     direct_sigma,
-    estimate_sigma,
-    estimate_speed,
-    fclt_increment_test,
     ks_normality_test,
 )
 from .walk import run_walk
@@ -83,46 +78,31 @@ def harvest_gaps(
         "the environment may be recurrent or nearly so")
 
 
-@dataclass(frozen=True)
-class SpeedReport:
-    estimate: SpeedEstimate
-    harvest: HarvestResult
-
-
-def speed_report(
-    spec: EnvSpec,
-    n_gaps: int,
-    tag: bytes = b"speed",
-) -> SpeedReport:
-    """Harvest gaps at the harvest's default level and guard and form the
-    ratio estimator with its 99% interval."""
-    h = harvest_gaps(spec, n_gaps, tag=tag)
-    return SpeedReport(estimate=estimate_speed(h.gaps), harvest=h)
-
-
-def final_distances(spec: EnvSpec, n_walks: int, n_steps: int,
+def ensemble_levels(spec: EnvSpec, n_walks: int, n_steps: int,
                     tag: bytes) -> np.ndarray:
-    """Distance from the root after exactly ``n_steps`` steps, one fresh
-    walk per entry.  The sentinel sits at distance one."""
-    if n_walks < 1:
-        raise InvalidInputError("need at least one walk")
-    out = np.empty(n_walks, dtype=np.float64)
+    """Levels of fresh walks at steps floor(n_steps * t), t in
+    ``FCLT_TIMES``: one row per walk, the last column its endpoint."""
+    idx = [math.floor(n_steps * t) for t in FCLT_TIMES]
+    out = np.empty((n_walks, len(FCLT_TIMES)), dtype=np.float64)
     stop = StopRule(max_steps=n_steps)
     for i in range(n_walks):
-        traj = run_walk(spec.subseed(tag, i), stop)
-        out[i] = abs(int(traj.levels[-1]))
+        out[i] = run_walk(spec.subseed(tag, i), stop).levels[idx]
     return out
 
 
 @dataclass(frozen=True)
 class CltReport:
-    """Normalized-endpoint normality test with plug-ins fitted on an
-    independent ensemble of the same size and length."""
+    """Normality test of the test ensemble's normalized distances from the
+    root (the sentinel sits at distance one), with plug-ins fitted on an
+    independent ensemble of the same size and length.  ``levels`` is the
+    test ensemble's ``ensemble_levels`` matrix, which the FCLT increment
+    test reads too."""
 
     v_hat: float
     sigma_hat: float
     ks: NormalityReport
     z_scores: np.ndarray
+    levels: np.ndarray
 
 
 def clt_report(
@@ -132,40 +112,13 @@ def clt_report(
 ) -> CltReport:
     if n_walks < 100:
         raise InvalidInputError("need at least 100 walks per split")
-    fit = final_distances(spec, n_walks, n_steps, tag=b"clt-fit")
+    fit = np.abs(ensemble_levels(spec, n_walks, n_steps, b"clt-fit")[:, -1])
     v = float(fit.mean()) / n_steps
     sig = direct_sigma(fit, n_steps, v)
-    test = final_distances(spec, n_walks, n_steps, tag=b"clt-test")
-    z = (test - v * n_steps) / (sig * math.sqrt(n_steps))
+    levels = ensemble_levels(spec, n_walks, n_steps, b"clt-test")
+    z = (np.abs(levels[:, -1]) - v * n_steps) / (sig * math.sqrt(n_steps))
     return CltReport(v_hat=v, sigma_hat=sig, ks=ks_normality_test(z),
-                     z_scores=z)
-
-
-def fclt_report(
-    spec: EnvSpec,
-    n_walks: int,
-    n_steps: int,
-    gap_target: int,
-    alpha: float,
-) -> FcltReport:
-    """Increment normality and cross-increment correlation tests, with the
-    drift and scale plug-ins fitted from an independent gap harvest.
-
-    A plug-in error dv shifts every standardized increment by
-    dv*sqrt(dt)/sigma, and sd(v_hat) ~ sigma/sqrt(mean_tgap * gaps), so
-    the harvest must be much larger than the walk ensemble: the default
-    keeps the two-standard-error shift below about 0.08 for dt ~ 1000.
-    """
-    sr = speed_report(spec, n_gaps=gap_target, tag=b"fclt-fit")
-    v = sr.estimate.v_hat
-    sig = estimate_sigma(sr.harvest.gaps, v)
-    idx = np.array([int(math.floor(n_steps * t)) for t in FCLT_TIMES])
-    mat = np.empty((n_walks, len(FCLT_TIMES)), dtype=np.float64)
-    stop = StopRule(max_steps=n_steps)
-    for i in range(n_walks):
-        traj = run_walk(spec.subseed(b"fclt", i), stop)
-        mat[i] = traj.levels[idx]
-    return fclt_increment_test(mat, n_steps, v, sig, alpha=alpha)
+                     z_scores=z, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -233,10 +186,9 @@ def moment_harvest(
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Exact-identity audit between direct walks, whole-tree extensions and
-    subtree extensions, over independent seeds."""
+    """Exact-identity audit between direct walks and subtree extensions,
+    over independent seeds."""
 
-    full_matches: int
     restriction_matches: int
     restriction_compared: int
     nonempty_restrictions: int
@@ -247,28 +199,19 @@ def coupling_suite(
     seeds: int,
     n_steps: int,
 ) -> CouplingReport:
-    """For each derived seed: the whole-tree extension must reproduce the
-    direct walk exactly, and the extension on the subtree hanging above
+    """For each derived seed, the extension on the subtree hanging above
     the root's first child must reproduce the direct walk's restriction to
-    that subtree on their shared prefix (compared up to 2000 entries; the
-    whole-tree check already audits full length)."""
+    that subtree on their shared prefix (compared up to 2000 entries)."""
     if seeds < 1:
         raise InvalidInputError("need at least one seed")
     nu = (1,)
-    full_ok = 0
     restr_ok = 0
     compared = 0
     nonempty = 0
     stop = StopRule(max_steps=n_steps)
     for s in range(seeds):
         sub = spec.subseed(b"couple", s)
-        direct = run_walk(sub, stop)
-        ext = run_extension(sub, ROOT, stop)
-        if (np.array_equal(direct.levels, ext.levels)
-                and direct.visited_digest_sequence()
-                == ext.visited_digest_sequence()):
-            full_ok += 1
-        restr = lambda_restriction_sequence(direct, nu)
+        restr = lambda_restriction_sequence(run_walk(sub, stop), nu)
         if len(restr) > 2000:
             restr = restr[:2000]
         if restr:
@@ -282,7 +225,6 @@ def coupling_suite(
                 restr_ok += 1
         else:
             restr_ok += 1
-    return CouplingReport(full_matches=full_ok,
-                          restriction_matches=restr_ok,
+    return CouplingReport(restriction_matches=restr_ok,
                           restriction_compared=compared,
                           nonempty_restrictions=nonempty)

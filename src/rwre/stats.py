@@ -22,7 +22,7 @@ from .errors import (
 )
 from .regen import GapSample
 
-_Z99 = 2.5758293035489004
+_T15_995 = 2.946712883475238  # 0.995 quantile of Student's t, 15 dof
 _SQRT2 = math.sqrt(2.0)
 
 # Fractions of the walk length at which the FCLT reads the level process.
@@ -64,7 +64,8 @@ def estimate_speed(gaps: GapSample) -> SpeedEstimate:
     """Ratio estimator sum(level gaps)/sum(time gaps) with a batch-means CI.
 
     The 99% CI comes from the spread of the ratio over 16 contiguous
-    batches, which absorbs mild dependence left near the guard boundary.
+    batches, which absorbs mild dependence left near the guard boundary;
+    its quantile is Student's t with 15 degrees of freedom.
     """
     n = len(gaps)
     if n < 16:
@@ -79,8 +80,8 @@ def estimate_speed(gaps: GapSample) -> SpeedEstimate:
     se = float(ratios.std(ddof=1) / 4.0)  # sqrt(16) batches
     return SpeedEstimate(
         v_hat=v,
-        ci_low=v - _Z99 * se,
-        ci_high=v + _Z99 * se,
+        ci_low=v - _T15_995 * se,
+        ci_high=v + _T15_995 * se,
         n_gaps=n,
     )
 

@@ -7,11 +7,15 @@ pinned, so a refactor that changes any reported number or CSV row fails
 here.
 """
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -28,8 +32,7 @@ CONFIGS = {
     "simulate": {"simulate": {"walks": 2, "n_steps": 200, "stride": 10}},
     "regen": {"regen": {"gaps": 1000}},
     "clt": {"env": {"kind": "lerrw:0.5"},
-            "clt": {"walks": 100, "n_steps": 100, "fclt_walks": 500,
-                    "speed_gaps": 200}},
+            "clt": {"walks": 500, "n_steps": 100, "speed_gaps": 200}},
     "moments": {"moments": {"p": 1.5, "n_envs": 100, "mc_samples": 2000,
                             "tau_trials": 200}},
     "coupling": {"coupling": {"seeds": 2, "n_steps": 300,
@@ -44,11 +47,11 @@ PINNED = {
     "regen":
         "1d9eb6676ab438a04a2c97eeff5cfe06ca25325552e49fb90cfce97c64fc8cea",
     "clt":
-        "c14ae97ce906cb0d8155918f30de56d7f558304f82ab2f875f23475d4a9ea7f8",
+        "a6a7463264bb8420ac70e08d5afb52b36af64cf453ed2411ed965284e6a10369",
     "moments":
         "b24a9e9dbfc0e4c293bf60c7dd052d5b89d03b5f4a346d86afc2515b9a4a177b",
     "coupling":
-        "f19580bc067fb976e6eae3dcf551665085f4f0374a97250f8f6726f361a6f47f",
+        "e1619dcb78aaf16c982b433090c658cd85a5f4bbea62c14a608a30ace18c5402",
     "appendix":
         "d22c3f6c30da0f7c660006a51a7513f8a253c346e60acfdd3fc26df2651e1b11",
 }
@@ -148,12 +151,44 @@ def test_outputs_match_pinned_digest(runs):
 
 
 def test_clt_smoke_config_runs_the_fclt(three_runs):
-    # the entry is computed, not skipped; at this harvest size its p-value
-    # is far below alpha (see experiments.fclt_report), so no pass is asserted
+    # the entry is computed on the CLT's 500 test walks, not skipped; at
+    # this harvest size its p-value is far below alpha (see the harvest
+    # sizing note in cli._cmd_clt), so no pass is asserted
     _, report, _ = three_runs("clt")[0]
     entry = {e["name"]: e for e in report["results"]}["fclt_increments"]
     assert "skipped" not in entry["detail"]
     assert len(entry["detail"]["increment_p_values"]) == 3
+
+
+def test_clt_skips_the_fclt_below_500_walks(tmp_path):
+    _, report, _ = _run(tmp_path, "clt", {
+        "env": {"kind": "lerrw:0.5"},
+        "clt": {"walks": 100, "n_steps": 100, "speed_gaps": 200}})
+    entry = {e["name"]: e for e in report["results"]}["fclt_increments"]
+    assert entry["pass"] is True
+    assert entry["detail"] == {
+        "skipped": True, "reason": "the increment tests need at least 500 walks"}
+
+
+def test_operation_labels_name_live_functions():
+    # every literal label but "config" is module.function in the package
+    tree = ast.parse(Path(cli.__file__).read_text())
+    labels = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_entry":
+            arg = (node.args[1] if len(node.args) > 1 else
+                   next(k.value for k in node.keywords if k.arg == "operation"))
+            if isinstance(arg, ast.Constant) and arg.value != "config":
+                labels.add(arg.value)
+    assert len(labels) >= 10
+    dead = []
+    for label in sorted(labels):
+        module, _, name = label.partition(".")
+        fn = getattr(importlib.import_module(f"rwre.{module}"), name, None)
+        if not (isinstance(fn, FunctionType)
+                and fn.__module__ == f"rwre.{module}"):
+            dead.append(label)
+    assert not dead, f"operation labels that name no package function: {dead}"
 
 
 def test_entry_modules_load_without_scipy():
@@ -204,13 +239,14 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("regen", {"regen": {"max_level": 200, "guard": 100}}),
     ("regen", {"regen": {"gaps": 999}}),
     ("clt", {"clt": {"fclt_walks": 499}}),
+    ("clt", {"clt": {"walks": 99}}),
     ("appendix", {"appendix": {"powers": "1.0,0"}}),
     ("moments", {"moments": {"p": 0}}),
     ("moments", {"moments": {"epsilon": 0.34}}),
     ("coupling", {"coupling": {"alpha": "nan"}}),
     ("appendix", {"appendix": {"powers": "1.0,inf"}}),
-], ids=["seed", "max_level", "gaps", "fclt_walks", "powers", "p", "epsilon",
-        "alpha_nan", "powers_inf"])
+], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
+        "epsilon", "alpha_nan", "powers_inf"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"

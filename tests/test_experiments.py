@@ -5,6 +5,9 @@ the root steps up with probability 4/5 and down with 1/5: speed 3/5 and
 diffusion constant sqrt(1 - (3/5)^2) = 4/5.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from rwre import experiments
@@ -15,16 +18,18 @@ from rwre.experiments import (
     CouplingReport,
     HarvestResult,
     MomentHarvest,
-    SpeedReport,
     clt_report,
     coupling_suite,
-    fclt_report,
-    final_distances,
+    ensemble_levels,
     harvest_gaps,
     moment_harvest,
-    speed_report,
 )
-from rwre.stats import FcltReport
+from rwre.stats import (
+    FcltReport,
+    estimate_sigma,
+    estimate_speed,
+    fclt_increment_test,
+)
 from rwre.clocks import StopRule
 from rwre.walk import run_walk
 
@@ -48,18 +53,20 @@ def test_harvest_skips_walks_too_short_to_regenerate(monkeypatch):
 
 
 def test_speed_interval_covers_the_exact_speed():
-    sr = speed_report(CONST, n_gaps=2000)
-    assert isinstance(sr, SpeedReport)
-    e = sr.estimate
+    h = harvest_gaps(CONST, 2000, tag=b"speed")
+    e = estimate_speed(h.gaps)
     assert e.ci_low < 0.6 < e.ci_high
-    assert len(sr.harvest.gaps) == e.n_gaps
+    assert len(h.gaps) == e.n_gaps
 
 
-def test_final_distances_are_walk_endpoints():
-    d = final_distances(CONST, 3, 50, tag=b"fd")
+def test_ensemble_levels_are_walk_levels_at_fclt_times():
+    # steps floor(50 t) for t = 1/4, 1/2, 3/4, 1
+    levels = ensemble_levels(CONST, 3, 50, tag=b"fd")
+    assert levels.shape == (3, 4)
     for i in range(3):
         traj = run_walk(CONST.subseed(b"fd", i), StopRule(max_steps=50))
-        assert d[i] == abs(int(traj.levels[-1]))
+        assert list(levels[i]) == [traj.levels[k] for k in (12, 25, 37, 50)]
+        assert levels[i, -1] == traj.levels[-1]
 
 
 def test_clt_plug_ins_match_the_exact_constants():
@@ -68,13 +75,21 @@ def test_clt_plug_ins_match_the_exact_constants():
     assert len(cr.z_scores) == 100
     assert cr.v_hat == pytest.approx(0.6, abs=0.05)
     assert cr.sigma_hat == pytest.approx(0.8, rel=0.25)
+    # the z-scores are the test ensemble's normalized endpoint distances
+    z = ((np.abs(cr.levels[:, -1]) - cr.v_hat * 200)
+         / (cr.sigma_hat * math.sqrt(200)))
+    assert np.array_equal(cr.z_scores, z)
 
 
-def test_fclt_report_shapes():
-    fr = fclt_report(CONST, n_walks=500, n_steps=200, gap_target=500,
-                     alpha=0.01)
+def test_clt_levels_feed_the_fclt_test():
+    cr = clt_report(CONST, n_walks=500, n_steps=200)
+    h = harvest_gaps(CONST, 500, tag=b"speed")
+    v = estimate_speed(h.gaps).v_hat
+    fr = fclt_increment_test(cr.levels, 200, v, estimate_sigma(h.gaps, v),
+                             alpha=0.01)
     assert isinstance(fr, FcltReport)
     assert len(fr.increment_tests) == 3
+    assert all(t.n == 500 for t in fr.increment_tests)
     assert len(fr.correlations) == 3
 
 
@@ -90,6 +105,6 @@ def test_coupling_identities_are_exact():
     rep = coupling_suite(EnvSpec(b=2, kind="lerrw:1.0", seed=2), seeds=6,
                          n_steps=500)
     assert isinstance(rep, CouplingReport)
-    assert rep.full_matches == rep.restriction_matches == 6
+    assert rep.restriction_matches == 6
     assert rep.nonempty_restrictions >= 1
     assert rep.restriction_compared > rep.nonempty_restrictions

@@ -14,6 +14,7 @@ from rwre.stats import (
     direct_sigma,
     doubling_stability,
     estimate_sigma,
+    estimate_speed,
     fit_geometric_tail,
     kolmogorov_sf,
 )
@@ -27,6 +28,24 @@ class TestKolmogorov:
 
     def test_nonpositive_argument(self):
         assert kolmogorov_sf(0.0) == 1.0
+
+
+class TestSpeedInterval:
+    def test_coverage_is_nominal_on_iid_gaps(self):
+        # L ~ Geometric(0.6) on {1, 2, ...}, D ~ Poisson(L / 4), T = L + 2D:
+        # E[T] = 1.5 E[L], so v = 2/3.  The normal quantile covers 98.25% at
+        # 160 gaps and 97.8% at 1600; t with 15 dof covers 99.2% and 98.9%.
+        rng = np.random.default_rng(1)
+        reps = 4000
+        tol = 3 * math.sqrt(0.99 * 0.01 / reps)
+        for n in (160, 1600):
+            hits = 0
+            for _ in range(reps):
+                lg = rng.geometric(0.6, n)
+                tg = lg + 2 * rng.poisson(0.25 * lg)
+                e = estimate_speed(GapSample(level_gaps=lg, time_gaps=tg))
+                hits += e.ci_low < 2 / 3 < e.ci_high
+            assert abs(hits / reps - 0.99) <= tol, (n, hits / reps)
 
 
 class TestSigma:
