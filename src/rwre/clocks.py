@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -297,20 +297,13 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     if run.nu:
         raise InvalidInputError("restriction applies to full-tree runs")
     n = len(nu)
-    in_cone: Dict[int, bool] = {}
-
-    def cone(vid: int) -> bool:
-        got = in_cone.get(vid)
-        if got is not None:
-            return got
-        if run.dep[vid] < n:
-            res = False
-        elif run.dep[vid] == n:
-            res = run.path_of(vid) == nu
+    # a parent is discovered before its children, so it has the smaller id
+    cone: List[bool] = []
+    for vid, d in enumerate(run.dep):
+        if d == n:
+            cone.append(run.path_of(vid) == nu)
         else:
-            res = cone(run.par[vid])
-        in_cone[vid] = res
-        return res
+            cone.append(d > n and cone[run.par[vid]])
 
     seq: List[bytes] = []
     ids = run.ids
@@ -318,7 +311,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     levels = run.levels.tolist()
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
-        if cone(c if levels[t] > levels[t - 1] else a):
+        if cone[c if levels[t] > levels[t - 1] else a]:
             if not seq:
                 seq.append(dgs[a])
             seq.append(dgs[c])

@@ -64,9 +64,8 @@ def harvest_gaps(
         sub = spec.subseed(tag, i)
         traj = run_walk(sub, StopRule(max_level=max_level,
                                       max_steps=MAX_STEPS_PER_WALK))
-        recs = detect_regenerations(traj, guard=guard)
         try:
-            g = regeneration_gaps(recs)
+            g = regeneration_gaps(traj, guard)
         except InsufficientDataError:  # too few confirmed records
             continue
         parts.append(g)
@@ -169,13 +168,13 @@ def moment_harvest(
                 "walk exhausted its step cap before the cutoff depth; "
                 "the environment may be recurrent or nearly so")
         visits[t] = float((traj.levels == 0).sum())
-        recs = detect_regenerations(traj, guard=60)
-        found = next((r for r in recs if r.m >= 1 and r.confirmed), None)
-        if found is None:
+        cuts = detect_regenerations(traj, guard=60)
+        cuts = cuts[cuts > 0]
+        if len(cuts):
+            times[t] = float(cuts[0])
+        else:
             bad += 1
             times[t] = np.nan
-        else:
-            times[t] = float(found.time)
     if bad > max(1, trials // 100):
         raise DataQualityError(
             f"{bad}/{trials} walks had no confirmed regeneration below "

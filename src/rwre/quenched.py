@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import List, Tuple
+from itertools import chain, islice
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class BetaValue:
     converged: bool
 
 
-def _nodes_with_weights(b: int, depth: int) -> int:
-    return (b ** depth - 1) // (b - 1) if b > 1 else depth
-
-
 def _tail_estimate(gaps: List[float]) -> float:
     """Remaining-error estimate from the last two inter-depth drops.
 
@@ -73,63 +69,42 @@ def _tail_estimate(gaps: List[float]) -> float:
     return gaps[-1] * r / (1.0 - r)
 
 
-class _TruncationLadder:
-    """Evaluates the boundary-one truncated beta at successive depths.
+def _truncation_ladder(spec: EnvSpec) -> Iterator[float]:
+    """The boundary-one truncated beta at depths 1, 2, ...
 
-    For constant environments this is a scalar iteration.  For random
-    environments the per-level weight arrays are enumerated once and
-    reused: evaluating one more depth costs one new level of digests and
-    weights plus a cheap array sweep per evaluation.
+    For constant environments this is a scalar iteration without end.  For
+    random environments the per-level weight arrays are enumerated once and
+    reused: each depth draws one new level of digests and weights, only
+    when its value is asked for, plus a cheap array sweep.  The ladder ends
+    once the next depth would take the tree past two million weight nodes.
     """
-
-    def __init__(self, spec: EnvSpec):
-        self.spec = spec
-        self.b = spec.b
-        name, args = parse_descriptor(spec.kind)
-        self.scalar = name == "const"
-        if self.scalar:
-            self._c = args[0]
-            self._x = 1.0  # boundary value before any levels
-            self.depth = 0
-        else:
-            self._sampler = make_weight_sampler(spec)
-            self._digests: List[bytes] = [streams.root_digest(spec.seed)]
-            self._digest_level = 0
-            self._weights: List[np.ndarray] = []
-            self.depth = 0
-
-    def nodes_at_next_depth(self) -> int:
-        return _nodes_with_weights(self.b, self.depth + 1)
-
-    def _extend_weights(self, levels: int) -> None:
-        child = streams.child_digest
-        b = self.b
-        sampler = self._sampler
-        while len(self._weights) < levels:
-            if self._digest_level < len(self._weights):
-                self._digests = [child(dg, i) for dg in self._digests
-                                 for i in range(1, b + 1)]
-                self._digest_level += 1
-            n = len(self._digests)
-            w = np.fromiter(chain.from_iterable(map(sampler, self._digests)),
-                            dtype=np.float64, count=n * b)
-            self._weights.append(w.reshape(n, b))
-
-    def advance(self) -> float:
-        """Root value at depth+1."""
-        self.depth += 1
-        if self.scalar:
-            s = self._c * self.b * self._x
-            self._x = s / (1.0 + s)
-            return self._x
-        d = self.depth
-        self._extend_weights(d)
-        beta = np.ones(self.b ** d, dtype=np.float64)
-        for lvl in range(d - 1, -1, -1):
-            w = self._weights[lvl]
-            s = (w * beta.reshape(w.shape[0], self.b)).sum(axis=1)
+    b = spec.b
+    name, args = parse_descriptor(spec.kind)
+    if name == "const":
+        x = 1.0  # boundary value before any levels
+        while True:
+            s = args[0] * b * x
+            x = s / (1.0 + s)
+            yield x
+    sampler = make_weight_sampler(spec)
+    digests = [streams.root_digest(spec.seed)]
+    weights: List[np.ndarray] = []
+    nodes = 0  # weight nodes down to the current depth
+    while True:
+        n = len(digests)
+        w = np.fromiter(chain.from_iterable(map(sampler, digests)),
+                        dtype=np.float64, count=n * b)
+        weights.append(w.reshape(n, b))
+        nodes += n
+        beta = np.ones(n * b, dtype=np.float64)
+        for w in reversed(weights):
+            s = (w * beta.reshape(w.shape[0], b)).sum(axis=1)
             beta = s / (1.0 + s)
-        return float(beta[0])
+        yield float(beta[0])
+        if nodes + n * b > 2_000_000:
+            return
+        digests = [streams.child_digest(dg, i) for dg in digests
+                   for i in range(1, b + 1)]
 
 
 def beta_root(spec: EnvSpec, tol: float, rel_tol: float) -> BetaValue:
@@ -145,24 +120,20 @@ def beta_root(spec: EnvSpec, tol: float, rel_tol: float) -> BetaValue:
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    ladder = _TruncationLadder(spec)
-    value = ladder.advance()
+    ladder = islice(_truncation_ladder(spec), DEPTH_CAP)
+    value = next(ladder)
+    depth = 1
     gaps: List[float] = []
     err = float("inf")
     converged = False
-    while True:
-        if ladder.depth >= DEPTH_CAP:
-            break
-        if not ladder.scalar and ladder.nodes_at_next_depth() > 2_000_000:
-            break
-        new_value = ladder.advance()
+    for depth, new_value in enumerate(ladder, start=2):
         gaps.append(value - new_value)
         value = new_value
         err = _tail_estimate(gaps)
         if err < min(value, max(tol, rel_tol * value)):
             converged = True
             break
-    return BetaValue(value=value, depth=ladder.depth, upper_gap=err,
+    return BetaValue(value=value, depth=depth, upper_gap=err,
                      converged=converged)
 
 

@@ -191,17 +191,24 @@ def test_operation_labels_name_live_functions():
     assert not dead, f"operation labels that name no package function: {dead}"
 
 
-def test_entry_modules_load_without_scipy():
+def test_entry_modules_load_without_scipy(tmp_path):
     # scipy.stats takes about a second to import.  Only the chi-square test
     # and the quadrature need scipy, and each imports it when called; the
-    # coupling and moments digests above pin what those calls return.
+    # coupling and moments digests above pin what those calls return.  A
+    # tiny clt run must load none of it: importing scipy.stats alone would
+    # about treble the command's peak memory.
+    cfg = tmp_path / "clt.ini"
+    _write_config(cfg, {"env": {"kind": "const:1.0"},
+                        "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}})
+    argv = ["clt", "--config", str(cfg), "--out", str(tmp_path / "out")]
     code = ("import sys, rwre.cli, rwre.quenched; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            f"rc = rwre.cli.main({argv!r}); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     got = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert got.stdout.strip() == "[]"
+    assert got.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_moments_at_default_law_and_power(tmp_path):

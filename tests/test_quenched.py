@@ -47,6 +47,15 @@ class TestBetaRoot:
         with pytest.raises(InvalidInputError):
             beta_root(CONST, tol=0.0, rel_tol=0.0)
 
+    def test_node_budget_stops_a_random_ladder(self):
+        # depth 3 has 1 + 128 + 128**2 weight nodes; depth 4 would add
+        # 128**3 and pass the two-million budget, so the ladder ends there
+        # short of the unreachable tolerance
+        bv = beta_root(EnvSpec(b=128, kind="uniform:0.5,1.5", seed=3),
+                       tol=1e-300, rel_tol=0.0)
+        assert (bv.depth, bv.converged) == (3, False)
+        assert bv.value == 0.9924647729515286
+
 
 class TestEffectivelyConverged:
     def _bv(self, value, gap):

@@ -118,9 +118,9 @@ def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subt
 def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
     counts = _Counts(monkeypatch)
     spec = EnvSpec(b=B, kind="lerrw:1.0", seed=22)
-    ladder = quenched._TruncationLadder(spec)
+    ladder = quenched._truncation_ladder(spec)
     for _ in range(4):
-        ladder.advance()
+        next(ladder)
     nodes = (B ** 4 - 1) // (B - 1)
     c = counts.calls
     counts.assert_blocks_balance()

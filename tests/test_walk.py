@@ -3,6 +3,7 @@ its agreement with the quenched escape probability of the ladder."""
 
 import io
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import stats as st
 from rwre.clocks import StopRule, _simulate
 from rwre.env import EnvSpec, sample_weights, transition_probs
 from rwre.errors import InvalidInputError
-from rwre.quenched import _TruncationLadder, beta_root
+from rwre.quenched import _truncation_ladder, beta_root
 from rwre.tree import ROOT
 from rwre.walk import run_walk, trajectory_to_csv
 
@@ -129,9 +130,7 @@ def test_escape_counts_match_the_ladder(kind, b, n):
     chi2 = 0.0
     for e in range(ORACLE_ENVS):
         sub = spec.subseed(b"oracle", e)
-        ladder = _TruncationLadder(sub)
-        for _ in range(n):
-            beta = ladder.advance()
+        beta = next(islice(_truncation_ladder(sub), n - 1, None))
         runs = [_simulate(sub, ROOT, stop, r) for r in range(ORACLE_REPLICAS)]
         assert {run.stop_reason for run in runs} == {"level"}
         escapes = sum(int(run.levels.min()) >= 0 for run in runs)
