@@ -191,16 +191,11 @@ def test_operation_labels_name_live_functions():
     assert not dead, f"operation labels that name no package function: {dead}"
 
 
-def test_entry_modules_load_without_scipy(tmp_path):
-    # scipy.stats takes about a second to import.  Only the chi-square test
-    # and the quadrature need scipy, and each imports it when called; the
-    # coupling and moments digests above pin what those calls return.  A
-    # tiny clt run must load none of it: importing scipy.stats alone would
-    # about treble the command's peak memory.
-    cfg = tmp_path / "clt.ini"
-    _write_config(cfg, {"env": {"kind": "const:1.0"},
-                        "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}})
-    argv = ["clt", "--config", str(cfg), "--out", str(tmp_path / "out")]
+def _scipy_modules_after(tmp_path, command, sections):
+    """Exit code and loaded scipy modules of one run in a fresh interpreter."""
+    cfg = tmp_path / f"{command}.ini"
+    _write_config(cfg, sections)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     code = ("import sys, rwre.cli, rwre.quenched; "
             f"rc = rwre.cli.main({argv!r}); "
             "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -208,7 +203,31 @@ def test_entry_modules_load_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     got = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert got.stdout.strip().splitlines()[-1] == "0 []"
+    rc, modules = got.stdout.strip().splitlines()[-1].split(" ", 1)
+    return int(rc), ast.literal_eval(modules)
+
+
+def test_entry_modules_load_without_scipy(tmp_path):
+    # Only the chi-square test (scipy.special) and the quadrature
+    # (scipy.integrate) need scipy, and each imports it when called; the
+    # coupling and moments digests above pin what those calls return.  A
+    # tiny clt run must load none of it: scipy.special alone adds about
+    # 26 MB of resident memory.
+    assert _scipy_modules_after(tmp_path, "clt", {
+        "env": {"kind": "const:1.0"},
+        "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}}) == (0, [])
+
+
+def test_coupling_loads_no_scipy_stats(tmp_path):
+    # The chi-square tail comes from scipy.special.  scipy.stats would
+    # almost double the command's peak memory for the same p-value.
+    rc, modules = _scipy_modules_after(tmp_path, "coupling", {
+        "env": {"kind": "lerrw:0.5"},
+        "coupling": {"seeds": 1, "n_steps": 200,
+                     "independence_trials": 100}})
+    assert rc == 0
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.stats")]
 
 
 def test_moments_at_default_law_and_power(tmp_path):

@@ -4,14 +4,18 @@ With every child weight equal to c, beta solves beta = S/(1+S) with
 S = c b beta, so beta = 1 - 1/(c b).
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from rwre.env import EnvSpec
+from rwre import streams
+from rwre.env import EnvSpec, make_weight_sampler
 from rwre.errors import InsufficientDataError, InvalidInputError
 from rwre.quenched import (
     BetaMomentReport,
     BetaValue,
+    _truncation_ladder,
     beta_root,
     effectively_converged,
     geometric_moment_bound,
@@ -55,6 +59,22 @@ class TestBetaRoot:
                        tol=1e-300, rel_tol=0.0)
         assert (bv.depth, bv.converged) == (3, False)
         assert bv.value == 0.9924647729515286
+
+
+def test_beta_is_at_most_the_root_weight_sum_share():
+    # beta = S/(1+S) with S = sum_i A_i beta_i <= sum A, so beta <=
+    # sum A/(1+sum A).  The boundary-one ladder starts at exactly that value
+    # and never increases with depth, so every depth bounds beta from above.
+    base = EnvSpec(b=4, kind="lerrw:1.0", seed=7)
+    for i in range(120):
+        spec = base.subseed(b"beta-bound", i)
+        ladder = list(islice(_truncation_ladder(spec), 5))
+        assert len(ladder) == 5
+        for shallow, deep in zip(ladder, ladder[1:]):
+            assert deep <= shallow * (1.0 + 1e-12)
+        s = float(np.sum(make_weight_sampler(spec)(
+            streams.root_digest(spec.seed))))
+        assert ladder[0] == pytest.approx(s / (1.0 + s), rel=1e-15, abs=0.0)
 
 
 class TestEffectivelyConverged:

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from rwre.errors import InsufficientDataError, InvalidInputError
+from rwre.errors import (
+    DegenerateDataError,
+    InsufficientDataError,
+    InvalidInputError,
+)
 from rwre.regen import GapSample
 from rwre.stats import (
     StabilityReport,
     TailFit,
+    chi_square_independence,
     direct_sigma,
     doubling_stability,
     estimate_sigma,
@@ -95,3 +100,41 @@ class TestDoublingStability:
         rep = doubling_stability(x, 1.0, rel_tol=0.05)
         assert not rep.passed
         assert rep.drift == pytest.approx(1.0 - 1.0 / rep.estimate)
+
+
+class TestChiSquareIndependence:
+    # The tail comes from scipy.special.chdtrc, the routine behind
+    # scipy.stats.chi2.sf, so the p-value must match it bit for bit.
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_p_value_is_exactly_the_chi2_tail(self, b):
+        rng = np.random.default_rng(100 + b)
+        for _ in range(50):
+            table = rng.integers(1, 40, size=(b, b))
+            stat, p, dof = chi_square_independence(table)
+            assert dof == (b - 1) ** 2
+            assert p == scipy.stats.chi2.sf(stat, dof)
+            expected = scipy.stats.chi2_contingency(table, correction=False)
+            assert stat == pytest.approx(expected.statistic, rel=1e-12)
+
+    def test_independent_table_has_statistic_zero(self):
+        # an outer product of margins over the total: every cell expected
+        stat, p, dof = chi_square_independence([[1, 2], [2, 4]])
+        assert (stat, p, dof) == (0.0, 1.0, 1)
+
+    def test_far_tail(self):
+        # diagonal b x b table with n per cell: statistic n b (b - 1)
+        stat, p, dof = chi_square_independence(100 * np.eye(4))
+        assert stat == pytest.approx(1200.0, rel=1e-12)
+        assert 0.0 < p < 1e-100
+        assert p == scipy.stats.chi2.sf(stat, dof)
+
+    @pytest.mark.parametrize("table", [[1, 2, 3], [[1, 2, 3]], [[1], [2]]])
+    def test_smaller_than_two_by_two_is_rejected(self, table):
+        with pytest.raises(InvalidInputError):
+            chi_square_independence(table)
+
+    @pytest.mark.parametrize("table", [[[0, 0], [0, 0]], [[0, 0], [1, 2]],
+                                       [[0, 3], [0, 2]]])
+    def test_empty_row_or_column_is_degenerate(self, table):
+        with pytest.raises(DegenerateDataError):
+            chi_square_independence(table)
