@@ -37,17 +37,19 @@ from .env import (
     check_assumption_a,
     lerrw_negative_moment_cf,
     lerrw_negative_moment_quadrature,
-    negative_moment_mc,
     parse_descriptor,
+    weight_sum_tail_index,
+    weight_sums,
 )
 from .errors import ConfigError, RwreError
 from .quenched import geometric_moment_bound, negative_moment_of_beta
 from .stats import (
-    doubling_stability,
+    MomentCheck,
     estimate_sigma,
     estimate_speed,
     fclt_increment_test,
     fit_geometric_tail,
+    moment_check,
 )
 from .walk import run_walk, trajectory_to_csv
 from . import experiments
@@ -63,8 +65,7 @@ _DEFAULTS = {
     "clt": {"walks": "500", "n_steps": "4000", "speed_gaps": "2000",
             "alpha": "0.01"},
     "moments": {"p": "2.0", "epsilon": "0.3", "n_envs": "300",
-                "mc_samples": "200000", "tau_trials": "1000",
-                "drift_tol": "0.05"},
+                "mc_samples": "200000", "tau_trials": "1000"},
     "coupling": {"seeds": "50", "n_steps": "10000",
                  "independence_trials": "2000", "alpha": "0.01"},
     "appendix": {"theta_points": "99", "powers": "0.5,1.0,1.5,2.0"},
@@ -249,48 +250,62 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     return results
 
 
+def _tail(chk: MomentCheck) -> dict:
+    """Hill's index and interval; a sample without a tail (all top values
+    equal) has index inf, written as null because JSON has no inf."""
+    if math.isinf(chk.tail_index):
+        return {"tail_index": None, "tail_index_ci": None}
+    return {"tail_index": chk.tail_index, "tail_index_ci": list(chk.index_ci)}
+
+
+def _moment_entry(name: str, chk: MomentCheck) -> dict:
+    return _entry(name, "stats.moment_check", estimate=chk.estimate,
+                  ok=chk.finite, std_error=chk.std_error, n=chk.n_samples,
+                  **_tail(chk))
+
+
 def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     p = _as_float(s, "p")
     epsilon = _as_float(s, "epsilon")
     n_envs = _as_int(s, "n_envs", 100)
     mc_samples = _as_int(s, "mc_samples", 100)
     tau_trials = _as_int(s, "tau_trials", 200)
-    drift_tol = _as_float(s, "drift_tol")
     if not p > 0:
         raise ConfigError(f"p must be positive, got {p}")
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise ConfigError(f"epsilon must lie in (0, 1/3), got {epsilon}")
+    index = weight_sum_tail_index(spec)
+    divergent = p >= index
     results = []
-    divergent = None  # known only where the closed form exists
-    if spec.kind.startswith("lerrw:"):
+    if spec.kind.startswith("lerrw:") and divergent:
+        results.append(_entry(
+            "weight_sum_negative_moment_formula",
+            "env.lerrw_negative_moment_cf", ok=True, divergent=True))
+    elif spec.kind.startswith("lerrw:"):
         delta = parse_descriptor(spec.kind)[1][0]
         cf = lerrw_negative_moment_cf(spec.b, p, delta)
-        divergent = not np.isfinite(cf)
-        if not divergent:
-            quad = lerrw_negative_moment_quadrature(spec.b, p, delta)
-            results.append(_entry(
-                "weight_sum_negative_moment_formula",
-                "env.lerrw_negative_moment_cf", estimate=cf,
-                ok=bool(abs(cf - quad) <= 1e-8), quadrature=quad))
-        else:
-            results.append(_entry(
-                "weight_sum_negative_moment_formula",
-                "env.lerrw_negative_moment_cf", estimate=None,
-                ok=True, divergent=True))
-    # The divergence detector passes when it agrees with the closed form;
-    # without one its alarm is information only.
-    mc = negative_moment_mc(spec, p, n_samples=mc_samples)
-    suspect = bool(mc.suspect_divergence)
-    results.append(_entry(
-        "weight_sum_negative_moment_mc", "env.negative_moment_mc",
-        estimate=mc.estimate,
-        ok=None if divergent is None else suspect == divergent,
-        std_error=mc.std_error, suspect=suspect))
+        quad = lerrw_negative_moment_quadrature(spec.b, p, delta)
+        results.append(_entry(
+            "weight_sum_negative_moment_formula",
+            "env.lerrw_negative_moment_cf", estimate=cf,
+            ok=bool(abs(cf - quad) <= 1e-8), quadrature=quad))
     rep = negative_moment_of_beta(spec, p, n_envs=n_envs)
-    results.append(_entry(
-        "beta_negative_moment", "quenched.negative_moment_of_beta",
-        estimate=rep.estimate, ok=bool(not rep.suspect_divergence),
-        std_error=rep.std_error, n=rep.n_samples))
+    if divergent:
+        # beta <= sum A/(1 + sum A), so E[beta^-p] > E[(sum A)^-p] = inf:
+        # both moments are infinite and no sample is judged.
+        results.extend(_entry(name, "env.weight_sum_tail_index", ok=True,
+                              divergent=True, tail_index=index)
+                       for name in ("weight_sum_negative_moment_mc",
+                                    "beta_negative_moment"))
+    else:
+        results.append(_moment_entry(
+            "weight_sum_negative_moment_mc",
+            moment_check(1.0 / weight_sums(spec, mc_samples), p)))
+        chk = moment_check(1.0 / rep.values, p)
+        results.append(_entry(
+            "beta_negative_moment", "quenched.negative_moment_of_beta",
+            estimate=rep.estimate, ok=chk.finite, std_error=rep.std_error,
+            n=rep.n_samples, **_tail(chk)))
     with open(os.path.join(out, "beta.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["env_seed_index", "beta", "depth", "gap"])
@@ -301,10 +316,7 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     for name, samples, power in (
             ("root_visits_cubed", mh.root_visits, 3.0),
             ("first_regen_time_2.5", mh.first_regen_times, 2.5)):
-        r = doubling_stability(samples, power, rel_tol=drift_tol)
-        results.append(_entry(
-            name, "stats.doubling_stability", estimate=r.estimate,
-            ok=bool(r.passed), drift=r.drift, n=r.n_samples))
+        results.append(_moment_entry(name, moment_check(samples, power)))
     results.append(_entry(
         "epsilon", "config", estimate=epsilon, ok=True))
     return results
@@ -387,11 +399,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = _env_from(settings)
         if args.command == "clt":
             gate = check_assumption_a(spec)
-            if not gate.passed:
+            if not gate > 1.0 / spec.b:
                 raise ConfigError(
                     "environment fails the transience criterion "
-                    f"(inf_t E[A^t] = {gate.estimate:.4f} <= "
-                    f"{gate.threshold:.4f}); refusing to run")
+                    f"(inf_t E[A^t] = {gate:.4f} <= {1.0 / spec.b:.4f}); "
+                    "refusing to run")
         out = settings["out"]
         os.makedirs(out, exist_ok=True)
     except ConfigError as exc:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -70,18 +70,6 @@ class EnvSpec:
     def subseed(self, tag: bytes, index: int) -> "EnvSpec":
         """Spec for an independent replica, derived reproducibly."""
         return replace(self, seed=streams.derive_seed(self.seed, tag, index))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Outcome of a scalar moment estimate or check."""
-
-    estimate: float
-    std_error: Optional[float]
-    n_samples: Optional[int]
-    passed: Optional[bool] = None
-    threshold: Optional[float] = None
-    suspect_divergence: Optional[bool] = None
 
 
 @lru_cache(maxsize=256)
@@ -251,71 +239,45 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
     )
 
 
-def check_assumption_a(spec: EnvSpec) -> MomentReport:
-    """Transience criterion: inf over t in [0,1] of E[A^t] must exceed 1/b.
+def check_assumption_a(spec: EnvSpec) -> float:
+    """inf over t in [0,1] of E[A^t]; the walk is transient when it
+    exceeds 1/b.
 
     The infimum is taken over a uniform grid of 101 values of t, in
     closed form: every supported weight law has closed-form fractional
     moments.
     """
-    threshold = 1.0 / spec.b
-    est = min(marginal_weight_moment(spec, float(t))
-              for t in np.linspace(0.0, 1.0, 101))
-    return MomentReport(
-        estimate=est,
-        std_error=None,
-        n_samples=None,
-        threshold=threshold,
-        passed=bool(est > threshold),
-    )
+    return min(marginal_weight_moment(spec, float(t))
+               for t in np.linspace(0.0, 1.0, 101))
 
 
-def divergence_suspected(vals: np.ndarray) -> bool:
-    """Divergence heuristic for a nonnegative sample of a moment statistic.
+def weight_sum_tail_index(spec: EnvSpec) -> float:
+    """Tail index of 1/(A_1 + .. + A_b) in closed form: E[(sum A)^-p] is
+    finite exactly when p is below it.
 
-    Fires when one of 8 contiguous batches carries more than half the
-    total mass, or when the half-sample mean drifts from the mean by more
-    than a quarter of it.  Both stay small for integrable statistics at
-    these sample sizes and either grows on the heavy-tailed boundary; the
-    rule is no proof.
+    The index is the power of s in P(sum A < s) as s -> 0: b*k for
+    gamma:k,theta (the sum is Gamma(b*k, theta)), b for uniform:0,hi (the
+    sum's density is ~ s^(b-1) at 0), and b/(2 delta) for lerrw:delta
+    (see ``lerrw_negative_moment_cf``).  Every other law keeps the sum
+    away from zero or has all its negative moments, so the index is inf.
     """
-    n = len(vals)
-    total = float(vals.sum())
-    if total <= 0:
-        return False
-    cut = n - n % 8
-    shares = vals[:cut].reshape(8, -1).sum(axis=1) / total
-    est = total / n
-    half = float(vals[: n // 2].mean())
-    return float(shares.max()) > 0.5 or abs(est - half) / est > 0.25
+    name, args = parse_descriptor(spec.kind)
+    if name == "gamma":
+        return spec.b * args[0]
+    if name == "lerrw":
+        return spec.b / (2.0 * args[0])
+    if name == "uniform" and args[0] == 0:
+        return float(spec.b)
+    return math.inf
 
 
-def negative_moment_mc(
-    spec: EnvSpec,
-    p: float,
-    n_samples: int,
-) -> MomentReport:
-    """Monte Carlo estimate of E[(A_1 + .. + A_b)^(-p)], flagged as suspect
-    by ``divergence_suspected``, which fires on the heavy-tailed boundary
-    cases but is no proof.
-    """
-    if p <= 0:
-        raise InvalidInputError("p must be positive")
-    if n_samples < 16:
-        raise InvalidInputError("need at least two samples per batch")
+def weight_sums(spec: EnvSpec, n_samples: int) -> np.ndarray:
+    """A_1 + .. + A_b over ``n_samples`` independently keyed vertices
+    (stream b"s"), for Monte Carlo moments of the weight sum."""
     sampler = make_weight_sampler(spec)
-    s = np.empty(n_samples)
-    for i in range(n_samples):
-        s[i] = math.fsum(sampler(streams.sample_digest(spec.seed, b"s", i)))
-    vals = s ** (-p)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return MomentReport(
-        estimate=est,
-        std_error=se,
-        n_samples=n_samples,
-        suspect_divergence=divergence_suspected(vals),
-    )
+    return np.array([
+        math.fsum(sampler(streams.sample_digest(spec.seed, b"s", i)))
+        for i in range(n_samples)])
 
 
 def lerrw_negative_moment_cf(b: int, p: float, delta: float) -> float:

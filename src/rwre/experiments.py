@@ -139,10 +139,11 @@ def moment_harvest(
     level 100, and a record counts as confirmed 60 levels below that.
 
     Each trial's environment is redrawn until the root's parent-edge
-    probability is at most 1 - epsilon.  The cubic visit moment and the
-    5/2 regeneration-time moment are finite under that root condition;
-    without it a heavy root-parent edge inflates both statistics and their
-    raw moments need not exist.
+    probability is at most 1 - epsilon; without that root condition a
+    heavy root-parent edge inflates both statistics.  Whether the cubic
+    visit moment and the 5/2 regeneration-time moment are finite under it
+    is what ``rwre moments`` checks on these samples, with
+    ``stats.moment_check``.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")

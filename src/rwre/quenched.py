@@ -21,13 +21,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from . import streams
-from .env import (
-    EnvSpec,
-    MomentReport,
-    divergence_suspected,
-    make_weight_sampler,
-    parse_descriptor,
-)
+from .env import EnvSpec, make_weight_sampler, parse_descriptor
 from .errors import (
     DataQualityError,
     DegenerateDataError,
@@ -184,12 +178,17 @@ def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class BetaMomentReport(MomentReport):
-    """A moment estimate plus the per-environment solutions behind it, in
-    draw order; environments that did not converge are listed here but
-    left out of the estimate."""
+class BetaMomentReport:
+    """A Monte Carlo estimate of E[beta^(-p)] plus the per-environment
+    solutions behind it, in draw order; environments that did not
+    converge are listed in ``betas`` but left out of ``values`` and the
+    estimate."""
 
-    betas: Tuple[BetaValue, ...] = ()
+    estimate: float
+    std_error: float
+    n_samples: int
+    values: np.ndarray
+    betas: Tuple[BetaValue, ...]
 
 
 def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int,
@@ -202,28 +201,18 @@ def negative_moment_of_beta(spec: EnvSpec, p: float, n_envs: int,
     """
     if n_envs < 100:
         raise InsufficientDataError("need at least 100 environments")
-    vals = np.empty(n_envs, dtype=np.float64)
-    betas: List[BetaValue] = []
-    bad = 0
-    for i in range(n_envs):
-        sub = spec.subseed(b"beta-env", i)
-        bv = beta_root(sub, tol=1e-4, rel_tol=0.4 * rel_tol)
-        betas.append(bv)
-        if not effectively_converged(bv, rel_tol):
-            bad += 1
-            vals[i] = np.nan
-        else:
-            vals[i] = bv.value ** (-p)
+    betas = [beta_root(spec.subseed(b"beta-env", i), tol=1e-4,
+                       rel_tol=0.4 * rel_tol) for i in range(n_envs)]
+    used = [bv.value for bv in betas if effectively_converged(bv, rel_tol)]
+    bad = n_envs - len(used)
     if bad > 0.01 * n_envs:
         raise DataQualityError(
             f"{bad}/{n_envs} environments failed to converge")
-    vals = vals[np.isfinite(vals)]
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    vals = np.array([v ** (-p) for v in used])
     return BetaMomentReport(
-        estimate=est,
-        std_error=se,
+        estimate=float(vals.mean()),
+        std_error=float(vals.std(ddof=1) / math.sqrt(len(vals))),
         n_samples=len(vals),
-        suspect_divergence=divergence_suspected(vals),
+        values=np.array(used),
         betas=tuple(betas),
     )

@@ -1,6 +1,6 @@
 """Statistics over gap samples and level processes: speed, diffusion
-constant, geometric tail fits, normality tests, chi-square tests, and the
-sample-doubling stability check for empirical moments.
+constant, geometric tail fits, normality tests, chi-square tests, and
+finiteness checks for empirical moments.
 
 The Kolmogorov-Smirnov p-values use the asymptotic Kolmogorov
 distribution; every caller here has n >= 100, where the asymptotic
@@ -25,6 +25,7 @@ from .errors import (
 from .regen import GapSample
 
 _T15_995 = 2.946712883475238  # 0.995 quantile of Student's t, 15 dof
+_Z995 = 2.5758293035489004  # 0.995 quantile of the standard normal
 _SQRT2 = math.sqrt(2.0)
 
 # Fractions of the walk length at which the FCLT reads the level process.
@@ -288,31 +289,51 @@ def fclt_increment_test(levels_at_times: np.ndarray, n: int, v: float,
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of the sample-doubling stabilization diagnostic."""
+class MomentCheck:
+    """A sample's p-th absolute moment and whether it is finite."""
 
-    passed: bool
-    drift: float
     estimate: float
+    std_error: float
     n_samples: int
+    tail_index: float
+    index_ci: Tuple[float, float]
+    finite: bool
 
 
-def doubling_stability(samples: Sequence[float], p: float,
-                       rel_tol: float) -> StabilityReport:
-    """Sample-doubling check: does the running p-th moment settle?
+def moment_check(samples: Sequence[float], p: float) -> MomentCheck:
+    """Mean of |x|^p with its standard error, and a verdict on whether
+    E|X|^p is finite: it is exactly when the tail index of |X| exceeds p.
 
-    Compares the moment over the first half with the full sample; the check
-    passes when the relative drift on that final doubling is below
-    ``rel_tol``.
+    The index is Hill's estimator (Hill 1975, Ann. Statist. 3) on the top
+    k = floor(sqrt(n)) order statistics, one over the mean of
+    log(x_(i) / x_(k+1)) for i <= k.  Over an exact Pareto tail, k times
+    the true index over Hill's is Gamma(k, 1); the two-sided 99% interval
+    takes that law's quantiles in the Wilson-Hilferty form.  The moment is
+    called infinite only when the whole interval lies below p.  Hill reads
+    low where the tail is Pareto only asymptotically, so for such laws a
+    finite moment with p just below the index is called infinite more
+    often than 0.5% of the time.
     """
-    x = np.abs(np.asarray(samples, dtype=np.float64)) ** p
-    if len(x) < 200:
-        raise InsufficientDataError("need at least 200 samples")
-    full = float(x.mean())
-    half = float(x[: len(x) // 2].mean())
-    if full == 0.0:
-        return StabilityReport(passed=True, drift=0.0, estimate=0.0,
-                               n_samples=len(x))
-    drift = abs(full - half) / full
-    return StabilityReport(passed=drift < rel_tol, drift=drift, estimate=full,
-                           n_samples=len(x))
+    x = np.abs(np.asarray(samples, dtype=np.float64))
+    n = len(x)
+    if n < 50:
+        raise InsufficientDataError("need at least 50 samples")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("samples must be finite")
+    k = math.isqrt(n)
+    top = np.sort(x)[-k - 1:]
+    if top[0] <= 0.0:
+        raise DegenerateDataError(f"fewer than {k + 1} nonzero samples")
+    mean_log = float(np.log(top[1:] / top[0]).mean())
+    index = math.inf if mean_log == 0.0 else 1.0 / mean_log
+    lo, hi = (index * (1.0 - 1.0 / (9 * k) + z / (3.0 * math.sqrt(k))) ** 3
+              for z in (-_Z995, _Z995))
+    y = x ** p
+    return MomentCheck(
+        estimate=float(y.mean()),
+        std_error=float(y.std(ddof=1) / math.sqrt(n)),
+        n_samples=n,
+        tail_index=index,
+        index_ci=(lo, hi),
+        finite=bool(hi >= p),
+    )

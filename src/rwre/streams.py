@@ -19,7 +19,7 @@ Stream layout (all hashes are unkeyed BLAKE2b over the concatenated fields):
 ``seed8`` is the master seed as 8 little-endian bytes, so seeds run from 0
 to 2**64 - 1.  A sample digest stands in for the vertex digest of copy
 ``index`` of one vertex in single-vertex Monte Carlo estimates; ``stream1``
-is b"s" for the weight sum (``env.negative_moment_mc``) and b"m" for the
+is b"s" for the weight sum (``env.weight_sums``) and b"m" for the
 marginal weight, which only the Monte Carlo cross-check of
 ``env.marginal_weight_moment`` in the test suite reads.
 

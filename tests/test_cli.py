@@ -49,7 +49,7 @@ PINNED = {
     "clt":
         "a6a7463264bb8420ac70e08d5afb52b36af64cf453ed2411ed965284e6a10369",
     "moments":
-        "b24a9e9dbfc0e4c293bf60c7dd052d5b89d03b5f4a346d86afc2515b9a4a177b",
+        "c631ba902032457fc2cb6e1128892725e9f32d2d9afed8794062d8681e85415d",
     "coupling":
         "e1619dcb78aaf16c982b433090c658cd85a5f4bbea62c14a608a30ace18c5402",
     "appendix":
@@ -240,10 +240,29 @@ def test_moments_at_default_law_and_power(tmp_path):
     formula = entries["weight_sum_negative_moment_formula"]
     assert formula["detail"] == {"divergent": True}
     assert formula["estimate"] is None
-    # so the Monte Carlo entry passes exactly when its detector alarms
-    mc = entries["weight_sum_negative_moment_mc"]
-    assert mc["pass"] == mc["detail"]["suspect"]
+    # so do the Monte Carlo and beta entries, from the closed form
+    for name in ("weight_sum_negative_moment_mc", "beta_negative_moment"):
+        assert entries[name]["detail"] == {"divergent": True,
+                                           "tail_index": 2.0}
+        assert entries[name]["pass"] is True
     assert rc == (1 if any(e["pass"] is False for e in entries.values()) else 0)
+
+
+@pytest.mark.parametrize("kind, b, p", [
+    ("lerrw:1.0", 4, 2.5), ("lerrw:0.5", 3, 3.0), ("lerrw:0.5", 2, 2.0),
+    ("gamma:0.5,2", 3, 1.5), ("uniform:0,2", 2, 2.0)])
+def test_moments_past_the_closed_form_index_are_never_finite(tmp_path, kind,
+                                                              b, p):
+    # beta <= sum A/(1 + sum A), so E[beta^-p] is infinite wherever
+    # E[(sum A)^-p] is, and no sampled estimate may say otherwise
+    _, report, _ = _run(tmp_path, "moments", {
+        "env": {"b": b, "kind": kind},
+        "moments": {"p": p, "n_envs": 100, "mc_samples": 100,
+                    "tau_trials": 200}})
+    entries = {e["name"]: e for e in report["results"]}
+    for name in ("weight_sum_negative_moment_mc", "beta_negative_moment"):
+        assert entries[name]["estimate"] is None
+        assert entries[name]["detail"]["divergent"] is True
 
 
 def test_moments_formula_uses_the_law_delta(tmp_path):
@@ -258,6 +277,8 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     assert formula["estimate"] == lerrw_negative_moment_cf(4, 1.5, 0.5)
     assert formula["pass"] is True
     assert abs(formula["estimate"] - mc["estimate"]) <= 4 * mc["detail"]["std_error"]
+    # p = 1.5 is far below the index 4, and the tail check agrees
+    assert mc["pass"] is True
 
 
 @pytest.mark.parametrize("command, sections", [
@@ -269,10 +290,11 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("appendix", {"appendix": {"powers": "1.0,0"}}),
     ("moments", {"moments": {"p": 0}}),
     ("moments", {"moments": {"epsilon": 0.34}}),
+    ("moments", {"moments": {"drift_tol": 0.05}}),
     ("coupling", {"coupling": {"alpha": "nan"}}),
     ("appendix", {"appendix": {"powers": "1.0,inf"}}),
 ], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
-        "epsilon", "alpha_nan", "powers_inf"])
+        "epsilon", "drift_tol", "alpha_nan", "powers_inf"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"

@@ -11,17 +11,17 @@ from rwre.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
+from rwre.env import EnvSpec, weight_sums
 from rwre.regen import GapSample
 from rwre.stats import (
-    StabilityReport,
     TailFit,
     chi_square_independence,
     direct_sigma,
-    doubling_stability,
     estimate_sigma,
     estimate_speed,
     fit_geometric_tail,
     kolmogorov_sf,
+    moment_check,
 )
 
 
@@ -86,20 +86,37 @@ class TestGeometricTail:
             fit_geometric_tail([1, 2] * 100)
 
 
-class TestDoublingStability:
-    def test_constant_sample_is_stable(self):
-        rep = doubling_stability([2.0] * 400, 3.0, rel_tol=0.05)
-        assert isinstance(rep, StabilityReport)
-        assert rep.passed
-        assert rep.estimate == pytest.approx(8.0)
-        assert rep.drift == 0.0
+class TestMomentCheck:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0, 50.0])
+    def test_constant_sample_is_finite_at_every_power(self, p):
+        rep = moment_check([2.0] * 400, p)
+        assert rep.finite
+        assert rep.tail_index == math.inf
+        assert rep.estimate == pytest.approx(2.0 ** p, rel=1e-12)
+        assert rep.std_error == pytest.approx(0.0, abs=1e-12 * 2.0 ** p)
+        assert rep.n_samples == 400
 
-    def test_late_spike_fails(self):
-        x = [1.0] * 400
-        x[-1] = 100.0
-        rep = doubling_stability(x, 1.0, rel_tol=0.05)
-        assert not rep.passed
-        assert rep.drift == pytest.approx(1.0 - 1.0 / rep.estimate)
+    def test_hill_estimate_by_hand(self):
+        # n = 100, so k = 10: the top ten are 2^1..2^10 over x_(11) = 1
+        x = [1.0] * 90 + [2.0 ** j for j in range(1, 11)]
+        rep = moment_check(x, 1.0)
+        assert rep.tail_index == pytest.approx(1.0 / (5.5 * math.log(2.0)))
+        lo, hi = rep.index_ci
+        assert lo < rep.tail_index < hi
+        assert rep.estimate == pytest.approx(np.mean(x))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_keyed_gamma_weight_sums_far_from_the_index(self, seed):
+        # b=2, gamma:0.5,2: the sum is Exp with mean 2, and 1/sum has tail
+        # index b k = 1
+        inv = 1.0 / weight_sums(EnvSpec(b=2, kind="gamma:0.5,2", seed=seed),
+                                2000)
+        assert moment_check(inv, 0.5).finite
+        assert not moment_check(inv, 2.0).finite
+
+    def test_too_few_samples(self):
+        with pytest.raises(InsufficientDataError):
+            moment_check([1.0] * 49, 1.0)
 
 
 class TestChiSquareIndependence:
