@@ -9,17 +9,23 @@ config value is checked before any stage runs, so an invalid config exits
 
 Reproducibility contract, checked by ``tests/test_cli.py``: the same
 resolved config produces byte-identical CSVs and the same JSON report up
-to its ``timestamp`` field, run after run.  ``--threads`` changes no
-output: every command runs in one process today, so the value is
-validated and then ignored, and every random stream is keyed by a
-derived seed rather than by schedule.  The output directory and the
-thread count are left out of ``config_hash``.
+to its ``timestamp`` field, run after run, for any ``--threads``.  Every
+random stream is keyed by a derived seed rather than by schedule, so a
+trial draws the same bits in any process.  ``--threads K`` forks workers
+in two commands only: ``coupling`` (its restriction seeds, then its
+independence trials) and ``moments`` (its root-visit and regeneration
+harvest).  Each of those loops runs on min(K, trials, CPUs this process
+may use) processes, the command's own included, and its workers end
+before the loop returns.  The other commands, and both at K = 1, run in
+one process.  The output directory and the thread count are left out of
+``config_hash``.
 """
 
 import argparse
 import configparser
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -264,7 +270,8 @@ def _moment_entry(name: str, chk: MomentCheck) -> dict:
                   **_tail(chk))
 
 
-def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
+def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str,
+                 threads: int) -> List[dict]:
     p = _as_float(s, "p")
     epsilon = _as_float(s, "epsilon")
     n_envs = _as_int(s, "n_envs", 100)
@@ -312,7 +319,8 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         for i, bv in enumerate(rep.betas):
             w.writerow([i, f"{bv.value:.10g}", bv.depth,
                         f"{bv.upper_gap:.4g}"])
-    mh = experiments.moment_harvest(spec, trials=tau_trials, epsilon=epsilon)
+    mh = experiments.moment_harvest(spec, trials=tau_trials, epsilon=epsilon,
+                                    threads=threads)
     for name, samples, power in (
             ("root_visits_cubed", mh.root_visits, 3.0),
             ("first_regen_time_2.5", mh.first_regen_times, 2.5)):
@@ -322,15 +330,17 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     return results
 
 
-def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
+def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str,
+                  threads: int) -> List[dict]:
     seeds = _as_int(s, "seeds", 1)
     n_steps = _as_int(s, "n_steps", 10)
     trials = _as_int(s, "independence_trials", 100)
     alpha = _as_float(s, "alpha")
     if spec.b < 2:
         raise ConfigError("coupling checks need at least two children")
-    cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps)
-    ir = independence_check(spec, (1,), (2,), trials=trials)
+    cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps,
+                                    threads=threads)
+    ir = independence_check(spec, (1,), (2,), trials=trials, threads=threads)
     with open(os.path.join(out, "independence_table.csv"), "w",
               newline="") as fh:
         w = csv.writer(fh)
@@ -409,13 +419,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    del threads  # derivation keys make any schedule produce the same output
     runner = {
         "simulate": _cmd_simulate,
         "regen": _cmd_regen,
         "clt": _cmd_clt,
-        "moments": _cmd_moments,
-        "coupling": _cmd_coupling,
+        "moments": functools.partial(_cmd_moments, threads=threads),
+        "coupling": functools.partial(_cmd_coupling, threads=threads),
         "appendix": _cmd_appendix,
     }[args.command]
     try:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -323,6 +324,7 @@ def independence_check(
     nu_a: VertexPath,
     nu_b: VertexPath,
     trials: int,
+    threads: int,
 ) -> "IndependenceReport":
     """Chi-square independence test between discrete statistics read off the
     extensions on the subtrees of ``nu_a`` and ``nu_b``, across fully
@@ -332,6 +334,10 @@ def independence_check(
     the extension descends to (the first child chosen at its top vertex).
     Both vertices lie below the root, and edge-disjointness is required;
     exactness of the independence claim is what the p-value probes.
+
+    The trials run in contiguous chunks on up to ``threads`` processes
+    (``streams.keyed_map``); the table is the sum of the chunks' tables,
+    the same for any ``threads``.
     """
     from .stats import chi_square_independence
 
@@ -341,17 +347,26 @@ def independence_check(
         raise InvalidInputError("subtrees share an edge")
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
+    table = np.sum(streams.keyed_map(
+        partial(_independence_chunk, spec, nu_a, nu_b), trials, threads),
+        axis=0)
+    stat, p, dof = chi_square_independence(table)
+    return IndependenceReport(statistic=stat, p_value=p, dof=dof, table=table, trials=trials)
+
+
+def _independence_chunk(spec: EnvSpec, nu_a: VertexPath, nu_b: VertexPath,
+                        trials: range) -> np.ndarray:
+    """The b x b table of first descent digits over one chunk of trials."""
     b = spec.b
     stop_a = StopRule(max_level=len(nu_a) + 1, max_steps=10_000)
     stop_b = StopRule(max_level=len(nu_b) + 1, max_steps=10_000)
     table = np.zeros((b, b), dtype=np.int64)
-    for t in range(trials):
+    for t in trials:
         s = spec.subseed(b"ind", t)
         da = _first_descent_digit(s, nu_a, stop_a)
         db = _first_descent_digit(s, nu_b, stop_b)
         table[da - 1, db - 1] += 1
-    stat, p, dof = chi_square_independence(table)
-    return IndependenceReport(statistic=stat, p_value=p, dof=dof, table=table, trials=trials)
+    return table
 
 
 def _first_descent_digit(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> int:

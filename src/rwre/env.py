@@ -34,7 +34,7 @@ but not independent; all other kinds have i.i.d. components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
 
@@ -69,7 +69,8 @@ class EnvSpec:
 
     def subseed(self, tag: bytes, index: int) -> "EnvSpec":
         """Spec for an independent replica, derived reproducibly."""
-        return replace(self, seed=streams.derive_seed(self.seed, tag, index))
+        return EnvSpec(self.b, self.kind,
+                       streams.derive_seed(self.seed, tag, index))
 
 
 @lru_cache(maxsize=256)

@@ -7,7 +7,8 @@ any report is reproducible from the master seed alone.
 
 import math
 from dataclasses import dataclass
-from typing import List
+from functools import partial
+from typing import List, Tuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .env import EnvSpec, sample_weights, transition_probs
 from .errors import DataQualityError, InsufficientDataError, InvalidInputError
 from .tree import ROOT
 from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_gaps
+from .streams import keyed_map
 from .stats import (
     FCLT_TIMES,
     NormalityReport,
@@ -133,6 +135,7 @@ def moment_harvest(
     spec: EnvSpec,
     trials: int,
     epsilon: float,
+    threads: int,
 ) -> MomentHarvest:
     """One pass of fresh walks yielding both the root-visit count and the
     first confirmed regeneration time of each walk.  Each walk runs to
@@ -144,16 +147,37 @@ def moment_harvest(
     visit moment and the 5/2 regeneration-time moment are finite under it
     is what ``rwre moments`` checks on these samples, with
     ``stats.moment_check``.
+
+    The trials run in contiguous chunks on up to ``threads`` processes
+    (``streams.keyed_map``); each array joins the chunks' arrays in trial
+    order, so the arrays and the first error raised are the same for any
+    ``threads``.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise InvalidInputError("epsilon must lie in (0, 1/3)")
-    visits = np.empty(trials, dtype=np.float64)
-    times = np.empty(trials, dtype=np.float64)
+    chunks = keyed_map(partial(_moment_chunk, spec, epsilon), trials, threads)
+    visits = np.concatenate([c[0] for c in chunks])
+    times = np.concatenate([c[1] for c in chunks])
+    bad = sum(c[2] for c in chunks)
+    if bad > max(1, trials // 100):
+        raise DataQualityError(
+            f"{bad}/{trials} walks had no confirmed regeneration below "
+            "level 40")
+    return MomentHarvest(root_visits=visits,
+                         first_regen_times=times[np.isfinite(times)])
+
+
+def _moment_chunk(spec: EnvSpec, epsilon: float,
+                  trials: range) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Root visits, first regeneration times (NaN without a confirmed
+    record) and the count of such NaNs, over one chunk of trials."""
+    visits = np.empty(len(trials), dtype=np.float64)
+    times = np.empty(len(trials), dtype=np.float64)
     bad = 0
     stop = StopRule(max_level=100, max_steps=800_000)
-    for t in range(trials):
+    for i, t in enumerate(trials):
         for j in range(t * 64, t * 64 + 64):
             sub = spec.subseed(b"moments", j)
             probs = transition_probs(sample_weights(sub, ROOT))
@@ -168,20 +192,15 @@ def moment_harvest(
             raise DataQualityError(
                 "walk exhausted its step cap before the cutoff depth; "
                 "the environment may be recurrent or nearly so")
-        visits[t] = float((traj.levels == 0).sum())
+        visits[i] = float((traj.levels == 0).sum())
         cuts = detect_regenerations(traj, guard=60)
         cuts = cuts[cuts > 0]
         if len(cuts):
-            times[t] = float(cuts[0])
+            times[i] = float(cuts[0])
         else:
             bad += 1
-            times[t] = np.nan
-    if bad > max(1, trials // 100):
-        raise DataQualityError(
-            f"{bad}/{trials} walks had no confirmed regeneration below "
-            "level 40")
-    return MomentHarvest(root_visits=visits,
-                         first_regen_times=times[np.isfinite(times)])
+            times[i] = np.nan
+    return visits, times, bad
 
 
 @dataclass(frozen=True)
@@ -198,18 +217,35 @@ def coupling_suite(
     spec: EnvSpec,
     seeds: int,
     n_steps: int,
+    threads: int,
 ) -> CouplingReport:
     """For each derived seed, the extension on the subtree hanging above
     the root's first child must reproduce the direct walk's restriction to
-    that subtree on their shared prefix (compared up to 2000 entries)."""
+    that subtree on their shared prefix (compared up to 2000 entries).
+
+    The seeds run in contiguous chunks on up to ``threads`` processes
+    (``streams.keyed_map``); the counts are the chunks' sums, the same for
+    any ``threads``."""
     if seeds < 1:
         raise InvalidInputError("need at least one seed")
+    counts = keyed_map(partial(_coupling_chunk, spec, n_steps), seeds,
+                       threads)
+    restr_ok, compared, nonempty = (sum(c) for c in zip(*counts))
+    return CouplingReport(restriction_matches=restr_ok,
+                          restriction_compared=compared,
+                          nonempty_restrictions=nonempty)
+
+
+def _coupling_chunk(spec: EnvSpec, n_steps: int,
+                    seeds: range) -> Tuple[int, int, int]:
+    """Matches, compared entries and nonempty restrictions over one chunk
+    of seeds."""
     nu = (1,)
     restr_ok = 0
     compared = 0
     nonempty = 0
     stop = StopRule(max_steps=n_steps)
-    for s in range(seeds):
+    for s in seeds:
         sub = spec.subseed(b"couple", s)
         restr = lambda_restriction_sequence(run_walk(sub, stop), nu)
         if len(restr) > 2000:
@@ -225,6 +261,4 @@ def coupling_suite(
                 restr_ok += 1
         else:
             restr_ok += 1
-    return CouplingReport(restriction_matches=restr_ok,
-                          restriction_compared=compared,
-                          nonempty_restrictions=nonempty)
+    return restr_ok, compared, nonempty

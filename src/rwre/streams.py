@@ -55,11 +55,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
-from typing import List, Sequence, Tuple
+import sys
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 from .errors import InvalidInputError
 from .tree import VertexPath
+
+_T = TypeVar("_T")
 
 _blake = hashlib.blake2b
 _U8 = struct.Struct("<8Q").unpack
@@ -204,3 +208,49 @@ def walk_token(walk_index: int) -> bytes:
     if not isinstance(walk_index, int) or walk_index < 0:
         raise InvalidInputError("walk_index must be a non-negative integer")
     return walk_index.to_bytes(8, "little")
+
+
+def _chunks(n: int, threads: int) -> List[range]:
+    """The contiguous trial ranges of one ``keyed_map`` call, one per
+    process: k = min(threads, n, CPUs this process may run on), at least 1."""
+    k = max(1, min(threads, n, len(os.sched_getaffinity(0))))
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def keyed_map(fn: Callable[[range], _T], n: int, threads: int) -> List[_T]:
+    """``fn`` over contiguous chunks of trials ``range(n)``, with up to
+    ``threads`` processes; the results come back in chunk order.
+
+    A trial keyed by ``derive_seed`` draws the same bits in any process,
+    so the split never changes a result, only the wall time.  The parent
+    runs chunk 0 itself; every other chunk runs in a worker forked for this
+    call, and the pool is closed before the call returns.  ``fork`` lets a
+    worker start from the modules already loaded, where ``spawn`` would
+    import numpy again; the package starts no thread of its own, and a
+    fork pool forks its workers before it starts its management thread.  If chunks raise, the first exception in chunk order is
+    re-raised, with its type and message, after every worker has ended.
+    With one chunk the call stays in this process and loads neither
+    ``multiprocessing`` nor ``concurrent.futures``.
+
+    ``fn`` and its result are pickled, so ``fn`` must be a module-level
+    function reached by its own name, or a ``functools.partial`` of one.
+    A private function qualifies even while an outside tracer rebinds the
+    package's public names, which pickling by reference would not find.
+    """
+    if not isinstance(threads, int) or threads < 1:
+        raise InvalidInputError("threads must be a positive integer")
+    chunks = _chunks(n, threads)
+    if len(chunks) == 1:
+        return [fn(chunks[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A worker flushes the standard streams as it exits; a line still
+    # buffered at the fork would be written once per process.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork) as pool:
+        rest = [pool.submit(fn, c) for c in chunks[1:]]
+        first = fn(chunks[0])
+        return [first] + [f.result() for f in rest]

@@ -1,10 +1,10 @@
 """Smoke and reproducibility tests of every ``rwre`` command.
 
 Each command runs at a reduced config, twice with the default worker
-count and once with ``--threads 2``.  The three output sets must agree
-byte for byte (the JSON report up to its timestamp), and their sha256 is
-pinned, so a refactor that changes any reported number or CSV row fails
-here.
+count and once with ``--threads 2`` (on two or more CPUs, coupling and
+moments then fork a worker).  The three output sets must agree byte for
+byte (the JSON report up to its timestamp), and their sha256 is pinned,
+so a refactor that changes any reported number or CSV row fails here.
 """
 
 import ast
@@ -191,14 +191,16 @@ def test_operation_labels_name_live_functions():
     assert not dead, f"operation labels that name no package function: {dead}"
 
 
-def _scipy_modules_after(tmp_path, command, sections):
-    """Exit code and loaded scipy modules of one run in a fresh interpreter."""
+def _modules_after(tmp_path, command, sections, roots, *extra):
+    """Exit code and the loaded modules under the top-level names ``roots``
+    after one run in a fresh interpreter."""
     cfg = tmp_path / f"{command}.ini"
     _write_config(cfg, sections)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+            *extra]
     code = ("import sys, rwre.cli, rwre.quenched; "
             f"rc = rwre.cli.main({argv!r}); "
-            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            f"print(rc, [m for m in sys.modules if m.split('.')[0] in {roots!r}])")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     got = subprocess.run([sys.executable, "-c", code], env=env,
@@ -207,24 +209,52 @@ def _scipy_modules_after(tmp_path, command, sections):
     return int(rc), ast.literal_eval(modules)
 
 
+TINY_CLT = {"env": {"kind": "const:1.0"},
+            "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}}
+
+
 def test_entry_modules_load_without_scipy(tmp_path):
     # Only the chi-square test (scipy.special) and the quadrature
     # (scipy.integrate) need scipy, and each imports it when called; the
     # coupling and moments digests above pin what those calls return.  A
     # tiny clt run must load none of it: scipy.special alone adds about
     # 26 MB of resident memory.
-    assert _scipy_modules_after(tmp_path, "clt", {
-        "env": {"kind": "const:1.0"},
-        "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}}) == (0, [])
+    assert _modules_after(tmp_path, "clt", TINY_CLT, ("scipy",)) == (0, [])
+
+
+def test_clt_loads_no_process_pool(tmp_path):
+    # clt runs in one process at any --threads, so it must not pay for
+    # importing multiprocessing or concurrent.futures at start-up.
+    assert _modules_after(tmp_path, "clt", TINY_CLT,
+                          ("multiprocessing", "concurrent"),
+                          "--threads", "2") == (0, [])
+
+
+def test_threads_reach_the_three_keyed_loops(tmp_path, monkeypatch, two_cpus):
+    # coupling hands --threads to its suite and its independence trials,
+    # moments to its harvest
+    from rwre import streams
+
+    seen = []
+    chunks = streams._chunks
+
+    def spy(n, threads):
+        seen.append((n, threads))
+        return chunks(n, threads)
+
+    monkeypatch.setattr(streams, "_chunks", spy)
+    for command in ("coupling", "moments"):
+        _run(tmp_path, command, CONFIGS[command], "--threads", "2")
+    assert seen == [(2, 2), (200, 2), (200, 2)]
 
 
 def test_coupling_loads_no_scipy_stats(tmp_path):
     # The chi-square tail comes from scipy.special.  scipy.stats would
     # almost double the command's peak memory for the same p-value.
-    rc, modules = _scipy_modules_after(tmp_path, "coupling", {
+    rc, modules = _modules_after(tmp_path, "coupling", {
         "env": {"kind": "lerrw:0.5"},
         "coupling": {"seeds": 1, "n_steps": 200,
-                     "independence_trials": 100}})
+                     "independence_trials": 100}}, ("scipy",))
     assert rc == 0
     assert "scipy.special" in modules
     assert not [m for m in modules if m.startswith("scipy.stats")]

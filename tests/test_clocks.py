@@ -1,6 +1,8 @@
 """Exponential-clock machinery: the clock values, subtree extensions, and
 the restriction/independence structure they support."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ class TestSubtrees:
                 run_extension(SPEC, nu, StopRule(max_steps=1))
         # independence statistics need two vertices below the root
         with pytest.raises(InvalidInputError):
-            independence_check(SPEC, ROOT, (2,), trials=400)
+            independence_check(SPEC, ROOT, (2,), trials=400, threads=1)
 
     def test_subtree_roots(self):
         # a run starts at its subtree's root: the vertex closest to the root
@@ -140,16 +142,24 @@ class TestRestriction:
 
 class TestIndependence:
     def test_disjoint_cones_pass(self):
-        rep = independence_check(SPEC, (1,), (2,), trials=400)
+        rep = independence_check(SPEC, (1,), (2,), trials=400, threads=1)
         assert isinstance(rep, IndependenceReport)
         assert rep.table.sum() == 400
         assert rep.dof == (SPEC.b - 1) ** 2
         assert rep.p_value > 0.01
 
+    def test_table_is_thread_invariant(self, two_cpus):
+        one = independence_check(SPEC, (1,), (2,), trials=400, threads=1)
+        two = independence_check(SPEC, (1,), (2,), trials=400, threads=2)
+        assert two.table.dtype == one.table.dtype
+        assert two.table.tobytes() == one.table.tobytes()
+        assert (two.statistic, two.p_value) == (one.statistic, one.p_value)
+        assert multiprocessing.active_children() == []
+
     def test_overlapping_cones_rejected(self):
         with pytest.raises(InvalidInputError):
-            independence_check(SPEC, (1,), (1, 2), trials=400)
+            independence_check(SPEC, (1,), (1, 2), trials=400, threads=1)
 
     def test_non_lambda_subtree_rejected(self):
         with pytest.raises(InvalidInputError):
-            independence_check(SPEC, ROOT, (2,), trials=400)
+            independence_check(SPEC, ROOT, (2,), trials=400, threads=1)

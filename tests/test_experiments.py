@@ -6,6 +6,7 @@ diffusion constant sqrt(1 - (3/5)^2) = 4/5.
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def test_clt_levels_feed_the_fclt_test():
 
 
 def test_moment_harvest_counts():
-    mh = moment_harvest(CONST, trials=20, epsilon=0.3)
+    mh = moment_harvest(CONST, trials=20, epsilon=0.3, threads=1)
     assert isinstance(mh, MomentHarvest)
     assert (mh.root_visits >= 1).all()
     assert len(mh.first_regen_times) >= 19
@@ -103,8 +104,37 @@ def test_moment_harvest_counts():
 
 def test_coupling_identities_are_exact():
     rep = coupling_suite(EnvSpec(b=2, kind="lerrw:1.0", seed=2), seeds=6,
-                         n_steps=500)
+                         n_steps=500, threads=1)
     assert isinstance(rep, CouplingReport)
     assert rep.restriction_matches == 6
     assert rep.nonempty_restrictions >= 1
     assert rep.restriction_compared > rep.nonempty_restrictions
+
+
+def test_coupling_suite_counts_are_thread_invariant(two_cpus):
+    spec = EnvSpec(b=2, kind="lerrw:1.0", seed=2)
+    one = coupling_suite(spec, seeds=6, n_steps=500, threads=1)
+    assert coupling_suite(spec, seeds=6, n_steps=500, threads=2) == one
+    assert multiprocessing.active_children() == []
+
+
+def test_moment_harvest_arrays_are_thread_invariant(two_cpus):
+    one = moment_harvest(CONST, trials=20, epsilon=0.3, threads=1)
+    two = moment_harvest(CONST, trials=20, epsilon=0.3, threads=2)
+    for a, b in ((one.root_visits, two.root_visits),
+                 (one.first_regen_times, two.first_regen_times)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_moment_harvest_error_is_thread_invariant(two_cpus):
+    # every child weight 0.01 puts the root's parent-edge probability at
+    # 1/1.04 > 1 - epsilon, so no redraw meets the root condition
+    spec = EnvSpec(b=4, kind="const:0.01", seed=3)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DataQualityError) as info:
+            moment_harvest(spec, trials=4, epsilon=0.3, threads=threads)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert multiprocessing.active_children() == []

@@ -145,8 +145,30 @@ def test_benchmark_tracer_identities_hold(monkeypatch):
         spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
         walk.run_walk(spec, clocks.StopRule(max_steps=2000))
         clocks.run_extension(spec, (2, 1), clocks.StopRule(max_steps=2000))
-        clocks.independence_check(spec, (1,), (2,), trials=100)
+        clocks.independence_check(spec, (1,), (2,), trials=100, threads=1)
     finally:
         tracer.uninstall()
     assert tracer.engine_runs == 2 + 2 * 100
+    assert tracer.identity_failures() == []
+
+
+def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
+    # The tracer rebinds public names, so a pool handed a public function
+    # could not pickle it.  keyed_map is handed private chunk functions;
+    # the tracer then sees only the parent's chunk, and its identities
+    # still hold there.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
+    want = clocks.independence_check(spec, (1,), (2,), trials=100, threads=1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        got = clocks.independence_check(spec, (1,), (2,), trials=100,
+                                        threads=2)
+    finally:
+        tracer.uninstall()
+    assert got.table.tobytes() == want.table.tobytes()
+    assert tracer.engine_runs == 2 * 50
     assert tracer.identity_failures() == []

@@ -6,6 +6,9 @@ is reproducible by construction, so these never flake.
 """
 
 import math
+import multiprocessing
+import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from scipy import stats as st
 
 from rwre import streams
 from rwre.env import EnvSpec, make_weight_sampler
-from rwre.errors import InvalidInputError
+from rwre.errors import DataQualityError, InvalidInputError
 
 
 class TestDigests:
@@ -144,3 +147,53 @@ class TestUniformStream:
         for shapes in ((0.0,), (1.0, -2.0)):
             with pytest.raises(InvalidInputError):
                 streams.gamma_variates(d, shapes)
+
+
+def _chunk_and_pid(trials: range):
+    return trials, os.getpid()
+
+
+def _fail_from(first: int, trials: range):
+    if trials.start >= first:
+        raise DataQualityError(f"chunk from {trials.start} failed")
+    return trials
+
+
+class TestKeyedMap:
+    """The ordered trial map; ``two_cpus`` makes it fork one worker."""
+
+    def test_chunks_are_contiguous_and_capped_by_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert streams._chunks(10, 8) == [range(0, 3), range(3, 6),
+                                          range(6, 10)]
+        assert streams._chunks(10, 2) == [range(0, 5), range(5, 10)]
+        assert streams._chunks(2, 8) == [range(0, 1), range(1, 2)]
+        assert streams._chunks(0, 8) == [range(0, 0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert streams._chunks(10, 8) == [range(0, 10)]
+
+    def test_one_chunk_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert streams.keyed_map(_chunk_and_pid, 7, 2) == [
+            (range(0, 7), os.getpid())]
+
+    def test_results_come_back_in_chunk_order(self, two_cpus):
+        got = streams.keyed_map(_chunk_and_pid, 9, 2)
+        assert [r for r, _ in got] == [range(0, 4), range(4, 9)]
+        # the parent runs chunk 0 and a forked worker chunk 1
+        assert got[0][1] == os.getpid() != got[1][1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_arrives_with_its_type_and_message(self, two_cpus):
+        with pytest.raises(DataQualityError, match="^chunk from 5 failed$"):
+            streams.keyed_map(partial(_fail_from, 1), 10, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_error_in_chunk_order_wins(self, two_cpus):
+        with pytest.raises(DataQualityError, match="^chunk from 0 failed$"):
+            streams.keyed_map(partial(_fail_from, 0), 10, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(InvalidInputError):
+            streams.keyed_map(_chunk_and_pid, 4, 0)
