@@ -214,6 +214,8 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     # dt ~ 1000; the default 2000 is far below that.
     speed_gaps = _as_int(s, "speed_gaps", 16)
     alpha = _as_float(s, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     h = experiments.harvest_gaps(spec, speed_gaps, tag=b"speed")
     e = estimate_speed(h.gaps)
     results = [_entry(
@@ -336,6 +338,8 @@ def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str,
     n_steps = _as_int(s, "n_steps", 10)
     trials = _as_int(s, "independence_trials", 100)
     alpha = _as_float(s, "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if spec.b < 2:
         raise ConfigError("coupling checks need at least two children")
     cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps,

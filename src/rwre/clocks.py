@@ -334,10 +334,6 @@ def independence_check(
     the extension descends to (the first child chosen at its top vertex).
     Both vertices lie below the root, and edge-disjointness is required;
     exactness of the independence claim is what the p-value probes.
-
-    The trials run in contiguous chunks on up to ``threads`` processes
-    (``streams.keyed_map``); the table is the sum of the chunks' tables,
-    the same for any ``threads``.
     """
     from .stats import chi_square_independence
 
@@ -347,26 +343,24 @@ def independence_check(
         raise InvalidInputError("subtrees share an edge")
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
-    table = np.sum(streams.keyed_map(
-        partial(_independence_chunk, spec, nu_a, nu_b), trials, threads),
-        axis=0)
+    stop_a = StopRule(max_level=len(nu_a) + 1, max_steps=10_000)
+    stop_b = StopRule(max_level=len(nu_b) + 1, max_steps=10_000)
+    digits = np.array(streams.keyed_map(
+        partial(_descent_digits, spec, nu_a, nu_b, stop_a, stop_b), trials,
+        threads)) - 1
+    table = np.zeros((spec.b, spec.b), dtype=np.int64)
+    np.add.at(table, (digits[:, 0], digits[:, 1]), 1)
     stat, p, dof = chi_square_independence(table)
     return IndependenceReport(statistic=stat, p_value=p, dof=dof, table=table, trials=trials)
 
 
-def _independence_chunk(spec: EnvSpec, nu_a: VertexPath, nu_b: VertexPath,
-                        trials: range) -> np.ndarray:
-    """The b x b table of first descent digits over one chunk of trials."""
-    b = spec.b
-    stop_a = StopRule(max_level=len(nu_a) + 1, max_steps=10_000)
-    stop_b = StopRule(max_level=len(nu_b) + 1, max_steps=10_000)
-    table = np.zeros((b, b), dtype=np.int64)
-    for t in trials:
-        s = spec.subseed(b"ind", t)
-        da = _first_descent_digit(s, nu_a, stop_a)
-        db = _first_descent_digit(s, nu_b, stop_b)
-        table[da - 1, db - 1] += 1
-    return table
+def _descent_digits(spec: EnvSpec, nu_a: VertexPath, nu_b: VertexPath,
+                    stop_a: StopRule, stop_b: StopRule,
+                    t: int) -> Tuple[int, int]:
+    """The first descent digits of both extensions in trial ``t``."""
+    s = spec.subseed(b"ind", t)
+    return (_first_descent_digit(s, nu_a, stop_a),
+            _first_descent_digit(s, nu_b, stop_b))
 
 
 def _first_descent_digit(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> int:

@@ -147,20 +147,14 @@ def moment_harvest(
     visit moment and the 5/2 regeneration-time moment are finite under it
     is what ``rwre moments`` checks on these samples, with
     ``stats.moment_check``.
-
-    The trials run in contiguous chunks on up to ``threads`` processes
-    (``streams.keyed_map``); each array joins the chunks' arrays in trial
-    order, so the arrays and the first error raised are the same for any
-    ``threads``.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise InvalidInputError("epsilon must lie in (0, 1/3)")
-    chunks = keyed_map(partial(_moment_chunk, spec, epsilon), trials, threads)
-    visits = np.concatenate([c[0] for c in chunks])
-    times = np.concatenate([c[1] for c in chunks])
-    bad = sum(c[2] for c in chunks)
+    visits, times = np.array(keyed_map(partial(_moment_trial, spec, epsilon),
+                                       trials, threads)).T
+    bad = int(np.isnan(times).sum())
     if bad > max(1, trials // 100):
         raise DataQualityError(
             f"{bad}/{trials} walks had no confirmed regeneration below "
@@ -169,38 +163,27 @@ def moment_harvest(
                          first_regen_times=times[np.isfinite(times)])
 
 
-def _moment_chunk(spec: EnvSpec, epsilon: float,
-                  trials: range) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Root visits, first regeneration times (NaN without a confirmed
-    record) and the count of such NaNs, over one chunk of trials."""
-    visits = np.empty(len(trials), dtype=np.float64)
-    times = np.empty(len(trials), dtype=np.float64)
-    bad = 0
-    stop = StopRule(max_level=100, max_steps=800_000)
-    for i, t in enumerate(trials):
-        for j in range(t * 64, t * 64 + 64):
-            sub = spec.subseed(b"moments", j)
-            probs = transition_probs(sample_weights(sub, ROOT))
-            if probs[0] <= 1.0 - epsilon:
-                break
-        else:
-            raise DataQualityError(
-                "64 straight environment redraws failed the root "
-                "condition; the weight law puts almost no mass there")
-        traj = run_walk(sub, stop)
-        if traj.stop_reason != "level":
-            raise DataQualityError(
-                "walk exhausted its step cap before the cutoff depth; "
-                "the environment may be recurrent or nearly so")
-        visits[i] = float((traj.levels == 0).sum())
-        cuts = detect_regenerations(traj, guard=60)
-        cuts = cuts[cuts > 0]
-        if len(cuts):
-            times[i] = float(cuts[0])
-        else:
-            bad += 1
-            times[i] = np.nan
-    return visits, times, bad
+def _moment_trial(spec: EnvSpec, epsilon: float, t: int) -> Tuple[float, float]:
+    """Root visits and first regeneration time (NaN without a confirmed
+    record) of trial ``t``."""
+    for j in range(t * 64, t * 64 + 64):
+        sub = spec.subseed(b"moments", j)
+        probs = transition_probs(sample_weights(sub, ROOT))
+        if probs[0] <= 1.0 - epsilon:
+            break
+    else:
+        raise DataQualityError(
+            "64 straight environment redraws failed the root "
+            "condition; the weight law puts almost no mass there")
+    traj = run_walk(sub, StopRule(max_level=100, max_steps=800_000))
+    if traj.stop_reason != "level":
+        raise DataQualityError(
+            "walk exhausted its step cap before the cutoff depth; "
+            "the environment may be recurrent or nearly so")
+    cuts = detect_regenerations(traj, guard=60)
+    cuts = cuts[cuts > 0]
+    return (float((traj.levels == 0).sum()),
+            float(cuts[0]) if len(cuts) else math.nan)
 
 
 @dataclass(frozen=True)
@@ -221,44 +204,27 @@ def coupling_suite(
 ) -> CouplingReport:
     """For each derived seed, the extension on the subtree hanging above
     the root's first child must reproduce the direct walk's restriction to
-    that subtree on their shared prefix (compared up to 2000 entries).
-
-    The seeds run in contiguous chunks on up to ``threads`` processes
-    (``streams.keyed_map``); the counts are the chunks' sums, the same for
-    any ``threads``."""
+    that subtree on their shared prefix (compared up to 2000 entries)."""
     if seeds < 1:
         raise InvalidInputError("need at least one seed")
-    counts = keyed_map(partial(_coupling_chunk, spec, n_steps), seeds,
-                       threads)
+    counts = keyed_map(partial(_coupling_seed, spec, n_steps), seeds, threads)
     restr_ok, compared, nonempty = (sum(c) for c in zip(*counts))
     return CouplingReport(restriction_matches=restr_ok,
                           restriction_compared=compared,
                           nonempty_restrictions=nonempty)
 
 
-def _coupling_chunk(spec: EnvSpec, n_steps: int,
-                    seeds: range) -> Tuple[int, int, int]:
-    """Matches, compared entries and nonempty restrictions over one chunk
-    of seeds."""
+def _coupling_seed(spec: EnvSpec, n_steps: int,
+                   s: int) -> Tuple[int, int, int]:
+    """Match (0 or 1), compared entries and nonempty restriction (0 or 1)
+    of seed ``s``."""
     nu = (1,)
-    restr_ok = 0
-    compared = 0
-    nonempty = 0
-    stop = StopRule(max_steps=n_steps)
-    for s in seeds:
-        sub = spec.subseed(b"couple", s)
-        restr = lambda_restriction_sequence(run_walk(sub, stop), nu)
-        if len(restr) > 2000:
-            restr = restr[:2000]
-        if restr:
-            nonempty += 1
-            lam = run_extension(sub, nu,
-                                StopRule(max_steps=max(1, len(restr) - 1)))
-            lam_seq = lam.visited_digest_sequence()
-            k = min(len(restr), len(lam_seq))
-            compared += k
-            if restr[:k] == lam_seq[:k]:
-                restr_ok += 1
-        else:
-            restr_ok += 1
-    return restr_ok, compared, nonempty
+    sub = spec.subseed(b"couple", s)
+    restr = lambda_restriction_sequence(
+        run_walk(sub, StopRule(max_steps=n_steps)), nu)[:2000]
+    if not restr:
+        return 1, 0, 0
+    lam = run_extension(sub, nu, StopRule(max_steps=max(1, len(restr) - 1)))
+    lam_seq = lam.visited_digest_sequence()
+    k = min(len(restr), len(lam_seq))
+    return int(restr[:k] == lam_seq[:k]), k, 1

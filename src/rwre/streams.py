@@ -212,14 +212,25 @@ def walk_token(walk_index: int) -> bytes:
 
 def _chunks(n: int, threads: int) -> List[range]:
     """The contiguous trial ranges of one ``keyed_map`` call, one per
-    process: k = min(threads, n, CPUs this process may run on), at least 1."""
-    k = max(1, min(threads, n, len(os.sched_getaffinity(0))))
+    process: k = min(threads, n, CPUs this process may run on), at least 1.
+    The CPU set is read only when more than one process could run, so a
+    platform without ``os.sched_getaffinity`` runs one process unchanged."""
+    k = min(threads, n)
+    if k > 1:
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        k = min(k, cpus)
+    k = max(1, k)
     return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def keyed_map(fn: Callable[[range], _T], n: int, threads: int) -> List[_T]:
-    """``fn`` over contiguous chunks of trials ``range(n)``, with up to
-    ``threads`` processes; the results come back in chunk order.
+def _run_trials(fn: Callable[[int], _T], trials: range) -> List[_T]:
+    return [fn(t) for t in trials]
+
+
+def keyed_map(fn: Callable[[int], _T], n: int, threads: int) -> List[_T]:
+    """``[fn(t) for t in range(n)]``, with the trials split into contiguous
+    chunks over up to ``threads`` processes.
 
     A trial keyed by ``derive_seed`` draws the same bits in any process,
     so the split never changes a result, only the wall time.  The parent
@@ -227,12 +238,14 @@ def keyed_map(fn: Callable[[range], _T], n: int, threads: int) -> List[_T]:
     call, and the pool is closed before the call returns.  ``fork`` lets a
     worker start from the modules already loaded, where ``spawn`` would
     import numpy again; the package starts no thread of its own, and a
-    fork pool forks its workers before it starts its management thread.  If chunks raise, the first exception in chunk order is
-    re-raised, with its type and message, after every worker has ended.
-    With one chunk the call stays in this process and loads neither
-    ``multiprocessing`` nor ``concurrent.futures``.
+    fork pool forks its workers before it starts its management thread.
+    A chunk stops at its first failing trial.  If chunks raise, the first
+    exception in trial order is re-raised, with its type and message,
+    after every worker has ended.  With one chunk the call stays in this
+    process and loads neither ``multiprocessing`` nor
+    ``concurrent.futures``.
 
-    ``fn`` and its result are pickled, so ``fn`` must be a module-level
+    ``fn`` and its results are pickled, so ``fn`` must be a module-level
     function reached by its own name, or a ``functools.partial`` of one.
     A private function qualifies even while an outside tracer rebinds the
     package's public names, which pickling by reference would not find.
@@ -241,7 +254,7 @@ def keyed_map(fn: Callable[[range], _T], n: int, threads: int) -> List[_T]:
         raise InvalidInputError("threads must be a positive integer")
     chunks = _chunks(n, threads)
     if len(chunks) == 1:
-        return [fn(chunks[0])]
+        return _run_trials(fn, chunks[0])
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -251,6 +264,8 @@ def keyed_map(fn: Callable[[range], _T], n: int, threads: int) -> List[_T]:
     sys.stderr.flush()
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork) as pool:
-        rest = [pool.submit(fn, c) for c in chunks[1:]]
-        first = fn(chunks[0])
-        return [first] + [f.result() for f in rest]
+        rest = [pool.submit(_run_trials, fn, c) for c in chunks[1:]]
+        out = _run_trials(fn, chunks[0])
+        for f in rest:
+            out += f.result()
+        return out

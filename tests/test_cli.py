@@ -323,8 +323,12 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("moments", {"moments": {"drift_tol": 0.05}}),
     ("coupling", {"coupling": {"alpha": "nan"}}),
     ("appendix", {"appendix": {"powers": "1.0,inf"}}),
+    ("clt", {"clt": {"alpha": 0}}),
+    ("coupling", {"coupling": {"alpha": 1.5}}),
+    ("coupling", {"run": {"threads": 0}}),
 ], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
-        "epsilon", "drift_tol", "alpha_nan", "powers_inf"])
+        "epsilon", "drift_tol", "alpha_nan", "powers_inf", "alpha_zero",
+        "alpha_above_one", "threads"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"

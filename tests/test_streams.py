@@ -149,14 +149,14 @@ class TestUniformStream:
                 streams.gamma_variates(d, shapes)
 
 
-def _chunk_and_pid(trials: range):
-    return trials, os.getpid()
+def _trial_and_pid(t: int):
+    return t, os.getpid()
 
 
-def _fail_from(first: int, trials: range):
-    if trials.start >= first:
-        raise DataQualityError(f"chunk from {trials.start} failed")
-    return trials
+def _fail_from(first: int, t: int):
+    if t >= first:
+        raise DataQualityError(f"trial {t} failed")
+    return t
 
 
 class TestKeyedMap:
@@ -172,28 +172,44 @@ class TestKeyedMap:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert streams._chunks(10, 8) == [range(0, 10)]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    def test_the_result_is_fn_of_each_trial_in_order(self, two_cpus, n,
+                                                     threads):
+        fn = partial(streams.derive_seed, 5, b"k")
+        assert streams.keyed_map(fn, n, threads) == [fn(t) for t in range(n)]
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert streams.keyed_map(_trial_and_pid, 5, 1) == [
+            (t, os.getpid()) for t in range(5)]
+
     def test_one_chunk_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert streams.keyed_map(_chunk_and_pid, 7, 2) == [
-            (range(0, 7), os.getpid())]
+        assert streams.keyed_map(_trial_and_pid, 7, 2) == [
+            (t, os.getpid()) for t in range(7)]
 
     def test_results_come_back_in_chunk_order(self, two_cpus):
-        got = streams.keyed_map(_chunk_and_pid, 9, 2)
-        assert [r for r, _ in got] == [range(0, 4), range(4, 9)]
-        # the parent runs chunk 0 and a forked worker chunk 1
-        assert got[0][1] == os.getpid() != got[1][1]
+        got = streams.keyed_map(_trial_and_pid, 9, 2)
+        assert [t for t, _ in got] == list(range(9))
+        # the parent runs chunk 0 and one forked worker chunk 1
+        pids = [pid for _, pid in got]
+        assert pids[:4] == [os.getpid()] * 4
+        assert len(set(pids[4:])) == 1 and pids[4] != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_a_worker_error_arrives_with_its_type_and_message(self, two_cpus):
-        with pytest.raises(DataQualityError, match="^chunk from 5 failed$"):
-            streams.keyed_map(partial(_fail_from, 1), 10, 2)
+        with pytest.raises(DataQualityError, match="^trial 6 failed$"):
+            streams.keyed_map(partial(_fail_from, 6), 10, 2)
         assert multiprocessing.active_children() == []
 
     def test_the_first_error_in_chunk_order_wins(self, two_cpus):
-        with pytest.raises(DataQualityError, match="^chunk from 0 failed$"):
-            streams.keyed_map(partial(_fail_from, 0), 10, 2)
+        # both chunks fail; the parent's trial 3 comes first in trial order
+        with pytest.raises(DataQualityError, match="^trial 3 failed$"):
+            streams.keyed_map(partial(_fail_from, 3), 10, 2)
         assert multiprocessing.active_children() == []
 
     def test_threads_must_be_positive(self):
         with pytest.raises(InvalidInputError):
-            streams.keyed_map(_chunk_and_pid, 4, 0)
+            streams.keyed_map(_trial_and_pid, 4, 0)
