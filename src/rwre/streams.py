@@ -56,11 +56,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
+import signal
 import struct
 import sys
-from typing import Callable, List, Sequence, Tuple, TypeVar
+import traceback
+from typing import Callable, List, NoReturn, Sequence, Tuple, TypeVar
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RwreError
 from .tree import VertexPath
 
 _T = TypeVar("_T")
@@ -212,10 +215,11 @@ def walk_token(walk_index: int) -> bytes:
 
 def _chunks(n: int, threads: int) -> List[range]:
     """The contiguous trial ranges of one ``keyed_map`` call, one per
-    process: k = min(threads, n, CPUs this process may run on), at least 1.
-    The CPU set is read only when more than one process could run, so a
-    platform without ``os.sched_getaffinity`` runs one process unchanged."""
-    k = min(threads, n)
+    process: k = min(threads, n, CPUs this process may run on), at least 1,
+    and 1 on a platform without ``os.fork``.  The CPU set is read only when
+    more than one process could run, so a platform without
+    ``os.sched_getaffinity`` runs one process unchanged."""
+    k = min(threads, n) if hasattr(os, "fork") else 1
     if k > 1:
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -228,44 +232,98 @@ def _run_trials(fn: Callable[[int], _T], trials: range) -> List[_T]:
     return [fn(t) for t in trials]
 
 
+def _worker(fn: Callable[[int], _T], trials: range, r: int,
+            w: int) -> NoReturn:
+    """The body of a forked worker: run ``trials``, write one pickle of
+    ``(True, results)`` or ``(False, first error)`` to the pipe end ``w``,
+    and leave through ``os._exit``, never returning into the caller."""
+    status = 1
+    try:
+        # Without its own read end, a worker whose parent died gets a
+        # broken pipe instead of blocking on a full one.
+        os.close(r)
+        try:
+            outcome = (True, _run_trials(fn, trials))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(w, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
 def keyed_map(fn: Callable[[int], _T], n: int, threads: int) -> List[_T]:
     """``[fn(t) for t in range(n)]``, with the trials split into contiguous
     chunks over up to ``threads`` processes.
 
     A trial keyed by ``derive_seed`` draws the same bits in any process,
     so the split never changes a result, only the wall time.  The parent
-    runs chunk 0 itself; every other chunk runs in a worker forked for this
-    call, and the pool is closed before the call returns.  ``fork`` lets a
-    worker start from the modules already loaded, where ``spawn`` would
-    import numpy again; the package starts no thread of its own, and a
-    fork pool forks its workers before it starts its management thread.
-    A chunk stops at its first failing trial.  If chunks raise, the first
-    exception in trial order is re-raised, with its type and message,
-    after every worker has ended.  With one chunk the call stays in this
-    process and loads neither ``multiprocessing`` nor
-    ``concurrent.futures``.
+    runs chunk 0 itself; every other chunk runs in a child forked for this
+    call, which starts from ``fn`` and the modules already loaded and
+    sends back one pickle of its results, or of its first error, through a
+    pipe.  Only results and errors are pickled, so ``fn`` may be any
+    callable.  The package starts no thread of its own, so the fork copies
+    no lock held by another thread.  The parent reads each pipe to its end
+    before it reaps the child, because a chunk's results may outgrow the
+    pipe's buffer.
 
-    ``fn`` and its results are pickled, so ``fn`` must be a module-level
-    function reached by its own name, or a ``functools.partial`` of one.
-    A private function qualifies even while an outside tracer rebinds the
-    package's public names, which pickling by reference would not find.
+    A chunk stops at its first failing trial, and the first error in trial
+    order is re-raised with its type and message.  Once the parent's chunk
+    or an earlier worker's has failed, or the parent is interrupted, the
+    workers of later chunks are killed.  Every child is reaped before the
+    call returns or raises.  A worker that ends without a complete result
+    raises ``RwreError`` naming its exit status.  With one chunk the call
+    stays in this process: no fork and no pipe.
     """
     if not isinstance(threads, int) or threads < 1:
         raise InvalidInputError("threads must be a positive integer")
     chunks = _chunks(n, threads)
     if len(chunks) == 1:
         return _run_trials(fn, chunks[0])
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # A worker flushes the standard streams as it exits; a line still
+    # A worker inherits the standard streams' buffers; a line still
     # buffered at the fork would be written once per process.
     sys.stdout.flush()
     sys.stderr.flush()
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork) as pool:
-        rest = [pool.submit(_run_trials, fn, c) for c in chunks[1:]]
+    workers: List[Tuple[int, int]] = []   # (pid, read end) per chunk 1..
+    reaped = 0
+    try:
+        for trials in chunks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(fn, trials, r, w)
+            workers.append((pid, r))
+            os.close(w)
         out = _run_trials(fn, chunks[0])
-        for f in rest:
-            out += f.result()
+        for (pid, r), trials in zip(workers, chunks[1:]):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if code or not data:
+                ended = (f"was killed by signal {-code}" if code < 0
+                         else f"ended with exit status {code}")
+                raise RwreError(
+                    f"the worker of trials {trials.start}-{trials.stop - 1} "
+                    f"{ended} before it returned its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out += value
         return out
+    finally:
+        for pid, _ in workers[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, r in workers:
+            os.close(r)

@@ -193,12 +193,14 @@ def test_operation_labels_name_live_functions():
 
 def _modules_after(tmp_path, command, sections, roots, *extra):
     """Exit code and the loaded modules under the top-level names ``roots``
-    after one run in a fresh interpreter."""
+    after one run in a fresh interpreter whose CPU set reads as two, as
+    under ``two_cpus``, so that ``--threads 2`` forks on any host."""
     cfg = tmp_path / f"{command}.ini"
     _write_config(cfg, sections)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
             *extra]
-    code = ("import sys, rwre.cli, rwre.quenched; "
+    code = ("import os, sys, rwre.cli, rwre.quenched; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
             f"rc = rwre.cli.main({argv!r}); "
             f"print(rc, [m for m in sys.modules if m.split('.')[0] in {roots!r}])")
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -228,6 +230,20 @@ def test_clt_loads_no_process_pool(tmp_path):
     assert _modules_after(tmp_path, "clt", TINY_CLT,
                           ("multiprocessing", "concurrent"),
                           "--threads", "2") == (0, [])
+
+
+def test_coupling_forks_without_a_process_pool(tmp_path):
+    # keyed_map forks its worker directly.  scipy.special loads
+    # concurrent.futures._base itself, so only the pool's own modules are
+    # named here.
+    rc, modules = _modules_after(tmp_path, "coupling", {
+        "env": {"kind": "lerrw:0.5"},
+        "coupling": {"seeds": 2, "n_steps": 200,
+                     "independence_trials": 100}},
+        ("multiprocessing", "concurrent"), "--threads", "2")
+    assert rc == 0
+    assert not [m for m in modules if m.startswith("multiprocessing")]
+    assert "concurrent.futures.process" not in modules
 
 
 def test_threads_reach_the_three_keyed_loops(tmp_path, monkeypatch, two_cpus):

@@ -1,8 +1,6 @@
 """Exponential-clock machinery: the clock values, subtree extensions, and
 the restriction/independence structure they support."""
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,8 @@ from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
 from rwre.tree import ROOT
 from rwre.walk import run_walk
+
+from conftest import assert_no_child_left
 
 
 SPEC = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
@@ -154,7 +154,7 @@ class TestIndependence:
         assert two.table.dtype == one.table.dtype
         assert two.table.tobytes() == one.table.tobytes()
         assert (two.statistic, two.p_value) == (one.statistic, one.p_value)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_overlapping_cones_rejected(self):
         with pytest.raises(InvalidInputError):

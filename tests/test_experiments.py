@@ -6,7 +6,6 @@ diffusion constant sqrt(1 - (3/5)^2) = 4/5.
 """
 
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -33,6 +32,8 @@ from rwre.stats import (
 )
 from rwre.clocks import StopRule
 from rwre.walk import run_walk
+
+from conftest import assert_no_child_left
 
 CONST = EnvSpec(b=4, kind="const:1.0", seed=17)
 
@@ -115,7 +116,7 @@ def test_coupling_suite_counts_are_thread_invariant(two_cpus):
     spec = EnvSpec(b=2, kind="lerrw:1.0", seed=2)
     one = coupling_suite(spec, seeds=6, n_steps=500, threads=1)
     assert coupling_suite(spec, seeds=6, n_steps=500, threads=2) == one
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_moment_harvest_arrays_are_thread_invariant(two_cpus):
@@ -124,7 +125,7 @@ def test_moment_harvest_arrays_are_thread_invariant(two_cpus):
     for a, b in ((one.root_visits, two.root_visits),
                  (one.first_regen_times, two.first_regen_times)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_moment_harvest_error_is_thread_invariant(two_cpus):
@@ -137,4 +138,4 @@ def test_moment_harvest_error_is_thread_invariant(two_cpus):
             moment_harvest(spec, trials=4, epsilon=0.3, threads=threads)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()

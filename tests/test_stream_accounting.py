@@ -153,10 +153,9 @@ def test_benchmark_tracer_identities_hold(monkeypatch):
 
 
 def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
-    # The tracer rebinds public names, so a pool handed a public function
-    # could not pickle it.  keyed_map is handed private per-trial functions;
-    # the tracer then sees only the parent's chunk, and its identities
-    # still hold there.
+    # A forked worker inherits the tracer's rebound names, but what they
+    # count stays in the worker's memory: the tracer sees only the
+    # parent's chunk, and its identities still hold there.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from tracer import Tracer
 

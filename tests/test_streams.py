@@ -6,8 +6,8 @@ is reproducible by construction, so these never flake.
 """
 
 import math
-import multiprocessing
 import os
+import time
 from functools import partial
 
 import numpy as np
@@ -16,7 +16,9 @@ from scipy import stats as st
 
 from rwre import streams
 from rwre.env import EnvSpec, make_weight_sampler
-from rwre.errors import DataQualityError, InvalidInputError
+from rwre.errors import DataQualityError, InvalidInputError, RwreError
+
+from conftest import assert_no_child_left, time_limit
 
 
 class TestDigests:
@@ -159,6 +161,24 @@ def _fail_from(first: int, t: int):
     return t
 
 
+def _block_of(t: int) -> bytes:
+    return t.to_bytes(8, "little") * 8
+
+
+def _exit_at(stop: int, t: int):
+    if t == stop:
+        os._exit(3)
+    return t
+
+
+def _sleep_after_trial_0(fail: bool, t: int):
+    if t > 0:
+        time.sleep(60)
+    elif fail:
+        raise DataQualityError("trial 0 failed")
+    return t
+
+
 class TestKeyedMap:
     """The ordered trial map; ``two_cpus`` makes it fork one worker."""
 
@@ -178,11 +198,17 @@ class TestKeyedMap:
                                                      threads):
         fn = partial(streams.derive_seed, 5, b"k")
         assert streams.keyed_map(fn, n, threads) == [fn(t) for t in range(n)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_one_process_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert streams.keyed_map(_trial_and_pid, 5, 1) == [
+            (t, os.getpid()) for t in range(5)]
+
+    def test_one_process_without_fork(self, monkeypatch, two_cpus):
+        monkeypatch.delattr(os, "fork")
+        assert streams._chunks(10, 8) == [range(0, 10)]
+        assert streams.keyed_map(_trial_and_pid, 5, 2) == [
             (t, os.getpid()) for t in range(5)]
 
     def test_one_chunk_runs_in_this_process(self, monkeypatch):
@@ -197,18 +223,49 @@ class TestKeyedMap:
         pids = [pid for _, pid in got]
         assert pids[:4] == [os.getpid()] * 4
         assert len(set(pids[4:])) == 1 and pids[4] != os.getpid()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_a_worker_error_arrives_with_its_type_and_message(self, two_cpus):
         with pytest.raises(DataQualityError, match="^trial 6 failed$"):
             streams.keyed_map(partial(_fail_from, 6), 10, 2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_the_first_error_in_chunk_order_wins(self, two_cpus):
         # both chunks fail; the parent's trial 3 comes first in trial order
         with pytest.raises(DataQualityError, match="^trial 3 failed$"):
             streams.keyed_map(partial(_fail_from, 3), 10, 2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_buffer_come_back_whole(self, two_cpus):
+        # the worker's 20,000 blocks of 64 bytes pickle to about 1.3 MB,
+        # far past the 64 KiB a pipe holds before its writer blocks
+        with time_limit(60):
+            got = streams.keyed_map(_block_of, 40_000, 2)
+        assert got == [_block_of(t) for t in range(40_000)]
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_mid_chunk_names_its_exit_status(self,
+                                                                 two_cpus):
+        with time_limit(60), pytest.raises(RwreError,
+                                           match="exit status 3"):
+            streams.keyed_map(partial(_exit_at, 7), 10, 2)
+        assert_no_child_left()
+
+    def test_a_parent_error_kills_the_later_workers(self, two_cpus):
+        # the worker's trial sleeps a minute; the parent's error must not
+        # wait for it
+        with time_limit(10), pytest.raises(DataQualityError,
+                                           match="^trial 0 failed$"):
+            streams.keyed_map(partial(_sleep_after_trial_0, True), 2, 2)
+        assert_no_child_left()
+
+    def test_an_interrupted_parent_kills_its_workers(self, two_cpus):
+        # the parent's chunk is done and it waits on the sleeping worker
+        start = time.monotonic()
+        with pytest.raises(TimeoutError), time_limit(1):
+            streams.keyed_map(partial(_sleep_after_trial_0, False), 2, 2)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
 
     def test_threads_must_be_positive(self):
         with pytest.raises(InvalidInputError):
