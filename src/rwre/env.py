@@ -299,26 +299,6 @@ def lerrw_negative_moment_cf(b: int, p: float, delta: float) -> float:
     )
 
 
-def lerrw_negative_moment_quadrature(b: int, p: float, delta: float) -> float:
-    """Adaptive quadrature of the same moment, gamma-function free.
-
-    Integrates (x/(1-x))^p against the Beta density of x = 1/(1 + sum A),
-    normalizing by a second quadrature of the bare density, so the route is
-    independent of the closed form.  Only defined in the finite regime.
-    """
-    from scipy.integrate import quad
-
-    g0, g = lerrw_gamma_shapes(delta)
-    bg = b * g
-    if bg - p <= 0:
-        raise InvalidInputError("moment is infinite for p >= b/(2 delta)")
-    num, num_err = quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(g0 + p - 1.0, bg - p - 1.0))
-    den, den_err = quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(g0 - 1.0, bg - 1.0))
-    if den <= 0 or not math.isfinite(num):
-        raise InvalidInputError("quadrature failed to converge")
-    return num / den
-
-
 def lerrw_fclt_condition(b: int, delta: float) -> bool:
     """Whether some p > 2 has E[(sum A)^-p] finite: requires delta < b/4."""
     if b < 1 or delta <= 0:

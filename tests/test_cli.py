@@ -49,7 +49,7 @@ PINNED = {
     "clt":
         "a6a7463264bb8420ac70e08d5afb52b36af64cf453ed2411ed965284e6a10369",
     "moments":
-        "c631ba902032457fc2cb6e1128892725e9f32d2d9afed8794062d8681e85415d",
+        "e77c5d23c5a099e6f5c302785f432443cf816676331db536b082fc10f6cdd8ba",
     "coupling":
         "e1619dcb78aaf16c982b433090c658cd85a5f4bbea62c14a608a30ace18c5402",
     "appendix":
@@ -191,59 +191,89 @@ def test_operation_labels_name_live_functions():
     assert not dead, f"operation labels that name no package function: {dead}"
 
 
-def _modules_after(tmp_path, command, sections, roots, *extra):
-    """Exit code and the loaded modules under the top-level names ``roots``
-    after one run in a fresh interpreter whose CPU set reads as two, as
-    under ``two_cpus``, so that ``--threads 2`` forks on any host."""
-    cfg = tmp_path / f"{command}.ini"
-    _write_config(cfg, sections)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"),
-            *extra]
+def _modules_after(tmp_path, runs, roots, *extra):
+    """Exit codes of ``runs`` ({command: config sections}), run in turn in
+    one fresh interpreter whose CPU set reads as two, as under
+    ``two_cpus``, so that ``--threads 2`` forks on any host; and the
+    modules under the top-level names ``roots`` loaded after them."""
+    argvs = []
+    for command, sections in runs.items():
+        cfg = tmp_path / f"{command}.ini"
+        _write_config(cfg, sections)
+        argvs.append([command, "--config", str(cfg),
+                      "--out", str(tmp_path / command), *extra])
     code = ("import os, sys, rwre.cli, rwre.quenched; "
             "os.sched_getaffinity = lambda pid: {0, 1}; "
-            f"rc = rwre.cli.main({argv!r}); "
-            f"print(rc, [m for m in sys.modules if m.split('.')[0] in {roots!r}])")
+            f"print([rwre.cli.main(a) for a in {argvs!r}]); "
+            f"print([m for m in sys.modules if m.split('.')[0] in {roots!r}])")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     got = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    rc, modules = got.stdout.strip().splitlines()[-1].split(" ", 1)
-    return int(rc), ast.literal_eval(modules)
+    rcs, modules = got.stdout.strip().splitlines()[-2:]
+    return ast.literal_eval(rcs), ast.literal_eval(modules)
 
 
 TINY_CLT = {"env": {"kind": "const:1.0"},
             "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}}
 
+TINY_COUPLING = {"env": {"kind": "lerrw:0.5"},
+                 "coupling": {"seeds": 2, "n_steps": 200,
+                              "independence_trials": 100}}
+
+# p = 1.5 lies below the index b/(2 delta) = 2 of the default law, so
+# moments reaches its closed-form entry and every sampled check.
+TINY = {
+    "simulate": {"simulate": {"walks": 1, "n_steps": 20}},
+    "regen": {"regen": {"gaps": 1000}},
+    "clt": TINY_CLT,
+    "moments": {"moments": {"p": 1.5, "n_envs": 100, "mc_samples": 100,
+                            "tau_trials": 200}},
+    "coupling": TINY_COUPLING,
+    "appendix": {"appendix": {"theta_points": 2}},
+}
+
 
 def test_entry_modules_load_without_scipy(tmp_path):
-    # Only the chi-square test (scipy.special) and the quadrature
-    # (scipy.integrate) need scipy, and each imports it when called; the
-    # coupling and moments digests above pin what those calls return.  A
-    # tiny clt run must load none of it: scipy.special alone adds about
-    # 26 MB of resident memory.
-    assert _modules_after(tmp_path, "clt", TINY_CLT, ("scipy",)) == (0, [])
+    # The package needs only numpy at run time.  The chi-square tail is
+    # the finite sum stats._chi2_tail, within a relative 3.1e-13 of
+    # scipy.stats.chi2.sf (tests/test_stats.py), and scipy is only a test
+    # oracle.  Importing scipy.special would take `import rwre.cli` from
+    # 33 to 53 MB peak RSS.  Every stage must have run; regen's r-squared
+    # gate may fail at 1000 gaps.
+    rcs, modules = _modules_after(tmp_path, TINY, ("scipy",), "--threads", "2")
+    assert modules == []
+    assert set(rcs) <= {0, 1}
+    for command in TINY:
+        with open(tmp_path / command / f"{command}_report.json") as fh:
+            names = [e["name"] for e in json.load(fh)["results"]]
+        assert "runtime_error" not in names
+
+
+def test_coupling_loads_no_scipy_stats(tmp_path):
+    # At one thread too, coupling's chi-square p-value comes from the
+    # numpy-only tail: neither scipy.stats nor any other scipy module loads.
+    assert _modules_after(tmp_path, {"coupling": TINY_COUPLING},
+                          ("scipy",)) == ([0], [])
+    with open(tmp_path / "coupling" / "coupling_report.json") as fh:
+        entry, = [e for e in json.load(fh)["results"]
+                  if e["name"] == "disjoint_independence"]
+    assert 0.0 <= entry["p_value"] <= 1.0
 
 
 def test_clt_loads_no_process_pool(tmp_path):
     # clt runs in one process at any --threads, so it must not pay for
     # importing multiprocessing or concurrent.futures at start-up.
-    assert _modules_after(tmp_path, "clt", TINY_CLT,
+    assert _modules_after(tmp_path, {"clt": TINY_CLT},
                           ("multiprocessing", "concurrent"),
-                          "--threads", "2") == (0, [])
+                          "--threads", "2") == ([0], [])
 
 
 def test_coupling_forks_without_a_process_pool(tmp_path):
-    # keyed_map forks its worker directly.  scipy.special loads
-    # concurrent.futures._base itself, so only the pool's own modules are
-    # named here.
-    rc, modules = _modules_after(tmp_path, "coupling", {
-        "env": {"kind": "lerrw:0.5"},
-        "coupling": {"seeds": 2, "n_steps": 200,
-                     "independence_trials": 100}},
-        ("multiprocessing", "concurrent"), "--threads", "2")
-    assert rc == 0
-    assert not [m for m in modules if m.startswith("multiprocessing")]
-    assert "concurrent.futures.process" not in modules
+    # keyed_map forks its worker directly, with no pool module loaded.
+    assert _modules_after(tmp_path, {"coupling": TINY_COUPLING},
+                          ("multiprocessing", "concurrent"),
+                          "--threads", "2") == ([0], [])
 
 
 def test_threads_reach_the_three_keyed_loops(tmp_path, monkeypatch, two_cpus):
@@ -262,18 +292,6 @@ def test_threads_reach_the_three_keyed_loops(tmp_path, monkeypatch, two_cpus):
     for command in ("coupling", "moments"):
         _run(tmp_path, command, CONFIGS[command], "--threads", "2")
     assert seen == [(2, 2), (200, 2), (200, 2)]
-
-
-def test_coupling_loads_no_scipy_stats(tmp_path):
-    # The chi-square tail comes from scipy.special.  scipy.stats would
-    # almost double the command's peak memory for the same p-value.
-    rc, modules = _modules_after(tmp_path, "coupling", {
-        "env": {"kind": "lerrw:0.5"},
-        "coupling": {"seeds": 1, "n_steps": 200,
-                     "independence_trials": 100}}, ("scipy",))
-    assert rc == 0
-    assert "scipy.special" in modules
-    assert not [m for m in modules if m.startswith("scipy.stats")]
 
 
 def test_moments_at_default_law_and_power(tmp_path):

@@ -36,6 +36,8 @@ function or shrinks a module-level constant.  The default itself counts as
 used when some call in the package or the benchmark omits the parameter;
 a default that every such call overrides is read only by tests, so the
 parameter should have none.
+
+No package module imports scipy, at module level or inside a function.
 """
 import ast
 from pathlib import Path
@@ -321,3 +323,20 @@ def test_every_optional_parameter_is_set():
     assert not unset, f"defaulted parameters that no caller sets: {unset}"
     assert not overridden, \
         f"defaulted parameters that every caller sets: {overridden}"
+
+
+def test_no_module_imports_scipy():
+    # The package needs only numpy at run time; scipy is a test oracle.
+    # The scan also sees an import on a branch that no test run reaches.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert not found, f"scipy imports in the package: {found}"
