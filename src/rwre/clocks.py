@@ -99,6 +99,12 @@ class StopRule:
             raise InvalidInputError("max_steps must be at least 1")
 
 
+# The levels of every run the engine has not finished: one shared,
+# read-only empty array; a run's own array is made once, when it ends.
+_NO_LEVELS = np.zeros(0, dtype=np.int64)
+_NO_LEVELS.flags.writeable = False
+
+
 class Trajectory:
     """One engine run: per-step levels and vertex ids, plus the per-vertex
     discovery structure (parent id, child digit, depth, digest) from which
@@ -118,7 +124,7 @@ class Trajectory:
 
     def __init__(self, nu: VertexPath):
         self.nu = nu
-        self.levels: np.ndarray = np.zeros(0, dtype=np.int64)
+        self.levels: np.ndarray = _NO_LEVELS
         self.ids: List[int] = []
         self.par: List[int] = []
         self.dig: List[int] = []

@@ -68,9 +68,19 @@ class EnvSpec:
         streams.seed_bytes(self.seed)
 
     def subseed(self, tag: bytes, index: int) -> "EnvSpec":
-        """Spec for an independent replica, derived reproducibly."""
-        return EnvSpec(self.b, self.kind,
-                       streams.derive_seed(self.seed, tag, index))
+        """Spec for an independent replica, derived reproducibly.
+
+        It equals ``EnvSpec(b, kind, derive_seed(seed, tag, index))``, but
+        is not validated again: ``b`` and ``kind`` were checked with this
+        spec, and a derived seed is a 64-bit word.
+        """
+        spec = object.__new__(EnvSpec)
+        # the stores the constructor makes, without __post_init__
+        object.__setattr__(spec, "b", self.b)
+        object.__setattr__(spec, "kind", self.kind)
+        object.__setattr__(spec, "seed",
+                           streams.derive_seed(self.seed, tag, index))
+        return spec
 
 
 @lru_cache(maxsize=256)
@@ -112,10 +122,20 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     """A fast sampler mapping a vertex digest to that vertex's weight vector.
 
     The sampler reads the vertex's flat weight stream (see ``streams``)
-    front to back, so the result is a pure function of (seed, vertex).
+    front to back, so the result is a pure function of (seed, vertex).  It
+    depends on the law only, not on the seed, so it is built once per
+    (b, kind) and shared; it finds ``streams.uniforms_from`` when it is
+    called, so a wrapper installed there later still sees every block.
     """
-    name, args = parse_descriptor(spec.kind)
-    b = spec.b
+    return _weight_sampler(spec.b, spec.kind)
+
+
+@lru_cache(maxsize=256)
+def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
+    """The sampler of ``make_weight_sampler`` for one law.  Building it
+    calls no public function of this module, so the first run of a law
+    makes the same public calls as every later one."""
+    name, args = parse_descriptor(kind)
     words_of = streams.weight_words
     log = math.log
     sqrt = math.sqrt
@@ -155,14 +175,15 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
 
     elif name == "gamma":
         shape, scale = args
-        shapes = (shape,) * b
-        gammas = streams.gamma_variates
+        gammas = streams.gamma_sampler((shape,) * b)
 
         def sampler(digest: bytes) -> WeightVector:
-            return tuple([scale * x for x in gammas(digest, shapes)])
+            return tuple([scale * x for x in gammas(digest)])
 
     else:  # lerrw
-        g0, g = lerrw_gamma_shapes(args[0])
+        # lerrw_gamma_shapes, written out: see the docstring
+        delta = args[0]
+        g0, g = (1.0 + delta) / (2.0 * delta), 1.0 / (2.0 * delta)
         if g == 0.5 and g0 == 1.0:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
@@ -179,11 +200,10 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
                 return tuple(out)
 
         else:
-            shapes = (g0,) + (g,) * b
-            gammas = streams.gamma_variates
+            gammas = streams.gamma_sampler((g0,) + (g,) * b)
 
             def sampler(digest: bytes) -> WeightVector:
-                z = gammas(digest, shapes)
+                z = gammas(digest)
                 z0 = z[0]
                 return tuple([z[i] / z0 for i in range(1, b + 1)])
 

@@ -42,7 +42,7 @@ and each consumer maps only the lanes it reads:
   then b cosine-branch Box-Muller normals (1 + 2b lanes), ``uniform``
   reads b lanes, ``lognormal`` 2b lanes, and the gamma laws
   (``gamma``, ``lerrw`` with delta != 1) read as many lanes as their
-  rejection sampler, ``gamma_variates``, asks for;
+  rejection sampler, ``gamma_sampler``, asks for;
 * a k = 0 clock block serves slots 8m..8m+7 of one vertex, and the first
   race at a vertex reads the lanes of all its slots (a run's one-slot
   anchor never races);
@@ -150,61 +150,74 @@ def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> T
     return uniforms_from(digest + b"c" + walk8 + BYTE1[slot] + _b4(block))
 
 
-def gamma_variates(digest: bytes, shapes: Sequence[float]) -> List[float]:
-    """One gamma variate per entry of ``shapes``, drawn in order from the
-    flat weight stream of ``digest`` by Marsaglia-Tsang rejection.
+def gamma_sampler(shapes: Sequence[float]) -> Callable[[bytes], List[float]]:
+    """A sampler mapping a digest to one gamma variate per entry of
+    ``shapes``, drawn in order from the flat weight stream of the digest by
+    Marsaglia-Tsang rejection.
 
-    A shape below one draws one uniform u first and returns the variate of
-    shape + 1 times u ** (1 / shape).  Each proposal reads a cosine-branch
-    Box-Muller normal (two uniforms) and, unless 1 + c x <= 0 rejects it
-    outright, one acceptance uniform.  Blocks are hashed only when a lane
-    of them is read.
+    Each shape's constants (d, c and, for a shape below one, the boost
+    exponent) are derived here, once.  A shape below one draws one uniform
+    u first and returns the variate of shape + 1 times u ** (1 / shape).
+    Each proposal reads a cosine-branch Box-Muller normal (two uniforms)
+    and, unless 1 + c x <= 0 rejects it outright, one acceptance uniform.
+    Blocks are hashed only when a lane of them is read, through
+    ``uniforms_from`` as the sampler finds it when called.
     """
     if min(shapes) <= 0.0:
         raise InvalidInputError("gamma shape must be positive")
+    prepared = []
+    for shape in shapes:
+        power = 0.0  # no boost draw
+        if shape < 1.0:
+            power = 1.0 / shape
+            shape += 1.0
+        d = shape - 1.0 / 3.0
+        prepared.append((d, 1.0 / math.sqrt(9.0 * d), power))
     log = math.log
     sqrt = math.sqrt
     cos = math.cos
-    prefix = digest + b"W"
-    words = uniforms_from(prefix + _BLOCK4[0])
-    n_blocks = 1
-    pos = 0
-    out = []
-    for shape in shapes:
-        boost = 1.0
-        if shape < 1.0:
-            if pos == len(words):
-                words += uniforms_from(prefix + _b4(n_blocks))
-                n_blocks += 1
-            boost = ((words[pos] >> 11) * TWO53 + TWO54) ** (1.0 / shape)
-            pos += 1
-            shape += 1.0
-        d = shape - 1.0 / 3.0
-        c = 1.0 / sqrt(9.0 * d)
-        while True:
-            # Reading ahead when fewer than three lanes remain hashes no
-            # block early: a proposal rejected after two lanes is followed
-            # by another proposal, which reads at least two more.
-            if pos + 3 > len(words):
-                words += uniforms_from(prefix + _b4(n_blocks))
-                n_blocks += 1
-            u1 = (words[pos] >> 11) * TWO53 + TWO54
-            u2 = (words[pos + 1] >> 11) * TWO53 + TWO54
-            pos += 2
-            x = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)
-            t = 1.0 + c * x
-            if t <= 0.0:
-                continue
-            v = t * t * t
-            u = (words[pos] >> 11) * TWO53 + TWO54
-            pos += 1
-            x2 = x * x
-            if u < 1.0 - 0.0331 * x2 * x2:
-                break
-            if log(u) < 0.5 * x2 + d - d * v + d * log(v):
-                break
-        out.append(d * v * boost)
-    return out
+
+    def sample(digest: bytes) -> List[float]:
+        prefix = digest + b"W"
+        words = uniforms_from(prefix + _BLOCK4[0])
+        n_blocks = 1
+        pos = 0
+        out = []
+        for d, c, power in prepared:
+            boost = 1.0
+            if power:
+                if pos == len(words):
+                    words += uniforms_from(prefix + _b4(n_blocks))
+                    n_blocks += 1
+                boost = ((words[pos] >> 11) * TWO53 + TWO54) ** power
+                pos += 1
+            while True:
+                # Reading ahead when fewer than three lanes remain hashes
+                # no block early: a proposal rejected after two lanes is
+                # followed by another proposal, which reads at least two
+                # more.
+                if pos + 3 > len(words):
+                    words += uniforms_from(prefix + _b4(n_blocks))
+                    n_blocks += 1
+                u1 = (words[pos] >> 11) * TWO53 + TWO54
+                u2 = (words[pos + 1] >> 11) * TWO53 + TWO54
+                pos += 2
+                x = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)
+                t = 1.0 + c * x
+                if t <= 0.0:
+                    continue
+                v = t * t * t
+                u = (words[pos] >> 11) * TWO53 + TWO54
+                pos += 1
+                x2 = x * x
+                if u < 1.0 - 0.0331 * x2 * x2:
+                    break
+                if log(u) < 0.5 * x2 + d - d * v + d * log(v):
+                    break
+            out.append(d * v * boost)
+        return out
+
+    return sample
 
 
 def walk_token(walk_index: int) -> bytes:

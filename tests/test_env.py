@@ -56,6 +56,20 @@ class TestDescriptors:
         assert sub.seed != spec.seed
         assert sub == spec.subseed(b"t", 2)
 
+    @pytest.mark.parametrize("kind", ["const:1.0", "uniform:0.5,1.5",
+                                      "gamma:0.5,2", "lognormal:0,0.5",
+                                      "lerrw:0.5"])
+    def test_subseed_is_the_spec_of_the_derived_seed(self, kind):
+        # subseed skips the second validation; the spec it returns must
+        # still be the one the constructor gives
+        spec = EnvSpec(b=4, kind=kind, seed=9)
+        for tag, i in ((b"ind", 0), (b"couple", 7), (b"beta-env", 2 ** 40)):
+            sub = spec.subseed(tag, i)
+            want = EnvSpec(spec.b, spec.kind,
+                           streams.derive_seed(spec.seed, tag, i))
+            assert sub == want and hash(sub) == hash(want)
+            assert (type(sub), vars(sub)) == (EnvSpec, vars(want))
+
 
 class TestTransitionProbs:
     def test_hand_computed_two_child_case(self):

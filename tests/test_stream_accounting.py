@@ -5,8 +5,16 @@ samplers and the truncation ladder look up, the same bindings an outside
 tracer wraps.  A code path that hashes a block without going through
 ``uniforms_from``, or reads a clock block without ``clock_init_block`` or
 ``clock_advance_block``, breaks one of the identities.
+
+The last tests guard the benchmark's traced run, which holds every pass
+to the counts of its first: a sampler built before a wrapper is installed
+still hashes through it, and a first traced run in a fresh interpreter is
+correct on every workload.
 """
 
+import json
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -14,11 +22,14 @@ import pytest
 
 from rwre import clocks, quenched, streams, walk
 from rwre.clocks import StopRule, run_extension
-from rwre.env import EnvSpec
+from rwre.env import EnvSpec, make_weight_sampler
 from rwre.tree import ROOT
 from rwre.walk import run_walk
 
 B = 4
+ROOT_DIR = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT_DIR / "BENCHMARK.json").read_text())["workloads"]]
 
 
 class _Counts:
@@ -136,7 +147,7 @@ def test_benchmark_tracer_identities_hold(monkeypatch):
     # that child digests number the fresh vertices less one anchor or root
     # per run.  It rebinds module attributes, so the entry points are
     # called through them.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.syspath_prepend(str(ROOT_DIR / "bench"))
     from tracer import Tracer
 
     tracer = Tracer()
@@ -156,7 +167,7 @@ def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
     # A forked worker inherits the tracer's rebound names, but what they
     # count stays in the worker's memory: the tracer sees only the
     # parent's chunk, and its identities still hold there.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.syspath_prepend(str(ROOT_DIR / "bench"))
     from tracer import Tracer
 
     spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
@@ -171,3 +182,50 @@ def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
     assert got.table.tobytes() == want.table.tobytes()
     assert tracer.engine_runs == 2 * 50
     assert tracer.identity_failures() == []
+
+
+@pytest.mark.parametrize("kind", ["lerrw:0.5", "gamma:0.5,2"])
+def test_a_sampler_built_before_a_wrapper_reports_through_it(monkeypatch,
+                                                             kind):
+    # Samplers are built once per law and shared, so a tracer may wrap
+    # uniforms_from after the sampler it counts was built; the sampler
+    # must find the wrapper when it is called.
+    spec = EnvSpec(b=B, kind=kind, seed=24)
+    sampler = make_weight_sampler(spec)
+    digests = [streams.root_digest(s) for s in range(50)]
+    want = [sampler(d) for d in digests]
+    blocks = []
+    hash_block = streams.uniforms_from
+    monkeypatch.setattr(streams, "uniforms_from",
+                        lambda msg: blocks.append(msg) or hash_block(msg))
+    assert [sampler(d) for d in digests] == want
+    # each digest's weight blocks 0, 1, .. in order, each hashed once
+    at = 0
+    for d in digests:
+        n = 0
+        while at < len(blocks) and blocks[at][:16] == d:
+            assert blocks[at] == d + b"W" + n.to_bytes(4, "little")
+            at += 1
+            n += 1
+        assert n >= 1
+    assert at == len(blocks)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_a_first_traced_run_is_correct(name):
+    # The benchmark's traced run compares the counts of every traced pass
+    # with those of its first, so work done only on a process's first run
+    # of a law (a cache filled through a traced function) makes it
+    # incorrect.  Each run gets a fresh interpreter: in one shared with
+    # an earlier run, the first pass finds every cache already filled.
+    code = ("import json, sys; sys.path.insert(0, 'bench'); "
+            "from run import execute; "
+            f"result, info = execute({name!r}, seed=1, seconds=0, "
+            "trace=True, tiny=True); "
+            "print(json.dumps([result['correct'], result['failed'], "
+            "[line for line in info if list(line) == ['errors']]]))")
+    got = subprocess.run([sys.executable, "-c", code], cwd=ROOT_DIR,
+                         capture_output=True, text=True, timeout=300)
+    assert got.returncode == 0, got.stderr
+    correct, failed, errors = json.loads(got.stdout.strip().splitlines()[-1])
+    assert correct and not failed, errors
