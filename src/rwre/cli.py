@@ -5,7 +5,10 @@ Exit codes: 0 when no report entry has ``pass: false``, 1 when at least
 one does (a package error inside a command becomes a failing
 ``runtime_error`` entry), 2 for an invalid config or arguments.  Every
 config value is checked before any stage runs, so an invalid config exits
-2 without writing a report or any other output file.
+2 without writing a report or any other output file.  Each command is a
+function ``(spec, settings, out) -> entries`` in ``COMMANDS``: it checks
+its own keys, runs, and writes its CSVs into ``out`` through
+``_write_csv``.
 
 Reproducibility contract, checked by ``tests/test_cli.py``: the same
 resolved config produces byte-identical CSVs and the same JSON report up
@@ -25,18 +28,16 @@ import argparse
 import configparser
 import csv
 import datetime
-import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from . import env
 from .clocks import StopRule, independence_check
 from .env import (
     EnvSpec,
@@ -56,10 +57,8 @@ from .stats import (
     fit_geometric_tail,
     moment_check,
 )
-from .walk import run_walk, trajectory_to_csv
+from .walk import run_walk
 from . import experiments
-
-COMMANDS = ("simulate", "regen", "clt", "moments", "coupling", "appendix")
 
 _DEFAULTS = {
     "run": {"seed": "7", "out": "rwre-out", "threads": "1"},
@@ -85,13 +84,18 @@ def _load_config(path: Optional[str], command: str,
         merged.update(_DEFAULTS.get(section, {}))
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            items = [(section, parser.items(section))
+                     for section in parser.sections()]
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}")
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        for section in parser.sections():
+        for section, pairs in items:
             if section not in _DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
+            for key, value in pairs:
                 if key not in _DEFAULTS[section]:
                     raise ConfigError(
                         f"unknown key '{key}' in section [{section}]")
@@ -141,6 +145,16 @@ def _config_hash(settings: Dict[str, str], command: str) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _write_csv(out: str, name: str, header: Sequence[str],
+               rows: Iterable[Sequence]) -> str:
+    """Write one CSV of the report into ``out``; return its file name."""
+    with open(os.path.join(out, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return name
+
+
 def _entry(name: str, operation: str, estimate=None, ci=None, p_value=None,
            ok=None, **detail) -> dict:
     return {
@@ -161,14 +175,18 @@ def _cmd_simulate(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     results = []
     for i in range(walks):
         traj = run_walk(spec.subseed(b"sim", i), StopRule(max_steps=n_steps))
-        path = os.path.join(out, f"trajectory_{i:03d}.csv")
-        with open(path, "w", newline="") as fh:
-            trajectory_to_csv(traj, fh, stride=stride)
+        levels = traj.levels
+        last = len(levels) - 1
+        # every stride-th step and the last; written before the next walk
+        # runs, so one trajectory is held at a time
+        name = _write_csv(out, f"trajectory_{i:03d}.csv", ["step", "level"],
+                          ((k, int(levels[k]))
+                           for k in [*range(0, last, stride), last]))
         results.append(_entry(
             f"walk_{i:03d}", "walk.run_walk",
-            estimate=float(traj.levels[-1]), ok=True,
+            estimate=float(levels[-1]), ok=True,
             steps=traj.steps_taken, max_level=traj.max_level_attained,
-            csv=os.path.basename(path)))
+            csv=name))
     return results
 
 
@@ -182,12 +200,9 @@ def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         raise ConfigError("max_level must exceed twice the guard")
     h = experiments.harvest_gaps(spec, n_gaps, max_level=max_level,
                                  guard=guard)
-    with open(os.path.join(out, "gaps.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "level_gap", "time_gap"])
-        for i, (lg, tg) in enumerate(zip(h.gaps.level_gaps,
-                                         h.gaps.time_gaps)):
-            w.writerow([i, int(lg), int(tg)])
+    _write_csv(out, "gaps.csv", ["index", "level_gap", "time_gap"],
+               ((i, int(lg), int(tg)) for i, (lg, tg) in
+                enumerate(zip(h.gaps.level_gaps, h.gaps.time_gaps))))
     mle, reg = fit_geometric_tail(h.gaps.level_gaps)
     agree = abs(mle.a_hat - reg.a_hat)
     return [
@@ -204,6 +219,12 @@ def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
 
 
 def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
+    gate = check_assumption_a(spec)
+    if not gate > 1.0 / spec.b:
+        raise ConfigError(
+            "environment fails the transience criterion "
+            f"(inf_t E[A^t] = {gate:.4f} <= {1.0 / spec.b:.4f}); "
+            "refusing to run")
     walks = _as_int(s, "walks", 100)
     n_steps = _as_int(s, "n_steps", 10)
     # One harvest gives v_hat for the speed entry and both FCLT plug-ins.
@@ -227,9 +248,9 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         estimate=cr.ks.ks_statistic, p_value=cr.ks.p_value,
         ok=bool(cr.ks.p_value >= alpha), v_hat=cr.v_hat,
         sigma_hat=cr.sigma_hat, n=cr.ks.n))
-    name, params = env.parse_descriptor(spec.kind)
     skip = None
-    if name == "lerrw" and not env.lerrw_fclt_condition(spec.b, params[0]):
+    # some p > 2 with E[(sum A)^-p] finite: for lerrw:delta, delta < b/4
+    if spec.kind.startswith("lerrw:") and not weight_sum_tail_index(spec) > 2:
         skip = ("functional scaling condition delta < b/4 fails; "
                 "increment normality is not expected")
     elif walks < 500:
@@ -249,11 +270,8 @@ def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
             increment_p_values=[float(t.p_value) for t in
                                 fr.increment_tests],
             correlation_limit=fr.correlation_limit))
-    with open(os.path.join(out, "clt_z.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "z"])
-        for i, z in enumerate(cr.z_scores):
-            w.writerow([i, f"{z:.10g}"])
+    _write_csv(out, "clt_z.csv", ["index", "z"],
+               ((i, f"{z:.10g}") for i, z in enumerate(cr.z_scores)))
     return results
 
 
@@ -271,8 +289,7 @@ def _moment_entry(name: str, chk: MomentCheck) -> dict:
                   **_tail(chk))
 
 
-def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str,
-                 threads: int) -> List[dict]:
+def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     p = _as_float(s, "p")
     epsilon = _as_float(s, "epsilon")
     n_envs = _as_int(s, "n_envs", 100)
@@ -312,14 +329,11 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str,
             "beta_negative_moment", "quenched.negative_moment_of_beta",
             estimate=rep.estimate, ok=chk.finite, std_error=rep.std_error,
             n=rep.n_samples, **_tail(chk)))
-    with open(os.path.join(out, "beta.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["env_seed_index", "beta", "depth", "gap"])
-        for i, bv in enumerate(rep.betas):
-            w.writerow([i, f"{bv.value:.10g}", bv.depth,
-                        f"{bv.upper_gap:.4g}"])
+    _write_csv(out, "beta.csv", ["env_seed_index", "beta", "depth", "gap"],
+               ((i, f"{bv.value:.10g}", bv.depth, f"{bv.upper_gap:.4g}")
+                for i, bv in enumerate(rep.betas)))
     mh = experiments.moment_harvest(spec, trials=tau_trials, epsilon=epsilon,
-                                    threads=threads)
+                                    threads=int(s["threads"]))
     for name, samples, power in (
             ("root_visits_cubed", mh.root_visits, 3.0),
             ("first_regen_time_2.5", mh.first_regen_times, 2.5)):
@@ -329,8 +343,7 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str,
     return results
 
 
-def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str,
-                  threads: int) -> List[dict]:
+def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     seeds = _as_int(s, "seeds", 1)
     n_steps = _as_int(s, "n_steps", 10)
     trials = _as_int(s, "independence_trials", 100)
@@ -339,15 +352,13 @@ def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str,
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if spec.b < 2:
         raise ConfigError("coupling checks need at least two children")
+    threads = int(s["threads"])
     cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps,
                                     threads=threads)
     ir = independence_check(spec, (1,), (2,), trials=trials, threads=threads)
-    with open(os.path.join(out, "independence_table.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"digit_{j + 1}" for j in range(spec.b)])
-        for row in ir.table:
-            w.writerow([int(x) for x in row])
+    _write_csv(out, "independence_table.csv",
+               [f"digit_{j + 1}" for j in range(spec.b)],
+               ([int(x) for x in row] for row in ir.table))
     return [
         _entry("restriction_identity", "experiments.coupling_suite",
                estimate=cr.restriction_matches,
@@ -372,24 +383,33 @@ def _cmd_appendix(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         raise ConfigError(
             f"powers must be positive and finite, got {s['powers']!r}")
     thetas = np.linspace(0.01, 0.99, points)
-    results = []
-    with open(os.path.join(out, "appendix_grid.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "p", "exact", "bound", "ok"])
-        for p in powers:
-            worst = np.inf
-            all_ok = True
-            for theta in thetas:
-                exact, bound = geometric_moment_bound(float(theta), p)
-                ok = exact <= bound
-                all_ok = all_ok and ok
-                worst = min(worst, bound - exact)
-                w.writerow([f"{theta:.10g}", p, f"{exact:.10g}",
-                            f"{bound:.10g}", int(ok)])
-            results.append(_entry(
-                f"bound_holds_p_{p:g}", "quenched.geometric_moment_bound",
-                estimate=worst, ok=bool(all_ok), points=points))
+    results, rows = [], []
+    for p in powers:
+        worst = np.inf
+        all_ok = True
+        for theta in thetas:
+            exact, bound = geometric_moment_bound(float(theta), p)
+            ok = exact <= bound
+            all_ok = all_ok and ok
+            worst = min(worst, bound - exact)
+            rows.append([f"{theta:.10g}", p, f"{exact:.10g}",
+                         f"{bound:.10g}", int(ok)])
+        results.append(_entry(
+            f"bound_holds_p_{p:g}", "quenched.geometric_moment_bound",
+            estimate=worst, ok=bool(all_ok), points=points))
+    _write_csv(out, "appendix_grid.csv", ["theta", "p", "exact", "bound", "ok"],
+               rows)
     return results
+
+
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "regen": _cmd_regen,
+    "clt": _cmd_clt,
+    "moments": _cmd_moments,
+    "coupling": _cmd_coupling,
+    "appendix": _cmd_appendix,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -406,30 +426,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         settings = _load_config(args.config, args.command, {
             "seed": args.seed, "threads": args.threads, "out": args.out})
-        threads = _as_int(settings, "threads", 1)
+        _as_int(settings, "threads", 1)
         spec = _env_from(settings)
-        if args.command == "clt":
-            gate = check_assumption_a(spec)
-            if not gate > 1.0 / spec.b:
-                raise ConfigError(
-                    "environment fails the transience criterion "
-                    f"(inf_t E[A^t] = {gate:.4f} <= {1.0 / spec.b:.4f}); "
-                    "refusing to run")
         out = settings["out"]
         os.makedirs(out, exist_ok=True)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    runner = {
-        "simulate": _cmd_simulate,
-        "regen": _cmd_regen,
-        "clt": _cmd_clt,
-        "moments": functools.partial(_cmd_moments, threads=threads),
-        "coupling": functools.partial(_cmd_coupling, threads=threads),
-        "appendix": _cmd_appendix,
-    }[args.command]
-    try:
-        results = runner(spec, settings, out)
+        results = COMMANDS[args.command](spec, settings, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

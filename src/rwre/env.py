@@ -95,6 +95,8 @@ def parse_descriptor(kind: str) -> Tuple[str, Tuple[float, ...]]:
         args = tuple(float(a) for a in argstr.split(","))
     except ValueError:
         raise ConfigError(f"non-numeric parameters in descriptor {kind!r}") from None
+    if not all(math.isfinite(a) for a in args):
+        raise ConfigError(f"non-finite parameters in descriptor {kind!r}")
     if name == "const":
         if len(args) != 1 or args[0] <= 0:
             raise ConfigError("const requires a single positive value")
@@ -318,9 +320,3 @@ def lerrw_negative_moment_cf(b: int, p: float, delta: float) -> float:
         math.lgamma(g0 + p) - math.lgamma(g0) + math.lgamma(bg - p) - math.lgamma(bg)
     )
 
-
-def lerrw_fclt_condition(b: int, delta: float) -> bool:
-    """Whether some p > 2 has E[(sum A)^-p] finite: requires delta < b/4."""
-    if b < 1 or delta <= 0:
-        raise InvalidInputError("need b >= 1 and delta > 0")
-    return delta < b / 4.0

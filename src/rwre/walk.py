@@ -12,30 +12,12 @@ returns.
 
 from __future__ import annotations
 
-import csv
-from typing import IO
-
 from .clocks import StopRule, Trajectory, _simulate
 from .env import EnvSpec
-from .errors import InvalidInputError
 from .tree import ROOT
 
 
 def run_walk(spec: EnvSpec, stop: StopRule) -> Trajectory:
     """Run the walk from the root until the stop rule fires."""
     return _simulate(spec, ROOT, stop)
-
-
-def trajectory_to_csv(traj: Trajectory, fh: IO[str], stride: int) -> None:
-    """(step, level) rows, downsampled by ``stride``; the last step is
-    always included."""
-    if stride < 1:
-        raise InvalidInputError("stride must be at least 1")
-    w = csv.writer(fh)
-    w.writerow(["step", "level"])
-    last = len(traj.levels) - 1
-    for i in range(0, last + 1, stride):
-        w.writerow([i, int(traj.levels[i])])
-    if last % stride:
-        w.writerow([last, int(traj.levels[last])])
 

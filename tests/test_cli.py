@@ -360,9 +360,13 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("clt", {"clt": {"alpha": 0}}),
     ("coupling", {"coupling": {"alpha": 1.5}}),
     ("coupling", {"run": {"threads": 0}}),
+    ("simulate", {"simulate": {"stride": 0}}),
+    ("simulate", {"env": {"kind": "const:nan"}}),
+    # inf_t E[A^t] = 0.3 <= 1/b: clt refuses a walk that is not transient
+    ("clt", {"env": {"b": 2, "kind": "const:0.3"}}),
 ], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
         "epsilon", "drift_tol", "alpha_nan", "powers_inf", "alpha_zero",
-        "alpha_above_one", "threads"])
+        "alpha_above_one", "threads", "stride", "kind_nan", "transience"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"
@@ -370,3 +374,43 @@ def test_invalid_config_exits_2_before_any_output(tmp_path, command,
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("body", [
+    b"b = 4\n", b"[env]\nb = 4\nb = 5\n", b"[env]\nkind = lerrw:1\xff\n"],
+    ids=["no_section", "duplicate_key", "not_utf8"])
+def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, body):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(body)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "malformed config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_steps, steps", [
+    (103, [*range(0, 101, 10), 103]), (100, [*range(0, 101, 10)])],
+    ids=["last_step_off_stride", "last_step_on_stride"])
+def test_simulate_writes_every_stride_th_step_and_the_last(tmp_path, n_steps,
+                                                           steps):
+    _, report, out = _run(tmp_path, "simulate", {
+        "simulate": {"walks": 1, "n_steps": n_steps, "stride": 10}})
+    walk, = report["results"]
+    rows = (out / walk["detail"]["csv"]).read_text().splitlines()
+    assert rows[0] == "step,level"
+    assert rows[1] == "0,0"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == steps
+    assert rows[-1] == f"{n_steps},{int(walk['estimate'])}"
+
+
+def test_only_the_csv_writer_and_main_open_files():
+    # every CSV goes through cli._write_csv, and main writes the report
+    tree = ast.parse(Path(cli.__file__).read_text())
+    openers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and "open" in
+                    (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))):
+                openers.add(getattr(top, "name", None))
+    assert openers == {"_write_csv", "main"}

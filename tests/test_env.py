@@ -16,7 +16,6 @@ from rwre import streams
 from rwre.env import (
     EnvSpec,
     check_assumption_a,
-    lerrw_fclt_condition,
     lerrw_gamma_shapes,
     lerrw_negative_moment_cf,
     make_weight_sampler,
@@ -40,6 +39,16 @@ class TestDescriptors:
         for bad in ("nope:1", "gamma:", "gamma:1", "const:-1", "lerrw:0"):
             with pytest.raises(ConfigError):
                 parse_descriptor(bad)
+
+    @pytest.mark.parametrize("kind", [
+        "const:nan", "const:inf", "uniform:0,inf", "gamma:inf,1",
+        "gamma:1,nan", "lognormal:nan,1", "lognormal:0,inf", "lerrw:inf",
+        "lerrw:nan"])
+    def test_parse_rejects_non_finite_parameters(self, kind):
+        # nan slips past every order check, and an infinite parameter
+        # breaks the samplers (lerrw:inf divides by a zero shape)
+        with pytest.raises(ConfigError, match="non-finite"):
+            parse_descriptor(kind)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
@@ -232,6 +241,14 @@ class TestWeightSumTailIndex:
                 assert ratio == pytest.approx(theta ** -p * num / den,
                                               rel=1e-6)
 
+    def test_lerrw_index_above_two_is_delta_below_quarter_b(self):
+        # some p > 2 has E[(sum A)^-p] finite exactly when b/(2 delta) > 2
+        for b, delta, above in ((4, 1.0, False), (5, 1.0, True),
+                                (2, 0.4, True), (2, 0.5, False)):
+            index = weight_sum_tail_index(
+                EnvSpec(b=b, kind=f"lerrw:{delta}", seed=0))
+            assert (index > 2) == above == (delta < b / 4)
+
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_uniform_from_zero_has_index_b(self, b):
         assert weight_sum_tail_index(
@@ -243,10 +260,3 @@ class TestWeightSumTailIndex:
         assert weight_sum_tail_index(EnvSpec(b=3, kind=kind, seed=0)) \
             == math.inf
 
-
-class TestScalingCondition:
-    def test_quarter_branching_boundary(self):
-        assert not lerrw_fclt_condition(4, 1.0)
-        assert lerrw_fclt_condition(5, 1.0)
-        assert lerrw_fclt_condition(2, 0.4)
-        assert not lerrw_fclt_condition(2, 0.5)

@@ -1,7 +1,6 @@
-"""Step-level behavior of the quenched walk runner, its CSV export, and
-its agreement with the quenched escape probability of the ladder."""
+"""Step-level behavior of the quenched walk runner and its agreement with
+the quenched escape probability of the ladder."""
 
-import io
 from collections import Counter
 from itertools import islice
 
@@ -14,7 +13,7 @@ from rwre.env import EnvSpec, sample_weights, transition_probs
 from rwre.errors import InvalidInputError
 from rwre.quenched import _truncation_ladder, beta_root
 from rwre.tree import ROOT
-from rwre.walk import run_walk, trajectory_to_csv
+from rwre.walk import run_walk
 
 
 SPEC = EnvSpec(b=2, kind="lerrw:1.0", seed=88)
@@ -91,23 +90,6 @@ class TestTrajectoryViews:
             [step for step, _ in traj.fresh]
         assert sorted(vid for _, vid in traj.fresh) == \
             sorted(set(traj.ids) - {0})
-
-
-class TestCsvExport:
-    def test_stride_keeps_last_row(self):
-        traj = run_walk(SPEC, StopRule(max_steps=103))
-        fh = io.StringIO()
-        trajectory_to_csv(traj, fh, stride=10)
-        rows = fh.getvalue().strip().splitlines()
-        assert rows[0] == "step,level"
-        assert rows[1] == "0,0"
-        assert rows[-1] == f"103,{traj.levels[-1]}"
-        assert len(rows) == 2 + 103 // 10 + 1
-
-    def test_stride_validation(self):
-        traj = run_walk(SPEC, StopRule(max_steps=10))
-        with pytest.raises(InvalidInputError):
-            trajectory_to_csv(traj, io.StringIO(), stride=0)
 
 
 # Replicas per environment and environments per case of the oracle below.
