@@ -429,7 +429,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         _as_int(settings, "threads", 1)
         spec = _env_from(settings)
         out = settings["out"]
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot make output directory {out}: {exc.strerror}")
         results = COMMANDS[args.command](spec, settings, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

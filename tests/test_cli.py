@@ -388,6 +388,14 @@ def test_malformed_config_exits_2_before_any_output(tmp_path, capsys, body):
     assert not out.exists()
 
 
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert cli.main(["appendix", "--out", str(out)]) == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+    assert out.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("n_steps, steps", [
     (103, [*range(0, 101, 10), 103]), (100, [*range(0, 101, 10)])],
     ids=["last_step_off_stride", "last_step_on_stride"])

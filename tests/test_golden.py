@@ -12,14 +12,16 @@ The eager reference walk at the end draws each clock at jump time and
 races at every vertex it leaves; the engine, which draws a clock only
 when a race reads it, must reproduce its runs step for step.
 
-The sampler and clock digests hash raw float64 bytes, so a sampler or a
-clock read that drifts by one ulp moves them.  Like the CLI output
-digests, those constants depend on the platform's libm (log, exp, cos,
-sqrt and pow).
+The sampler and clock digests hash raw float64 bytes, and the ladder
+values are pinned as ``float.hex``, so a sampler, a clock read or a ladder
+sweep that drifts by one ulp moves them.  Like the CLI output digests,
+those constants depend on the platform's libm (log, exp, cos, sqrt and
+pow).
 """
 
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ import pytest
 from rwre import streams
 from rwre.clocks import StopRule, _simulate
 from rwre.env import EnvSpec, make_weight_sampler
+from rwre.quenched import _truncation_ladder
 from rwre.tree import ROOT
 
 SEEDS = (5, 1234)
@@ -208,6 +211,35 @@ def test_clock_value_digest():
                 for k in (0, 1, 7, 8, 9):
                     h.update(np.float64(_clock(dg, w8, slot, k)).tobytes())
     assert h.hexdigest()[:32] == GOLDEN_CLOCKS
+
+
+# The boundary-one truncated beta at depths 1-7, as ``float.hex``: the
+# ladder's level sweep is pinned here at the values themselves, not only
+# through the ``moments`` report digest.
+GOLDEN_LADDER = {
+    (4, "lerrw:1.0", 5): [
+        "0x1.8f8e84dee3b37p-1", "0x1.6678a6be6650ep-1", "0x1.5a58d289fa165p-1",
+        "0x1.5581e62c430d5p-1", "0x1.53c3b551271fdp-1", "0x1.534be2cd0c6c9p-1",
+        "0x1.53164cf3645bep-1"],
+    (4, "lerrw:1.0", 1234): [
+        "0x1.6558bf9937ef0p-2", "0x1.11cf38688bd75p-2", "0x1.bd4a52b099cd7p-3",
+        "0x1.8f39fb75c5c1cp-3", "0x1.78ad97c98c27dp-3", "0x1.72a445ed0557ap-3",
+        "0x1.70e5c0dd48677p-3"],
+    (3, "gamma:0.5,2", 5): [
+        "0x1.1a08355230f20p-1", "0x1.cdf9f816a91eep-2", "0x1.88629d2c649d5p-2",
+        "0x1.5d5a32a72ae2ap-2", "0x1.5259138b63470p-2", "0x1.4e3bfc5379782p-2",
+        "0x1.4c53cbe682591p-2"],
+    (3, "gamma:0.5,2", 1234): [
+        "0x1.24ea30c7359a9p-1", "0x1.b3df58cb978aap-2", "0x1.7d32811c9df47p-2",
+        "0x1.6511a5cb0b756p-2", "0x1.5906782d5333fp-2", "0x1.534ef7530d786p-2",
+        "0x1.511d142628443p-2"],
+}
+
+
+@pytest.mark.parametrize("b, kind, seed", sorted(GOLDEN_LADDER))
+def test_ladder_values(b, kind, seed):
+    ladder = _truncation_ladder(EnvSpec(b=b, kind=kind, seed=seed))
+    assert [v.hex() for v in islice(ladder, 7)] == GOLDEN_LADDER[b, kind, seed]
 
 
 def _eager_walk(spec, nu, walk_index, steps):

@@ -4,6 +4,7 @@ With every child weight equal to c, beta solves beta = S/(1+S) with
 S = c b beta, so beta = 1 - 1/(c b).
 """
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -75,6 +76,22 @@ def test_beta_is_at_most_the_root_weight_sum_share():
         s = float(np.sum(make_weight_sampler(spec)(
             streams.root_digest(spec.seed))))
         assert ladder[0] == pytest.approx(s / (1.0 + s), rel=1e-15, abs=0.0)
+
+
+def test_ladder_memory_is_its_weights_and_one_digest_blob():
+    # The ladder may hold 8b bytes of weights per node and 16 bytes of
+    # digest per deepest node, and its sweep two arrays of the deepest
+    # level: about 61 bytes per node here.  The bound leaves no room for a
+    # bytes object per node, which costs about 57 bytes more.
+    ladder = _truncation_ladder(EnvSpec(b=4, kind="lerrw:1.0", seed=3))
+    next(ladder)  # depth 1 builds the sampler
+    tracemalloc.start()
+    try:
+        assert len(list(islice(ladder, 7))) == 7  # depths 2-8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * (4 ** 8 - 1) // 3
 
 
 class TestEffectivelyConverged:
