@@ -6,9 +6,10 @@ one does (a package error inside a command becomes a failing
 ``runtime_error`` entry), 2 for an invalid config or arguments.  Every
 config value is checked before any stage runs, so an invalid config exits
 2 without writing a report or any other output file.  Each command is a
-function ``(spec, settings, out) -> entries`` in ``COMMANDS``: it checks
-its own keys, runs, and writes its CSVs into ``out`` through
-``_write_csv``.
+function ``(spec, settings, out) -> entries`` in ``COMMANDS``.  Its
+settings arrive parsed and checked against their declaration in
+``_SETTINGS``; it checks only what joins two keys or the environment,
+runs, and writes its CSVs into ``out`` through ``_write_csv``.
 
 Reproducibility contract, checked by ``tests/test_cli.py``: the same
 resolved config produces byte-identical CSVs and the same JSON report up
@@ -33,7 +34,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .env import (
     weight_sum_tail_index,
     weight_sums,
 )
-from .errors import ConfigError, RwreError
+from .errors import ConfigError, InvalidInputError, RwreError
 from .quenched import geometric_moment_bound, negative_moment_of_beta
 from .stats import (
     MomentCheck,
@@ -60,19 +61,26 @@ from .stats import (
 from .walk import run_walk
 from . import experiments
 
-_DEFAULTS = {
-    "run": {"seed": "7", "out": "rwre-out", "threads": "1"},
-    "env": {"b": "4", "kind": "lerrw:1.0"},
-    "simulate": {"walks": "5", "n_steps": "2000", "stride": "10"},
-    "regen": {"gaps": "2000", "max_level": "1200", "guard": "100",
-              "r2_min": "0.98", "agree_tol": "0.05"},
-    "clt": {"walks": "500", "n_steps": "4000", "speed_gaps": "2000",
-            "alpha": "0.01"},
-    "moments": {"p": "2.0", "epsilon": "0.3", "n_envs": "300",
-                "mc_samples": "200000", "tau_trials": "1000"},
-    "coupling": {"seeds": "50", "n_steps": "10000",
-                 "independence_trials": "2000", "alpha": "0.01"},
-    "appendix": {"theta_points": "99", "powers": "0.5,1.0,1.5,2.0"},
+# Every setting once: section -> key -> (default, bound).  The default's
+# type is the setting's type, and str(default) is the text config_hash
+# reads.  An int's bound is its least value, a float's the open interval
+# it must lie in; None allows any finite float or any string.
+_SETTINGS = {
+    "run": {"seed": (7, 0), "out": ("rwre-out", None), "threads": (1, 1)},
+    "env": {"b": (4, 1), "kind": ("lerrw:1.0", None)},
+    "simulate": {"walks": (5, 1), "n_steps": (2000, 1), "stride": (10, 1)},
+    # the tail fit needs 1000 gaps
+    "regen": {"gaps": (2000, 1000), "max_level": (1200, 3), "guard": (100, 0),
+              "r2_min": (0.98, None), "agree_tol": (0.05, None)},
+    "clt": {"walks": (500, 100), "n_steps": (4000, 10),
+            "speed_gaps": (2000, 16), "alpha": (0.01, (0.0, 1.0))},
+    "moments": {"p": (2.0, (0.0, math.inf)),
+                "epsilon": (0.3, (0.0, 1.0 / 3.0)), "n_envs": (300, 100),
+                "mc_samples": (200000, 100), "tau_trials": (1000, 200)},
+    "coupling": {"seeds": (50, 1), "n_steps": (10000, 10),
+                 "independence_trials": (2000, 100),
+                 "alpha": (0.01, (0.0, 1.0))},
+    "appendix": {"theta_points": (99, 2), "powers": ("0.5,1.0,1.5,2.0", None)},
 }
 
 
@@ -81,7 +89,7 @@ def _load_config(path: Optional[str], command: str,
     """Flat resolved settings: defaults, then file, then CLI overrides."""
     merged: Dict[str, str] = {}
     for section in ("run", "env", command):
-        merged.update(_DEFAULTS.get(section, {}))
+        merged.update((k, str(d)) for k, (d, _) in _SETTINGS[section].items())
     if path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -93,10 +101,10 @@ def _load_config(path: Optional[str], command: str,
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section, pairs in items:
-            if section not in _DEFAULTS:
+            if section not in _SETTINGS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in pairs:
-                if key not in _DEFAULTS[section]:
+                if key not in _SETTINGS[section]:
                     raise ConfigError(
                         f"unknown key '{key}' in section [{section}]")
                 if section in ("run", "env") or section == command:
@@ -107,31 +115,28 @@ def _load_config(path: Optional[str], command: str,
     return merged
 
 
-def _as_int(settings: Dict[str, str], key: str, minimum: int) -> int:
+def _checked(raw: Dict[str, str], command: str) -> Tuple[EnvSpec, dict]:
+    """The environment, and every setting of ``run``, ``env`` and
+    ``command`` as its default's type, checked against its bound."""
+    settings = {}
+    for section in ("run", "env", command):
+        for key, (default, bound) in _SETTINGS[section].items():
+            try:
+                v = type(default)(raw[key])
+            except ValueError:
+                what = "an integer" if isinstance(default, int) else "a number"
+                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
+            if isinstance(v, int) and v < bound:
+                raise ConfigError(f"{key} must be >= {bound}, got {v}")
+            if isinstance(v, float):
+                lo, hi = bound or (-math.inf, math.inf)
+                if not lo < v < hi:  # false for nan and for an infinite v
+                    raise ConfigError(
+                        f"{key} must lie in ({lo:g}, {hi:g}), got {raw[key]!r}")
+            settings[key] = v
     try:
-        v = int(settings[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {settings[key]!r}")
-    if v < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _as_float(settings: Dict[str, str], key: str) -> float:
-    try:
-        v = float(settings[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {settings[key]!r}")
-    if not math.isfinite(v):
-        raise ConfigError(f"{key} must be finite, got {settings[key]!r}")
-    return v
-
-
-def _env_from(settings: Dict[str, str]) -> EnvSpec:
-    b = _as_int(settings, "b", 1)
-    seed = _as_int(settings, "seed", 0)
-    try:
-        return EnvSpec(b=b, kind=settings["kind"], seed=seed)
+        return EnvSpec(b=settings["b"], kind=settings["kind"],
+                       seed=settings["seed"]), settings
     except RwreError as exc:
         raise ConfigError(str(exc))
 
@@ -168,20 +173,18 @@ def _entry(name: str, operation: str, estimate=None, ci=None, p_value=None,
     }
 
 
-def _cmd_simulate(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    walks = _as_int(s, "walks", 1)
-    n_steps = _as_int(s, "n_steps", 1)
-    stride = _as_int(s, "stride", 1)
+def _cmd_simulate(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
     results = []
-    for i in range(walks):
-        traj = run_walk(spec.subseed(b"sim", i), StopRule(max_steps=n_steps))
+    for i in range(s["walks"]):
+        traj = run_walk(spec.subseed(b"sim", i),
+                        StopRule(max_steps=s["n_steps"]))
         levels = traj.levels
         last = len(levels) - 1
         # every stride-th step and the last; written before the next walk
         # runs, so one trajectory is held at a time
         name = _write_csv(out, f"trajectory_{i:03d}.csv", ["step", "level"],
                           ((k, int(levels[k]))
-                           for k in [*range(0, last, stride), last]))
+                           for k in [*range(0, last, s["stride"]), last]))
         results.append(_entry(
             f"walk_{i:03d}", "walk.run_walk",
             estimate=float(levels[-1]), ok=True,
@@ -190,16 +193,11 @@ def _cmd_simulate(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     return results
 
 
-def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    n_gaps = _as_int(s, "gaps", 1000)  # the tail fit needs 1000 gaps
-    max_level = _as_int(s, "max_level", 3)
-    guard = _as_int(s, "guard", 0)
-    r2_min = _as_float(s, "r2_min")
-    agree_tol = _as_float(s, "agree_tol")
-    if max_level <= 2 * guard:
+def _cmd_regen(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
+    if s["max_level"] <= 2 * s["guard"]:
         raise ConfigError("max_level must exceed twice the guard")
-    h = experiments.harvest_gaps(spec, n_gaps, max_level=max_level,
-                                 guard=guard)
+    h = experiments.harvest_gaps(spec, s["gaps"], max_level=s["max_level"],
+                                 guard=s["guard"])
     _write_csv(out, "gaps.csv", ["index", "level_gap", "time_gap"],
                ((i, int(lg), int(tg)) for i, (lg, tg) in
                 enumerate(zip(h.gaps.level_gaps, h.gaps.time_gaps))))
@@ -211,32 +209,27 @@ def _cmd_regen(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
         _entry("tail_a_mle", "stats.fit_geometric_tail",
                estimate=mle.a_hat, ok=True),
         _entry("tail_a_regression", "stats.fit_geometric_tail",
-               estimate=reg.a_hat, ok=bool(reg.r_squared >= r2_min),
+               estimate=reg.a_hat, ok=bool(reg.r_squared >= s["r2_min"]),
                r_squared=reg.r_squared, k_range=list(reg.k_range)),
         _entry("tail_a_agreement", "stats.fit_geometric_tail",
-               estimate=agree, ok=bool(agree <= agree_tol)),
+               estimate=agree, ok=bool(agree <= s["agree_tol"])),
     ]
 
 
-def _cmd_clt(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
+def _cmd_clt(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
     gate = check_assumption_a(spec)
     if not gate > 1.0 / spec.b:
         raise ConfigError(
             "environment fails the transience criterion "
             f"(inf_t E[A^t] = {gate:.4f} <= {1.0 / spec.b:.4f}); "
             "refusing to run")
-    walks = _as_int(s, "walks", 100)
-    n_steps = _as_int(s, "n_steps", 10)
+    walks, n_steps, alpha = s["walks"], s["n_steps"], s["alpha"]
     # One harvest gives v_hat for the speed entry and both FCLT plug-ins.
     # A plug-in error dv shifts every standardized FCLT increment by
     # dv*sqrt(dt)/sigma, and sd(v_hat) ~ sigma/sqrt(mean_tgap * gaps), so
     # about 180k gaps keep the two-standard-error shift below 0.08 for
     # dt ~ 1000; the default 2000 is far below that.
-    speed_gaps = _as_int(s, "speed_gaps", 16)
-    alpha = _as_float(s, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    h = experiments.harvest_gaps(spec, speed_gaps, tag=b"speed")
+    h = experiments.harvest_gaps(spec, s["speed_gaps"], tag=b"speed")
     e = estimate_speed(h.gaps)
     results = [_entry(
         "speed", "stats.estimate_speed", estimate=e.v_hat,
@@ -289,16 +282,8 @@ def _moment_entry(name: str, chk: MomentCheck) -> dict:
                   **_tail(chk))
 
 
-def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    p = _as_float(s, "p")
-    epsilon = _as_float(s, "epsilon")
-    n_envs = _as_int(s, "n_envs", 100)
-    mc_samples = _as_int(s, "mc_samples", 100)
-    tau_trials = _as_int(s, "tau_trials", 200)
-    if not p > 0:
-        raise ConfigError(f"p must be positive, got {p}")
-    if not 0.0 < epsilon < 1.0 / 3.0:
-        raise ConfigError(f"epsilon must lie in (0, 1/3), got {epsilon}")
+def _cmd_moments(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
+    p, epsilon = s["p"], s["epsilon"]
     index = weight_sum_tail_index(spec)
     divergent = p >= index
     results = []
@@ -312,7 +297,7 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
             "weight_sum_negative_moment_formula",
             "env.lerrw_negative_moment_cf",
             estimate=lerrw_negative_moment_cf(spec.b, p, delta), ok=True))
-    rep = negative_moment_of_beta(spec, p, n_envs=n_envs)
+    rep = negative_moment_of_beta(spec, p, n_envs=s["n_envs"])
     if divergent:
         # beta <= sum A/(1 + sum A), so E[beta^-p] > E[(sum A)^-p] = inf:
         # both moments are infinite and no sample is judged.
@@ -323,7 +308,7 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     else:
         results.append(_moment_entry(
             "weight_sum_negative_moment_mc",
-            moment_check(1.0 / weight_sums(spec, mc_samples), p)))
+            moment_check(1.0 / weight_sums(spec, s["mc_samples"]), p)))
         chk = moment_check(1.0 / rep.values, p)
         results.append(_entry(
             "beta_negative_moment", "quenched.negative_moment_of_beta",
@@ -332,8 +317,8 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     _write_csv(out, "beta.csv", ["env_seed_index", "beta", "depth", "gap"],
                ((i, f"{bv.value:.10g}", bv.depth, f"{bv.upper_gap:.4g}")
                 for i, bv in enumerate(rep.betas)))
-    mh = experiments.moment_harvest(spec, trials=tau_trials, epsilon=epsilon,
-                                    threads=int(s["threads"]))
+    mh = experiments.moment_harvest(spec, trials=s["tau_trials"],
+                                    epsilon=epsilon, threads=s["threads"])
     for name, samples, power in (
             ("root_visits_cubed", mh.root_visits, 3.0),
             ("first_regen_time_2.5", mh.first_regen_times, 2.5)):
@@ -343,17 +328,11 @@ def _cmd_moments(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
     return results
 
 
-def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    seeds = _as_int(s, "seeds", 1)
-    n_steps = _as_int(s, "n_steps", 10)
-    trials = _as_int(s, "independence_trials", 100)
-    alpha = _as_float(s, "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+def _cmd_coupling(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
     if spec.b < 2:
         raise ConfigError("coupling checks need at least two children")
-    threads = int(s["threads"])
-    cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=n_steps,
+    seeds, trials, threads = s["seeds"], s["independence_trials"], s["threads"]
+    cr = experiments.coupling_suite(spec, seeds=seeds, n_steps=s["n_steps"],
                                     threads=threads)
     ir = independence_check(spec, (1,), (2,), trials=trials, threads=threads)
     _write_csv(out, "independence_table.csv",
@@ -367,28 +346,31 @@ def _cmd_coupling(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
                nonempty=cr.nonempty_restrictions),
         _entry("disjoint_independence", "clocks.independence_check",
                estimate=ir.statistic, p_value=ir.p_value,
-               ok=bool(ir.p_value >= alpha), dof=ir.dof, trials=trials),
+               ok=bool(ir.p_value >= s["alpha"]), dof=ir.dof, trials=trials),
     ]
 
 
-def _cmd_appendix(spec: EnvSpec, s: Dict[str, str], out: str) -> List[dict]:
-    points = _as_int(s, "theta_points", 2)
+def _cmd_appendix(spec: EnvSpec, s: Dict[str, Any], out: str) -> List[dict]:
     try:
         powers = [float(x) for x in s["powers"].split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"powers must be a comma list, got {s['powers']!r}")
-    if not powers:
-        raise ConfigError("powers must be non-empty")
-    if not all(0 < p < math.inf for p in powers):
-        raise ConfigError(
-            f"powers must be positive and finite, got {s['powers']!r}")
+    if not powers or not all(0 < p < math.inf for p in powers):
+        raise ConfigError(f"powers must list positive finite numbers, "
+                          f"got {s['powers']!r}")
+    points = s["theta_points"]
     thetas = np.linspace(0.01, 0.99, points)
     results, rows = [], []
     for p in powers:
         worst = np.inf
         all_ok = True
         for theta in thetas:
-            exact, bound = geometric_moment_bound(float(theta), p)
+            # the whole grid is made before the CSV, so a power whose
+            # moment overflows a float exits 2 with no output
+            try:
+                exact, bound = geometric_moment_bound(float(theta), p)
+            except InvalidInputError as exc:
+                raise ConfigError(str(exc))
             ok = exact <= bound
             all_ok = all_ok and ok
             worst = min(worst, bound - exact)
@@ -424,10 +406,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR")
     args = parser.parse_args(argv)
     try:
-        settings = _load_config(args.config, args.command, {
+        raw = _load_config(args.config, args.command, {
             "seed": args.seed, "threads": args.threads, "out": args.out})
-        _as_int(settings, "threads", 1)
-        spec = _env_from(settings)
+        spec, settings = _checked(raw, args.command)
         out = settings["out"]
         try:
             os.makedirs(out, exist_ok=True)
@@ -444,8 +425,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           message=str(exc))]
     report = {
         "command": args.command,
-        "config_hash": _config_hash(settings, args.command),
-        "seed": int(settings["seed"]),
+        "config_hash": _config_hash(raw, args.command),
+        "seed": settings["seed"],
         "version": __version__,
         "timestamp": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),

@@ -34,6 +34,7 @@ but not independent; all other kinds have i.i.d. components.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple
@@ -48,6 +49,11 @@ WeightVector = Tuple[float, ...]
 ProbVector = Tuple[float, ...]
 
 KINDS = ("const", "uniform", "gamma", "lognormal", "lerrw")
+
+# The largest |N(0,1)| the samplers draw: Box-Muller from a uniform of at
+# least 2^-54, computed as they compute it.
+_NORMAL_MAX = math.sqrt(-2.0 * math.log(streams.TWO54))
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -109,13 +115,17 @@ def parse_descriptor(kind: str) -> Tuple[str, Tuple[float, ...]]:
     elif name == "lognormal":
         if len(args) != 2 or args[1] < 0:
             raise ConfigError("lognormal requires mu and s >= 0")
+        # exp(mu + s x) of the samplers' largest x must be a finite float
+        if args[0] + args[1] * _NORMAL_MAX > _LOG_FLOAT_MAX:
+            raise ConfigError(f"lognormal {kind!r} draws weights past the "
+                              "largest float")
     elif name == "lerrw":
         if len(args) != 1 or args[0] <= 0:
             raise ConfigError("lerrw requires a positive reinforcement delta")
     return name, args
 
 
-def lerrw_gamma_shapes(delta: float) -> Tuple[float, float]:
+def _lerrw_gamma_shapes(delta: float) -> Tuple[float, float]:
     """(shape of Z_0, shape of each Z_i) in the gamma representation."""
     return (1.0 + delta) / (2.0 * delta), 1.0 / (2.0 * delta)
 
@@ -183,9 +193,7 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
             return tuple([scale * x for x in gammas(digest)])
 
     else:  # lerrw
-        # lerrw_gamma_shapes, written out: see the docstring
-        delta = args[0]
-        g0, g = (1.0 + delta) / (2.0 * delta), 1.0 / (2.0 * delta)
+        g0, g = _lerrw_gamma_shapes(args[0])
         if g == 0.5 and g0 == 1.0:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
@@ -253,8 +261,9 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
         return scale ** t * math.exp(math.lgamma(shape + t) - math.lgamma(shape))
     if name == "lognormal":
         mu, sd = args
-        return math.exp(mu * t + 0.5 * sd * sd * t * t)
-    g0, g = lerrw_gamma_shapes(args[0])
+        log_m = mu * t + 0.5 * sd * sd * t * t
+        return math.exp(log_m) if log_m <= _LOG_FLOAT_MAX else math.inf
+    g0, g = _lerrw_gamma_shapes(args[0])
     if g0 - t <= 0 or g + t <= 0:
         return math.inf
     return math.exp(
@@ -312,7 +321,7 @@ def lerrw_negative_moment_cf(b: int, p: float, delta: float) -> float:
     """
     if b < 1 or p <= 0 or delta <= 0:
         raise InvalidInputError("need b >= 1, p > 0, delta > 0")
-    g0, g = lerrw_gamma_shapes(delta)
+    g0, g = _lerrw_gamma_shapes(delta)
     bg = b * g
     if bg - p <= 0:
         return math.inf

@@ -190,7 +190,9 @@ def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
 
     Exact value by direct summation with additive tail below 1e-12; bound
     is 1 + C_p * theta / lambda^(p+1) with lambda = -ln(1-theta) and
-    C_p = p^(p+1) e^(-p) + Gamma(p+1).
+    C_p = p^(p+1) e^(-p) + Gamma(p+1).  Raises ``InvalidInputError`` where
+    a term of the sum or the bound overflows a float (from p ~ 63.2 at
+    theta = 0.01).
     """
     if not 0.0 < theta < 1.0:
         raise InvalidInputError("theta must lie in (0, 1)")
@@ -198,23 +200,30 @@ def geometric_moment_bound(theta: float, p: float) -> Tuple[float, float]:
         raise InvalidInputError("p must be positive and finite")
     q = 1.0 - theta
     lam = -math.log(q)
-    c_p = p ** (p + 1) * math.exp(-p) + math.gamma(p + 1)
-    bound = 1.0 + c_p * theta / lam ** (p + 1)
     exact = 0.0
-    k = 1
-    qk = q
-    # k^p q^k is eventually decreasing; past the mode the remaining tail is
-    # dominated by term / (1 - q), so stop once that bound dips below 1e-12.
-    mode = p / lam
-    while True:
-        term = k ** p * qk * theta
-        exact += term
-        if k > mode and term / theta * q / (1.0 - q) < 1e-12:
-            break
-        k += 1
-        qk *= q
-        if k > 10_000_000:
-            raise DegenerateDataError("series did not reach the tail tolerance")
+    try:
+        c_p = p ** (p + 1) * math.exp(-p) + math.gamma(p + 1)
+        bound = 1.0 + c_p * theta / lam ** (p + 1)
+        k = 1
+        qk = q
+        # k^p q^k is eventually decreasing; past the mode the remaining tail
+        # is dominated by term / (1 - q), so stop once that dips below 1e-12.
+        mode = p / lam
+        while True:
+            term = k ** p * qk * theta
+            exact += term
+            if k > mode and term / theta * q / (1.0 - q) < 1e-12:
+                break
+            k += 1
+            qk *= q
+            if k > 10_000_000:
+                raise DegenerateDataError(
+                    "series did not reach the tail tolerance")
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not (math.isfinite(exact) and math.isfinite(bound)):
+        raise InvalidInputError(
+            f"E[Y^p] or its bound overflows a float at p = {p}, theta = {theta}")
     return exact, bound
 
 

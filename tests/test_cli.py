@@ -364,9 +364,18 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("simulate", {"env": {"kind": "const:nan"}}),
     # inf_t E[A^t] = 0.3 <= 1/b: clt refuses a walk that is not transient
     ("clt", {"env": {"b": 2, "kind": "const:0.3"}}),
+    ("simulate", {"simulate": {"walks": 1.5}}),
+    ("coupling", {"coupling": {"alpha": "abc"}}),
+    ("regen", {"regen": {"r2_min": "inf"}}),
+    # exp(0 + 1000 x) overflows for any Box-Muller x beyond 0.71
+    ("simulate", {"env": {"kind": "lognormal:0,1000"}}),
+    # k^64 overflows a float in the theta = 0.01 series
+    ("appendix", {"appendix": {"powers": "1.0,64"}}),
 ], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
         "epsilon", "drift_tol", "alpha_nan", "powers_inf", "alpha_zero",
-        "alpha_above_one", "threads", "stride", "kind_nan", "transience"])
+        "alpha_above_one", "threads", "stride", "kind_nan", "transience",
+        "walks_not_int", "alpha_not_number", "r2_min_inf",
+        "lognormal_overflow", "powers_overflow"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"
@@ -374,6 +383,41 @@ def test_invalid_config_exits_2_before_any_output(tmp_path, command,
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists() or not os.listdir(out)
+
+
+# config_hash of each command at its defaults: it reads str(default) of
+# every setting in cli._SETTINGS, so a default written another way moves it.
+DEFAULT_HASHES = {
+    "simulate": "d2cd7bf4d70eda6d", "regen": "ea132a1425101372",
+    "clt": "0c46cdb07ff36f33", "moments": "189d2a909347a956",
+    "coupling": "e62fd0630e9a0c75", "appendix": "30984a0ef39d0f1a",
+}
+
+
+def test_default_config_hashes_are_pinned():
+    assert {c: cli._config_hash(cli._load_config(None, c, {}), c)
+            for c in cli.COMMANDS} == DEFAULT_HASHES
+
+
+def test_every_setting_is_read():
+    # each key of _SETTINGS[command] is read as s["key"] in that command's
+    # function, and each run and env key somewhere in cli, so no setting
+    # is declared that nothing reads
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def reads(node, name=None):
+        return {n.slice.value for n in ast.walk(node)
+                if isinstance(n, ast.Subscript)
+                and isinstance(n.slice, ast.Constant)
+                and (name is None or getattr(n.value, "id", None) == name)}
+
+    functions = {f.name: f for f in tree.body
+                 if isinstance(f, ast.FunctionDef)}
+    assert set(cli._SETTINGS) == {"run", "env", *cli.COMMANDS}
+    for command, fn in cli.COMMANDS.items():
+        assert set(cli._SETTINGS[command]) <= reads(functions[fn.__name__],
+                                                    "s"), command
+    assert {*cli._SETTINGS["run"], *cli._SETTINGS["env"]} <= reads(tree)
 
 
 @pytest.mark.parametrize("body", [

@@ -15,8 +15,8 @@ import pytest
 from rwre import streams
 from rwre.env import (
     EnvSpec,
+    _lerrw_gamma_shapes,
     check_assumption_a,
-    lerrw_gamma_shapes,
     lerrw_negative_moment_cf,
     make_weight_sampler,
     marginal_weight_moment,
@@ -49,6 +49,15 @@ class TestDescriptors:
         # breaks the samplers (lerrw:inf divides by a zero shape)
         with pytest.raises(ConfigError, match="non-finite"):
             parse_descriptor(kind)
+
+    def test_parse_rejects_a_lognormal_whose_draws_overflow(self):
+        # every Box-Muller normal has |x| <= sqrt(108 ln 2) ~ 8.652, so
+        # exp(mu + s x) stays finite exactly when mu + 8.652 s <= 709.78
+        for kind in ("lognormal:0,1000", "lognormal:800,0", "lognormal:0,83"):
+            with pytest.raises(ConfigError, match="largest float"):
+                parse_descriptor(kind)
+        for kind in ("lognormal:0,82", "lognormal:709.78,0"):
+            assert parse_descriptor(kind)[0] == "lognormal"
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
@@ -133,9 +142,9 @@ class TestWeightSampling:
 
 class TestGammaRepresentation:
     def test_shape_pair_identity(self):
-        g0, g = lerrw_gamma_shapes(1.0)
+        g0, g = _lerrw_gamma_shapes(1.0)
         assert (g0, g) == (1.0, 0.5)
-        g0, g = lerrw_gamma_shapes(0.5)
+        g0, g = _lerrw_gamma_shapes(0.5)
         assert (g0, g) == (1.5, 1.0)
         assert g0 == pytest.approx(g + 0.5)
 
@@ -170,6 +179,13 @@ class TestTransienceCriterion:
         assert check_assumption_a(
             EnvSpec(b=b, kind="lerrw:1.0", seed=0)) > 1.0 / b
 
+    def test_wide_lognormal_moment_past_the_largest_float_is_inf(self):
+        # exp(s^2 / 2) at s = 40 is e^800: the moment at t = 1 is inf, not
+        # an OverflowError, and the infimum is the t = 0 moment
+        spec = EnvSpec(b=4, kind="lognormal:0,40", seed=0)
+        assert marginal_weight_moment(spec, 1.0) == math.inf
+        assert check_assumption_a(spec) == 1.0
+
 
 class TestNegativeMoments:
     def test_closed_form_value_for_five_children(self):
@@ -184,7 +200,7 @@ class TestNegativeMoments:
 
         for delta in (0.5, 1.0, 2.0):
             p = q / delta
-            g0, g = lerrw_gamma_shapes(delta)
+            g0, g = _lerrw_gamma_shapes(delta)
             num = quad(lambda x: 1.0, 0.0, 1.0, weight="alg",
                        wvar=(g0 + p - 1.0, b * g - p - 1.0))[0]
             den = quad(lambda x: 1.0, 0.0, 1.0, weight="alg",

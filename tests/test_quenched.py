@@ -143,3 +143,9 @@ class TestGeometricMomentBound:
         for p in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(InvalidInputError):
                 geometric_moment_bound(0.25, p)
+
+    @pytest.mark.parametrize("p", [64.0, 200.0])
+    def test_overflow_is_an_input_error(self, p):
+        # at theta = 0.01, k^p overflows from p ~ 63.2 and p^(p+1) at 200
+        with pytest.raises(InvalidInputError, match=f"p = {p}, theta = 0.01"):
+            geometric_moment_bound(0.01, p)
