@@ -37,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -70,7 +70,15 @@ class EnvSpec:
             raise InvalidInputError("branching number b must be a positive integer")
         if self.b > 255:
             raise InvalidInputError("branching numbers above 255 are not supported")
-        parse_descriptor(self.kind)  # validates
+        name, args = parse_descriptor(self.kind)  # validates
+        # A bounded law's b largest weights must sum to a finite float, or
+        # the row sums of the walk and the beta ladder are inf.
+        if name in ("const", "uniform", "lognormal"):
+            top = (args[0] if name == "const" else args[1] if name == "uniform"
+                   else math.exp(args[0] + args[1] * _NORMAL_MAX))
+            if math.isinf(self.b * top):
+                raise ConfigError(f"{self.kind} at b = {self.b} draws weights "
+                                  "whose sum passes the largest float")
         streams.seed_bytes(self.seed)
 
     def subseed(self, tag: bytes, index: int) -> "EnvSpec":
@@ -138,8 +146,50 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     depends on the law only, not on the seed, so it is built once per
     (b, kind) and shared; it finds ``streams.uniforms_from`` when it is
     called, so a wrapper installed there later still sees every block.
+    A law that reads a fixed number of lanes (``uniform``, ``lognormal``
+    and ``lerrw:1.0``) is compiled, once per (b, kind), into one
+    straight-line function that reads each lane by a constant index.
     """
     return _weight_sampler(spec.b, spec.kind)
+
+
+def _lane(i: int) -> str:
+    """Source of the uniform of lane i of a vertex's weight stream: word
+    i % 8 of its block i // 8, mapped as ``streams`` maps a word."""
+    return f"((w{i >> 3}[{i & 7}] >> 11) * two53 + two54)"
+
+
+def _normal(i: int) -> str:
+    """Source of the cosine-branch Box-Muller normal of lanes i and i + 1."""
+    return f"(sqrt(-2.0 * log({_lane(i)})) * cos(two_pi * {_lane(i + 1)}))"
+
+
+def _compile_sampler(kind: str, n_lanes: int, body: List[str],
+                     children: List[str],
+                     **params: float) -> Callable[[bytes], WeightVector]:
+    """A sampler written out as straight-line source for one law and one b,
+    the way ``collections.namedtuple`` writes its methods.
+
+    It hashes the weight blocks holding lanes 0 .. ``n_lanes`` - 1, in
+    order, through ``streams.uniforms_from`` as it finds it when called,
+    runs the statements ``body`` and returns the tuple of the expressions
+    ``children``, one per child.  Only lane and block indices are written
+    into the source; the law's parameters are names in the function's
+    namespace, so no float goes through its repr.
+    """
+    lines = ["def sampler(digest):",
+             "    hash_block = streams.uniforms_from"]
+    for m in range((n_lanes + 7) // 8):
+        key = b"W" + m.to_bytes(4, "little")  # see the streams layout
+        lines.append(f"    w{m} = hash_block(digest + {key!r})")
+    lines += [f"    {s}" for s in body]
+    lines.append(f"    return ({''.join(c + ', ' for c in children)})")
+    namespace = dict(params, streams=streams, log=math.log, sqrt=math.sqrt,
+                     cos=math.cos, exp=math.exp, two53=streams.TWO53,
+                     two54=streams.TWO54, two_pi=streams.TWO_PI)
+    exec(compile("\n".join(lines), f"<{kind} sampler, b={len(children)}>",
+                 "exec"), namespace)
+    return namespace["sampler"]
 
 
 @lru_cache(maxsize=256)
@@ -148,14 +198,6 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
     calls no public function of this module, so the first run of a law
     makes the same public calls as every later one."""
     name, args = parse_descriptor(kind)
-    words_of = streams.weight_words
-    log = math.log
-    sqrt = math.sqrt
-    cos = math.cos
-    exp = math.exp
-    two53 = streams.TWO53
-    two54 = streams.TWO54
-    two_pi = streams.TWO_PI
     if name == "const":
         w = (args[0],) * b
 
@@ -164,26 +206,16 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
 
     elif name == "uniform":
         lo, hi = args
-        span = hi - lo
-        n_blocks = (b + 7) // 8
-
-        def sampler(digest: bytes) -> WeightVector:
-            words = words_of(digest, n_blocks)
-            return tuple([lo + span * ((words[i] >> 11) * two53 + two54)
-                          for i in range(b)])
+        sampler = _compile_sampler(
+            kind, b, [], [f"lo + span * {_lane(c)}" for c in range(b)],
+            lo=lo, span=hi - lo)
 
     elif name == "lognormal":
         mu, sd = args
-        n_blocks = (2 * b + 7) // 8
-
-        def sampler(digest: bytes) -> WeightVector:
-            words = words_of(digest, n_blocks)
-            out = []
-            for i in range(0, 2 * b, 2):
-                x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
-                     * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
-                out.append(exp(mu + sd * x))
-            return tuple(out)
+        sampler = _compile_sampler(
+            kind, 2 * b, [],
+            [f"exp(mu + sd * {_normal(2 * c)})" for c in range(b)],
+            mu=mu, sd=sd)
 
     elif name == "gamma":
         shape, scale = args
@@ -197,17 +229,11 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
         if g == 0.5 and g0 == 1.0:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
-            n_blocks = (2 * b + 8) // 8
-
-            def sampler(digest: bytes) -> WeightVector:
-                words = words_of(digest, n_blocks)
-                z0 = -log((words[0] >> 11) * two53 + two54)
-                out = []
-                for i in range(1, 2 * b, 2):
-                    x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
-                         * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
-                    out.append(0.5 * x * x / z0)
-                return tuple(out)
+            sampler = _compile_sampler(
+                kind, 2 * b + 1,
+                [f"z0 = -log({_lane(0)})"]
+                + [f"x{c} = {_normal(2 * c + 1)}" for c in range(b)],
+                [f"0.5 * x{c} * x{c} / z0" for c in range(b)])
 
         else:
             gammas = streams.gamma_sampler((g0,) + (g,) * b)
@@ -253,7 +279,13 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
             return 1.0
         if lo == 0 and t <= -1:
             return math.inf
-        return (hi ** (t + 1) - lo ** (t + 1)) / ((hi - lo) * (t + 1))
+        try:
+            return (hi ** (t + 1) - lo ** (t + 1)) / ((hi - lo) * (t + 1))
+        except OverflowError:
+            # hi ** (t + 1) is past the largest float, but the moment is at
+            # most hi ** t: take that factor out
+            r = lo / hi
+            return hi ** t * ((1.0 - r ** (t + 1)) / ((1.0 - r) * (t + 1)))
     if name == "gamma":
         shape, scale = args
         if shape + t <= 0:

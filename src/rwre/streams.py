@@ -131,15 +131,6 @@ def uniforms_from(msg: bytes) -> Tuple[int, ...]:
     return _U8(_blake(msg).digest())
 
 
-def weight_words(digest: bytes, n_blocks: int) -> Tuple[int, ...]:
-    """The words of the first ``n_blocks`` weight blocks of a vertex, in
-    order: the front of its flat weight stream."""
-    words = uniforms_from(digest + b"W" + _BLOCK4[0])
-    for i in range(1, n_blocks):
-        words += uniforms_from(digest + b"W" + _b4(i))
-    return words
-
-
 def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[int, ...]:
     """Words feeding the k = 0 exponentials of slots 8*block .. 8*block+7."""
     return uniforms_from(digest + b"C" + walk8 + _b4(block))

@@ -345,6 +345,17 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     assert mc["pass"] is True
 
 
+def test_clt_gate_on_a_huge_uniform_law_ends_in_a_report(tmp_path):
+    # E[A^(t+1)] of uniform:0,1e200 is past the largest float, but the
+    # gate's moments are finite; the run reports its own failure
+    rc, report, _ = _run(tmp_path, "clt", {
+        "env": {"kind": "uniform:0,1e200"},
+        "clt": {"walks": 100, "n_steps": 20, "speed_gaps": 16}})
+    assert rc == 1
+    error, = [e for e in report["results"] if e["name"] == "runtime_error"]
+    assert error["detail"]["message"] == "zero endpoint variance"
+
+
 @pytest.mark.parametrize("command, sections", [
     ("simulate", {"run": {"seed": 2 ** 64}}),
     ("regen", {"regen": {"max_level": 200, "guard": 100}}),
@@ -371,11 +382,14 @@ def test_moments_formula_uses_the_law_delta(tmp_path):
     ("simulate", {"env": {"kind": "lognormal:0,1000"}}),
     # k^64 overflows a float in the theta = 0.01 series
     ("appendix", {"appendix": {"powers": "1.0,64"}}),
+    # four weights of e^709 sum past the largest float, so the ladder's
+    # beta would be inf / inf
+    ("moments", {"env": {"kind": "lognormal:709,0"}}),
 ], ids=["seed", "max_level", "gaps", "unknown_key", "walks", "powers", "p",
         "epsilon", "drift_tol", "alpha_nan", "powers_inf", "alpha_zero",
         "alpha_above_one", "threads", "stride", "kind_nan", "transience",
         "walks_not_int", "alpha_not_number", "r2_min_inf",
-        "lognormal_overflow", "powers_overflow"])
+        "lognormal_overflow", "powers_overflow", "weight_sum_overflow"])
 def test_invalid_config_exits_2_before_any_output(tmp_path, command,
                                                   sections):
     cfg = tmp_path / f"{command}.ini"

@@ -59,6 +59,16 @@ class TestDescriptors:
         for kind in ("lognormal:0,82", "lognormal:709.78,0"):
             assert parse_descriptor(kind)[0] == "lognormal"
 
+    def test_spec_rejects_bounded_weights_whose_sum_overflows(self):
+        # e^709 ~ 8.2e307 is a float, but four of them sum to inf
+        with pytest.raises(ConfigError, match="largest float"):
+            EnvSpec(b=4, kind="lognormal:709,0", seed=0)
+        assert EnvSpec(b=1, kind="lognormal:709,0", seed=0).b == 1
+        for kind in ("const:1e308", "uniform:0,1e308"):
+            with pytest.raises(ConfigError, match="largest float"):
+                EnvSpec(b=2, kind=kind, seed=0)
+            assert EnvSpec(b=1, kind=kind, seed=0).kind == kind
+
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             EnvSpec(b=0, kind="const:1.0", seed=0)
@@ -140,6 +150,88 @@ class TestWeightSampling:
         assert np.mean(children ** 2) == pytest.approx(1.0 / 16.0, abs=0.006)
 
 
+def _weight_words(digest, n_blocks):
+    # streams.weight_words before the samplers were compiled
+    words = streams.uniforms_from(digest + b"W" + (0).to_bytes(4, "little"))
+    for i in range(1, n_blocks):
+        words += streams.uniforms_from(digest + b"W" + i.to_bytes(4, "little"))
+    return words
+
+
+def _loop_sampler(b, kind):
+    """The loop forms of the fixed-lane samplers, kept as the reference the
+    compiled ones must equal bit for bit."""
+    name, args = parse_descriptor(kind)
+    words_of = _weight_words
+    log = math.log
+    sqrt = math.sqrt
+    cos = math.cos
+    exp = math.exp
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    two_pi = streams.TWO_PI
+    if name == "uniform":
+        lo, hi = args
+        span = hi - lo
+        n_blocks = (b + 7) // 8
+
+        def sampler(digest: bytes):
+            words = words_of(digest, n_blocks)
+            return tuple([lo + span * ((words[i] >> 11) * two53 + two54)
+                          for i in range(b)])
+
+    elif name == "lognormal":
+        mu, sd = args
+        n_blocks = (2 * b + 7) // 8
+
+        def sampler(digest: bytes):
+            words = words_of(digest, n_blocks)
+            out = []
+            for i in range(0, 2 * b, 2):
+                x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
+                     * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
+                out.append(exp(mu + sd * x))
+            return tuple(out)
+
+    else:  # lerrw:1.0
+        n_blocks = (2 * b + 8) // 8
+
+        def sampler(digest: bytes):
+            words = words_of(digest, n_blocks)
+            z0 = -log((words[0] >> 11) * two53 + two54)
+            out = []
+            for i in range(1, 2 * b, 2):
+                x = (sqrt(-2.0 * log((words[i] >> 11) * two53 + two54))
+                     * cos(two_pi * ((words[i + 1] >> 11) * two53 + two54)))
+                out.append(0.5 * x * x / z0)
+            return tuple(out)
+
+    return sampler
+
+
+@pytest.mark.parametrize("kind", [
+    "uniform:0.5,1.5", "uniform:0.1,0.30000000000000004", "uniform:0,1e200",
+    "lognormal:0,0.5", "lognormal:-0.5,1e-300", "lognormal:1.1,0.7",
+    "lerrw:1.0", "lerrw:1"])
+def test_compiled_samplers_equal_their_loop_forms(monkeypatch, kind):
+    blocks = []
+    hash_block = streams.uniforms_from
+    monkeypatch.setattr(streams, "uniforms_from",
+                        lambda msg: blocks.append(msg) or hash_block(msg))
+    for b in (1, 2, 3, 4, 7, 8, 9, 16, 255):
+        compiled = make_weight_sampler(EnvSpec(b, kind, 0))
+        reference = _loop_sampler(b, kind)
+        for s in range(200):
+            d = streams.sample_digest(b, b"r", s)
+            blocks.clear()
+            got = compiled(d)
+            read = blocks[:]
+            blocks.clear()
+            assert got == reference(d)
+            assert type(got) is tuple and len(got) == b
+            assert read == blocks
+
+
 class TestGammaRepresentation:
     def test_shape_pair_identity(self):
         g0, g = _lerrw_gamma_shapes(1.0)
@@ -178,6 +270,12 @@ class TestTransienceCriterion:
     def test_reinforced_walks_pass(self, b):
         assert check_assumption_a(
             EnvSpec(b=b, kind="lerrw:1.0", seed=0)) > 1.0 / b
+
+    def test_uniform_moment_of_a_huge_law_is_finite(self):
+        # hi ** 2 overflows, but E[A] = hi / 2 does not
+        spec = EnvSpec(b=4, kind="uniform:0,1e200", seed=0)
+        assert marginal_weight_moment(spec, 1.0) == 5e199
+        assert check_assumption_a(spec) == 1.0
 
     def test_wide_lognormal_moment_past_the_largest_float_is_inf(self):
         # exp(s^2 / 2) at s = 40 is e^800: the moment at t = 1 is inf, not

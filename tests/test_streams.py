@@ -51,6 +51,11 @@ def _lane_uniforms(words):
     return [(w >> 11) * streams.TWO53 + streams.TWO54 for w in words]
 
 
+def _weight_block(d: bytes, m: int):
+    """The words of weight block ``m`` of the vertex with digest ``d``."""
+    return streams.uniforms_from(d + b"W" + m.to_bytes(4, "little"))
+
+
 def _digests(label: bytes, n: int):
     return [streams.root_digest(streams.derive_seed(0, label, i)) for i in range(n)]
 
@@ -70,17 +75,18 @@ class TestUniformBlocks:
     def test_weight_and_clock_blocks_are_distinct_streams(self):
         d = streams.root_digest(3)
         w8 = streams.walk_token(0)
-        assert streams.weight_words(d, 1) != streams.clock_init_block(d, w8, 0)
+        assert _weight_block(d, 0) != streams.clock_init_block(d, w8, 0)
         assert (streams.clock_init_block(d, w8, 0)
                 != streams.clock_advance_block(d, w8, 0, 0))
 
     def test_weight_stream_reads_the_weight_blocks_in_order(self):
+        # uniform:0,1 maps lane i of the flat weight stream to child i's
+        # weight unchanged: lanes 0-7 from block 0, then 8-15 from block 1
         d = streams.root_digest(3)
-        first = streams.weight_words(d, 2)
-        assert first == (streams.uniforms_from(d + b"W" + (0).to_bytes(4, "little"))
-                         + streams.uniforms_from(d + b"W" + (1).to_bytes(4, "little")))
-        assert streams.weight_words(d, 1) == first[:8]
-        assert streams.weight_words(d, 3)[:16] == first
+        sampler = make_weight_sampler(EnvSpec(b=16, kind="uniform:0,1", seed=0))
+        assert sampler(d) == tuple(_lane_uniforms(_weight_block(d, 0)
+                                                  + _weight_block(d, 1)))
+        assert _weight_block(d, 1) != _weight_block(d, 0)
 
     def test_clock_blocks_differ_across_walk_tokens(self):
         d = streams.root_digest(3)
@@ -102,13 +108,13 @@ class TestUniformStream:
 
     def test_reproducible(self):
         d = streams.root_digest(11)
-        assert streams.weight_words(d, 3) == streams.weight_words(d, 3)
+        assert _weight_block(d, 2) == _weight_block(d, 2)
         sample = streams.gamma_sampler((0.5, 2.0))
         assert sample(d) == sample(d) == streams.gamma_sampler((0.5, 2.0))(d)
 
     def test_uniform_moments(self):
         x = np.array([u for d in _digests(b"u", 2500)
-                      for u in _lane_uniforms(streams.weight_words(d, 1))])
+                      for u in _lane_uniforms(_weight_block(d, 0))])
         assert x.mean() == pytest.approx(0.5, abs=0.011)
         assert x.var() == pytest.approx(1.0 / 12.0, abs=0.004)
 
