@@ -56,9 +56,9 @@ Both are looked up on the ``streams`` module when a run starts, so a
 wrapper installed there sees every block.
 
 Every run, full-tree walk or subtree extension alike, is recorded as one
-``Trajectory``: the per-step levels (an int64 array), the per-step vertex
-ids, and the per-vertex discovery structure from which vertex paths and
-digests are rebuilt on demand.
+``Trajectory``: the per-step levels (an int64 array, built on its first
+read), the per-step vertex ids, and the per-vertex discovery structure
+from which vertex paths and digests are rebuilt on demand.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class StopRule:
             raise InvalidInputError("max_steps must be at least 1")
 
 
-# The levels of every run the engine has not finished: one shared,
-# read-only empty array; a run's own array is made once, when it ends.
-_NO_LEVELS = np.zeros(0, dtype=np.int64)
-_NO_LEVELS.flags.writeable = False
-
-
 class Trajectory:
     """One engine run: per-step levels and vertex ids, plus the per-vertex
     discovery structure (parent id, child digit, depth, digest) from which
@@ -116,15 +110,19 @@ class Trajectory:
     tree is the sentinel, at level -1 with a zero digest and no path.
     ``fresh`` lists (step, vertex id) at first visits, the sentinel
     excepted; ``stop_reason`` is ``level`` or ``steps``, and ``truncated``
-    marks a run that hit its step budget before a requested level.
+    marks a run that hit its step budget before a requested level.  The
+    engine records the levels in a list; ``levels``, their int64 array, is
+    built when it is first read, so a run whose levels nobody reads builds
+    none.
     """
 
-    __slots__ = ("nu", "levels", "ids", "par", "dig", "dep", "dgs",
-                 "fresh", "stop_reason", "truncated")
+    __slots__ = ("nu", "_level_list", "_levels", "ids", "par", "dig", "dep",
+                 "dgs", "fresh", "stop_reason", "truncated")
 
     def __init__(self, nu: VertexPath):
         self.nu = nu
-        self.levels: np.ndarray = _NO_LEVELS
+        self._level_list: List[int] = []
+        self._levels: Optional[np.ndarray] = None
         self.ids: List[int] = []
         self.par: List[int] = []
         self.dig: List[int] = []
@@ -135,12 +133,19 @@ class Trajectory:
         self.truncated = False
 
     @property
+    def levels(self) -> np.ndarray:
+        """The level of each step, from step 0, as an int64 array."""
+        if self._levels is None:
+            self._levels = np.asarray(self._level_list, dtype=np.int64)
+        return self._levels
+
+    @property
     def steps_taken(self) -> int:
-        return len(self.levels) - 1
+        return len(self._level_list) - 1
 
     @property
     def max_level_attained(self) -> int:
-        return int(self.levels.max())
+        return max(self._level_list)
 
     def path_of(self, vid: int) -> VertexPath:
         if vid == 0:
@@ -209,9 +214,8 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
         state.append(None)
     fresh.append((0, cur))
 
-    levels: List[int] = []
     ids = run.ids
-    lap = levels.append
+    lap = run._level_list.append
     iap = ids.append
 
     lvl = dep[cur]
@@ -282,7 +286,6 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
         if lvl == target:
             reason = "level"
             break
-    run.levels = np.asarray(levels, dtype=np.int64)
     run.stop_reason = reason or "steps"
     run.truncated = reason == "" and stop.max_level is not None
     return run
@@ -315,7 +318,7 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     seq: List[bytes] = []
     ids = run.ids
     dgs = run.dgs
-    levels = run.levels.tolist()
+    levels = run._level_list
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
         if cone[c if levels[t] > levels[t - 1] else a]:

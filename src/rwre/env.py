@@ -146,9 +146,11 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     depends on the law only, not on the seed, so it is built once per
     (b, kind) and shared; it finds ``streams.uniforms_from`` when it is
     called, so a wrapper installed there later still sees every block.
-    A law that reads a fixed number of lanes (``uniform``, ``lognormal``
-    and ``lerrw:1.0``) is compiled, once per (b, kind), into one
-    straight-line function that reads each lane by a constant index.
+    Every law but ``const`` is compiled, once per (b, kind), into one
+    straight-line function that reads each lane by a constant index: the
+    fixed-lane laws (``uniform``, ``lognormal``, ``lerrw:1.0``) all of
+    their lanes, the gamma laws (``gamma``, ``lerrw`` with delta != 1) the
+    first proposal of each variate, up to the first that is rejected.
     """
     return _weight_sampler(spec.b, spec.kind)
 
@@ -164,24 +166,26 @@ def _normal(i: int) -> str:
     return f"(sqrt(-2.0 * log({_lane(i)})) * cos(two_pi * {_lane(i + 1)}))"
 
 
-def _compile_sampler(kind: str, n_lanes: int, body: List[str],
-                     children: List[str],
-                     **params: float) -> Callable[[bytes], WeightVector]:
+def _hash(m: int) -> str:
+    """Source of the statement hashing weight block m into ``w{m}``."""
+    key = b"W" + m.to_bytes(4, "little")  # see the streams layout
+    return f"w{m} = hash_block(digest + {key!r})"
+
+
+def _compile_sampler(kind: str, body: List[str], children: List[str],
+                     **params: object) -> Callable[[bytes], WeightVector]:
     """A sampler written out as straight-line source for one law and one b,
     the way ``collections.namedtuple`` writes its methods.
 
-    It hashes the weight blocks holding lanes 0 .. ``n_lanes`` - 1, in
-    order, through ``streams.uniforms_from`` as it finds it when called,
-    runs the statements ``body`` and returns the tuple of the expressions
-    ``children``, one per child.  Only lane and block indices are written
-    into the source; the law's parameters are names in the function's
-    namespace, so no float goes through its repr.
+    It runs the statements ``body``, which hash the weight blocks they read
+    (``_hash``) through ``streams.uniforms_from`` as it finds it when
+    called, and returns the tuple of the expressions ``children``, one per
+    child.  Only lane and block indices are written into the source; the
+    law's parameters are names in the function's namespace, so no float
+    goes through its repr.
     """
     lines = ["def sampler(digest):",
              "    hash_block = streams.uniforms_from"]
-    for m in range((n_lanes + 7) // 8):
-        key = b"W" + m.to_bytes(4, "little")  # see the streams layout
-        lines.append(f"    w{m} = hash_block(digest + {key!r})")
     lines += [f"    {s}" for s in body]
     lines.append(f"    return ({''.join(c + ', ' for c in children)})")
     namespace = dict(params, streams=streams, log=math.log, sqrt=math.sqrt,
@@ -190,6 +194,78 @@ def _compile_sampler(kind: str, n_lanes: int, body: List[str],
     exec(compile("\n".join(lines), f"<{kind} sampler, b={len(children)}>",
                  "exec"), namespace)
     return namespace["sampler"]
+
+
+def _hash_lanes(n_lanes: int) -> List[str]:
+    """The statements hashing the blocks of lanes 0 .. ``n_lanes`` - 1, in
+    order."""
+    return [_hash(m) for m in range((n_lanes + 7) // 8)]
+
+
+def _gamma_body(prepared: List[Tuple[float, float, float]]
+                ) -> Tuple[List[str], dict]:
+    """Statements drawing the gamma variates z0, z1, .. of ``prepared``
+    (each variate's ``streams._gamma_constants``) as
+    ``streams._gamma_rest`` draws them, when each variate's first proposal
+    is accepted, and the namespace of the constants they name.
+
+    A block is hashed where the loop hashes it: before a boost lane that
+    lies past the blocks read so far, and before a proposal when fewer than
+    three of its lanes remain.  The first rejected proposal returns
+    ``rejected(digest, words, lane, done)``: the words hashed so far, the
+    variate's first lane and the variates finished before it.
+    """
+    distinct = list(dict.fromkeys(prepared))
+    body: List[str] = []
+    n_words = pos = 0
+    for i, consts in enumerate(prepared):
+        k = distinct.index(consts)
+        first = pos
+        if consts[2]:
+            if pos == n_words:
+                body.append(_hash(n_words >> 3))
+                n_words += 8
+            body.append(f"boost = {_lane(pos)} ** p{k}")
+            pos += 1
+        if pos + 3 > n_words:
+            body.append(_hash(n_words >> 3))
+            n_words += 8
+        words = " + ".join(f"w{m}" for m in range(n_words >> 3))
+        done = ", ".join(f"z{j}" for j in range(i))
+        body += [
+            f"x = {_normal(pos)}",
+            f"t = 1.0 + c{k} * x",
+            "v = t * t * t",
+            "x2 = x * x",
+            f"u = {_lane(pos + 2)}",
+            "if t <= 0.0 or not (u < 1.0 - 0.0331 * x2 * x2 or log(u) < "
+            f"0.5 * x2 + d{k} - d{k} * v + d{k} * log(v)):",
+            f"    return rejected(digest, {words}, {first}, [{done}])",
+            f"z{i} = d{k} * v" + (" * boost" if consts[2] else ""),
+        ]
+        pos += 3
+    return body, {f"{name}{k}": x for k, consts in enumerate(distinct)
+                  for name, x in zip("dcp", consts)}
+
+
+def _compile_gamma(kind: str, shapes: Tuple[float, ...],
+                   finish: Callable[[List[float]], WeightVector],
+                   children: List[str],
+                   **params: float) -> Callable[[bytes], WeightVector]:
+    """The compiled sampler of a gamma law: the variates of ``shapes``, by
+    ``_gamma_body``, mapped to the weights ``children`` (expressions in
+    z0, z1, ..).  Past the first rejected proposal it draws the rest of the
+    vector with ``streams._gamma_rest`` and maps it with ``finish``."""
+    prepared = [streams._gamma_constants(g) for g in shapes]
+
+    def rejected(digest: bytes, words: Tuple[int, ...], pos: int,
+                 done: List[float]) -> WeightVector:
+        return finish(streams._gamma_rest(prepared, digest + b"W", words,
+                                          pos, done))
+
+    body, names = _gamma_body(prepared)
+    return _compile_sampler(kind, body, children, rejected=rejected,
+                            **names, **params)
 
 
 @lru_cache(maxsize=256)
@@ -207,22 +283,26 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
     elif name == "uniform":
         lo, hi = args
         sampler = _compile_sampler(
-            kind, b, [], [f"lo + span * {_lane(c)}" for c in range(b)],
+            kind, _hash_lanes(b),
+            [f"lo + span * {_lane(c)}" for c in range(b)],
             lo=lo, span=hi - lo)
 
     elif name == "lognormal":
         mu, sd = args
         sampler = _compile_sampler(
-            kind, 2 * b, [],
+            kind, _hash_lanes(2 * b),
             [f"exp(mu + sd * {_normal(2 * c)})" for c in range(b)],
             mu=mu, sd=sd)
 
     elif name == "gamma":
         shape, scale = args
-        gammas = streams.gamma_sampler((shape,) * b)
 
-        def sampler(digest: bytes) -> WeightVector:
-            return tuple([scale * x for x in gammas(digest)])
+        def finish(z: List[float]) -> WeightVector:
+            return tuple([scale * x for x in z])
+
+        sampler = _compile_gamma(kind, (shape,) * b, finish,
+                                 [f"scale * z{c}" for c in range(b)],
+                                 scale=scale)
 
     else:  # lerrw
         g0, g = _lerrw_gamma_shapes(args[0])
@@ -230,18 +310,17 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
             sampler = _compile_sampler(
-                kind, 2 * b + 1,
-                [f"z0 = -log({_lane(0)})"]
+                kind, _hash_lanes(2 * b + 1) + [f"z0 = -log({_lane(0)})"]
                 + [f"x{c} = {_normal(2 * c + 1)}" for c in range(b)],
                 [f"0.5 * x{c} * x{c} / z0" for c in range(b)])
 
         else:
-            gammas = streams.gamma_sampler((g0,) + (g,) * b)
-
-            def sampler(digest: bytes) -> WeightVector:
-                z = gammas(digest)
+            def finish(z: List[float]) -> WeightVector:
                 z0 = z[0]
                 return tuple([z[i] / z0 for i in range(1, b + 1)])
+
+            sampler = _compile_gamma(kind, (g0,) + (g,) * b, finish,
+                                     [f"z{c} / z0" for c in range(1, b + 1)])
 
     return sampler
 
@@ -280,12 +359,15 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
         if lo == 0 and t <= -1:
             return math.inf
         try:
-            return (hi ** (t + 1) - lo ** (t + 1)) / ((hi - lo) * (t + 1))
+            top = hi ** (t + 1)
         except OverflowError:
-            # hi ** (t + 1) is past the largest float, but the moment is at
-            # most hi ** t: take that factor out
-            r = lo / hi
-            return hi ** t * ((1.0 - r ** (t + 1)) / ((1.0 - r) * (t + 1)))
+            top = math.inf
+        if sys.float_info.min <= top < math.inf:
+            return (top - lo ** (t + 1)) / ((hi - lo) * (t + 1))
+        # hi ** (t + 1) is past the largest float or below the smallest
+        # normal one, but the moment is at most hi ** t: take that factor out
+        r = lo / hi
+        return hi ** t * ((1.0 - r ** (t + 1)) / ((1.0 - r) * (t + 1)))
     if name == "gamma":
         shape, scale = args
         if shape + t <= 0:

@@ -8,6 +8,7 @@ is exactly 8/3 by the beta-function ratio.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,8 +159,69 @@ def _weight_words(digest, n_blocks):
     return words
 
 
-def _loop_sampler(b, kind):
-    """The loop forms of the fixed-lane samplers, kept as the reference the
+def _gamma_sampler(shapes, rejected):
+    """streams.gamma_sampler before the gamma laws were compiled: the
+    Marsaglia-Tsang rejection loop over the whole vector, counting in
+    ``rejected`` the proposals each of its two tests rejects."""
+    prepared = []
+    for shape in shapes:
+        power = 0.0  # no boost draw
+        if shape < 1.0:
+            power = 1.0 / shape
+            shape += 1.0
+        d = shape - 1.0 / 3.0
+        prepared.append((d, 1.0 / math.sqrt(9.0 * d), power))
+    log = math.log
+    sqrt = math.sqrt
+    cos = math.cos
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+
+    def sample(digest):
+        prefix = digest + b"W"
+        words = streams.uniforms_from(prefix + (0).to_bytes(4, "little"))
+        n_blocks = 1
+        pos = 0
+        out = []
+        for d, c, power in prepared:
+            boost = 1.0
+            if power:
+                if pos == len(words):
+                    words += streams.uniforms_from(
+                        prefix + n_blocks.to_bytes(4, "little"))
+                    n_blocks += 1
+                boost = ((words[pos] >> 11) * two53 + two54) ** power
+                pos += 1
+            while True:
+                if pos + 3 > len(words):
+                    words += streams.uniforms_from(
+                        prefix + n_blocks.to_bytes(4, "little"))
+                    n_blocks += 1
+                u1 = (words[pos] >> 11) * two53 + two54
+                u2 = (words[pos + 1] >> 11) * two53 + two54
+                pos += 2
+                x = sqrt(-2.0 * log(u1)) * cos(streams.TWO_PI * u2)
+                t = 1.0 + c * x
+                if t <= 0.0:
+                    rejected["t <= 0"] += 1
+                    continue
+                v = t * t * t
+                u = (words[pos] >> 11) * two53 + two54
+                pos += 1
+                x2 = x * x
+                if u < 1.0 - 0.0331 * x2 * x2:
+                    break
+                if log(u) < 0.5 * x2 + d - d * v + d * log(v):
+                    break
+                rejected["log test"] += 1
+            out.append(d * v * boost)
+        return out
+
+    return sample
+
+
+def _loop_sampler(b, kind, rejected):
+    """The loop forms of the compiled samplers, kept as the reference the
     compiled ones must equal bit for bit."""
     name, args = parse_descriptor(kind)
     words_of = _weight_words
@@ -193,6 +255,22 @@ def _loop_sampler(b, kind):
                 out.append(exp(mu + sd * x))
             return tuple(out)
 
+    elif name == "gamma":
+        shape, scale = args
+        gammas = _gamma_sampler((shape,) * b, rejected)
+
+        def sampler(digest: bytes):
+            return tuple([scale * x for x in gammas(digest)])
+
+    elif args[0] != 1.0:  # lerrw, a gamma law
+        g0, g = _lerrw_gamma_shapes(args[0])
+        gammas = _gamma_sampler((g0,) + (g,) * b, rejected)
+
+        def sampler(digest: bytes):
+            z = gammas(digest)
+            z0 = z[0]
+            return tuple([z[i] / z0 for i in range(1, b + 1)])
+
     else:  # lerrw:1.0
         n_blocks = (2 * b + 8) // 8
 
@@ -209,18 +287,26 @@ def _loop_sampler(b, kind):
     return sampler
 
 
+# gamma:0.005,1 draws a boost u ** 200, which underflows to 0.0 for u
+# below about 0.03
+GAMMA_LAWS = ["gamma:2,0.5", "gamma:0.5,2", "gamma:0.005,1", "lerrw:0.5",
+              "lerrw:2.0"]
+
+
 @pytest.mark.parametrize("kind", [
     "uniform:0.5,1.5", "uniform:0.1,0.30000000000000004", "uniform:0,1e200",
     "lognormal:0,0.5", "lognormal:-0.5,1e-300", "lognormal:1.1,0.7",
-    "lerrw:1.0", "lerrw:1"])
+    "lerrw:1.0", "lerrw:1"] + GAMMA_LAWS)
 def test_compiled_samplers_equal_their_loop_forms(monkeypatch, kind):
     blocks = []
     hash_block = streams.uniforms_from
     monkeypatch.setattr(streams, "uniforms_from",
                         lambda msg: blocks.append(msg) or hash_block(msg))
+    rejected = Counter()
+    zeros = 0
     for b in (1, 2, 3, 4, 7, 8, 9, 16, 255):
         compiled = make_weight_sampler(EnvSpec(b, kind, 0))
-        reference = _loop_sampler(b, kind)
+        reference = _loop_sampler(b, kind, rejected)
         for s in range(200):
             d = streams.sample_digest(b, b"r", s)
             blocks.clear()
@@ -230,6 +316,11 @@ def test_compiled_samplers_equal_their_loop_forms(monkeypatch, kind):
             assert got == reference(d)
             assert type(got) is tuple and len(got) == b
             assert read == blocks
+            zeros += got.count(0.0)
+    if kind in GAMMA_LAWS:
+        # the digests reach both ways a proposal is rejected
+        assert rejected["t <= 0"] > 0 and rejected["log test"] > 0
+    assert (zeros > 0) == (kind == "gamma:0.005,1")
 
 
 class TestGammaRepresentation:
@@ -276,6 +367,13 @@ class TestTransienceCriterion:
         spec = EnvSpec(b=4, kind="uniform:0,1e200", seed=0)
         assert marginal_weight_moment(spec, 1.0) == 5e199
         assert check_assumption_a(spec) == 1.0
+
+    @pytest.mark.parametrize("hi", [1e-200, 1e-160])
+    def test_uniform_moment_of_a_tiny_law_is_not_lost(self, hi):
+        # hi ** 2 underflows, to zero or to a subnormal, but E[A] = hi / 2
+        # is a normal float
+        spec = EnvSpec(b=4, kind=f"uniform:0,{hi}", seed=0)
+        assert marginal_weight_moment(spec, 1.0) == hi / 2
 
     def test_wide_lognormal_moment_past_the_largest_float_is_inf(self):
         # exp(s^2 / 2) at s = 40 is e^800: the moment at t = 1 is inf, not

@@ -184,7 +184,8 @@ def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
     assert tracer.identity_failures() == []
 
 
-@pytest.mark.parametrize("kind", ["lerrw:0.5", "gamma:0.5,2", "lerrw:1.0",
+@pytest.mark.parametrize("kind", ["lerrw:0.5", "lerrw:2.0", "gamma:0.5,2",
+                                  "gamma:2,0.5", "lerrw:1.0",
                                   "lognormal:0,0.5", "uniform:0.5,1.5"])
 def test_a_sampler_built_before_a_wrapper_reports_through_it(monkeypatch,
                                                              kind):

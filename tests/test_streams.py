@@ -15,8 +15,9 @@ import pytest
 from scipy import stats as st
 
 from rwre import streams
-from rwre.env import EnvSpec, make_weight_sampler
-from rwre.errors import DataQualityError, InvalidInputError, RwreError
+from rwre.env import EnvSpec, _weight_sampler, make_weight_sampler
+from rwre.errors import (ConfigError, DataQualityError, InvalidInputError,
+                         RwreError)
 
 from conftest import assert_no_child_left, time_limit
 
@@ -109,8 +110,11 @@ class TestUniformStream:
     def test_reproducible(self):
         d = streams.root_digest(11)
         assert _weight_block(d, 2) == _weight_block(d, 2)
-        sample = streams.gamma_sampler((0.5, 2.0))
-        assert sample(d) == sample(d) == streams.gamma_sampler((0.5, 2.0))(d)
+        # gamma shapes 1.125 (Z_0) and 0.625 (Z_1, Z_2, boosted); the
+        # second sampler is built afresh, past the cache
+        sample = make_weight_sampler(EnvSpec(b=2, kind="lerrw:0.8", seed=0))
+        fresh = _weight_sampler.__wrapped__(2, "lerrw:0.8")
+        assert sample(d) == sample(d) == fresh(d)
 
     def test_uniform_moments(self):
         x = np.array([u for d in _digests(b"u", 2500)
@@ -137,14 +141,15 @@ class TestUniformStream:
 
     @pytest.mark.parametrize("shape", [0.5, 1.5, 4.0])
     def test_gamma_moments(self, shape):
-        sample = streams.gamma_sampler((shape,) * 8)
+        sample = make_weight_sampler(EnvSpec(b=8, kind=f"gamma:{shape},1",
+                                             seed=0))
         x = np.array([g for d in _digests(b"g", 2500) for g in sample(d)])
         se_mean = math.sqrt(shape / 20000)
         assert x.mean() == pytest.approx(shape, abs=5 * se_mean + 0.01)
         assert x.var() == pytest.approx(shape, rel=0.08)
 
     def test_gamma_small_shape_matches_scipy_quantiles(self):
-        sample = streams.gamma_sampler((0.5,) * 8)
+        sample = make_weight_sampler(EnvSpec(b=8, kind="gamma:0.5,1", seed=0))
         x = np.sort([g for d in _digests(b"gq", 2500) for g in sample(d)])
         for q in (0.1, 0.5, 0.9):
             want = st.gamma.ppf(q, a=0.5)
@@ -152,10 +157,10 @@ class TestUniformStream:
             assert got == pytest.approx(want, rel=0.06, abs=0.002)
 
     def test_gamma_rejects_nonpositive_shape(self):
-        # at preparation, before any digest is drawn from
-        for shapes in ((0.0,), (1.0, -2.0)):
-            with pytest.raises(InvalidInputError):
-                streams.gamma_sampler(shapes)
+        # when the law is parsed, before any sampler is built
+        for kind in ("gamma:0,1", "gamma:-2,1"):
+            with pytest.raises(ConfigError, match="positive shape"):
+                make_weight_sampler(EnvSpec(b=2, kind=kind, seed=0))
 
 
 def _trial_and_pid(t: int):
