@@ -100,7 +100,7 @@ class StopRule:
 
 
 class Trajectory:
-    """One engine run: per-step levels and vertex ids, plus the per-vertex
+    """One engine run: per-step vertex ids, plus the per-vertex
     discovery structure (parent id, child digit, depth, digest) from which
     paths are rebuilt lazily.  Memory is proportional to the number of steps
     plus the number of distinct visited vertices.
@@ -111,17 +111,16 @@ class Trajectory:
     ``fresh`` lists (step, vertex id) at first visits, the sentinel
     excepted; ``stop_reason`` is ``level`` or ``steps``, and ``truncated``
     marks a run that hit its step budget before a requested level.  The
-    engine records the levels in a list; ``levels``, their int64 array, is
-    built when it is first read, so a run whose levels nobody reads builds
-    none.
+    engine records each step's vertex id only; ``levels``, the int64 array
+    of their depths, is built when it is first read, so a run whose levels
+    nobody reads builds none.
     """
 
-    __slots__ = ("nu", "_level_list", "_levels", "ids", "par", "dig", "dep",
+    __slots__ = ("nu", "_levels", "ids", "par", "dig", "dep",
                  "dgs", "fresh", "stop_reason", "truncated")
 
     def __init__(self, nu: VertexPath):
         self.nu = nu
-        self._level_list: List[int] = []
         self._levels: Optional[np.ndarray] = None
         self.ids: List[int] = []
         self.par: List[int] = []
@@ -136,16 +135,16 @@ class Trajectory:
     def levels(self) -> np.ndarray:
         """The level of each step, from step 0, as an int64 array."""
         if self._levels is None:
-            self._levels = np.asarray(self._level_list, dtype=np.int64)
+            self._levels = np.asarray(self.dep, dtype=np.int64)[self.ids]
         return self._levels
 
     @property
     def steps_taken(self) -> int:
-        return len(self._level_list) - 1
+        return len(self.ids) - 1
 
     @property
     def max_level_attained(self) -> int:
-        return max(self._level_list)
+        return max(self.dep)
 
     def path_of(self, vid: int) -> VertexPath:
         if vid == 0:
@@ -215,11 +214,9 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     fresh.append((0, cur))
 
     ids = run.ids
-    lap = run._level_list.append
     iap = ids.append
 
     lvl = dep[cur]
-    lap(lvl)
     iap(cur)
     # Levels never go below -1, so -2 stands for "no level target".
     target = -2 if stop.max_level is None else stop.max_level
@@ -281,7 +278,6 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
                 state.append(None)
             cur = c
             lvl += 1
-        lap(lvl)
         iap(cur)
         if lvl == target:
             reason = "level"
@@ -318,10 +314,10 @@ def lambda_restriction_sequence(run: Trajectory, nu: VertexPath) -> List[bytes]:
     seq: List[bytes] = []
     ids = run.ids
     dgs = run.dgs
-    levels = run._level_list
+    dep = run.dep
     for t in range(1, len(ids)):
         a, c = ids[t - 1], ids[t]
-        if cone[c if levels[t] > levels[t - 1] else a]:
+        if cone[c if dep[c] > dep[a] else a]:
             if not seq:
                 seq.append(dgs[a])
             seq.append(dgs[c])

@@ -29,6 +29,15 @@ initial edge weight delta.
 
 The lerrw components share the Z_0 denominator, so they are exchangeable
 but not independent; all other kinds have i.i.d. components.
+
+A vertex's weight vector is read front to back from its weight stream,
+the lanes of its blocks digest + b"W" + block4 (see ``streams``):
+``uniform`` reads b lanes, ``lognormal`` 2b and ``lerrw:1.0`` 1 + 2b (an
+exponential, then b cosine-branch Box-Muller normals).  The gamma laws
+(``gamma``, ``lerrw`` with delta != 1) draw their variates in order by
+Marsaglia-Tsang rejection (Marsaglia & Tsang 2000, ACM TOMS 26(3)): a
+shape below one reads one boost lane, then each proposal reads three
+lanes (two when 1 + c x <= 0 rejects it) until one is accepted.
 """
 
 from __future__ import annotations
@@ -141,16 +150,19 @@ def _lerrw_gamma_shapes(delta: float) -> Tuple[float, float]:
 def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     """A fast sampler mapping a vertex digest to that vertex's weight vector.
 
-    The sampler reads the vertex's flat weight stream (see ``streams``)
-    front to back, so the result is a pure function of (seed, vertex).  It
-    depends on the law only, not on the seed, so it is built once per
-    (b, kind) and shared; it finds ``streams.uniforms_from`` when it is
-    called, so a wrapper installed there later still sees every block.
+    The sampler reads the vertex's weight stream front to back, so the
+    result is a pure function of (seed, vertex).  It depends on the law
+    only, not on the seed, so it is built once per (b, kind) and shared;
+    it finds ``streams.uniforms_from`` when it is called, so a wrapper
+    installed there later still sees every block.
+
     Every law but ``const`` is compiled, once per (b, kind), into one
     straight-line function that reads each lane by a constant index: the
-    fixed-lane laws (``uniform``, ``lognormal``, ``lerrw:1.0``) all of
-    their lanes, the gamma laws (``gamma``, ``lerrw`` with delta != 1) the
-    first proposal of each variate, up to the first that is rejected.
+    fixed-lane laws all of their lanes, the gamma laws the first proposal
+    of each variate.  When one of those is rejected, a gamma sampler draws
+    the whole vector again from lane 0 in ``_gamma_variates``, reusing the
+    blocks it has hashed; the restart repeats the operations of the
+    variates accepted so far, so values and blocks match the loop's.
     """
     return _weight_sampler(spec.b, spec.kind)
 
@@ -173,6 +185,7 @@ def _hash(m: int) -> str:
 
 
 def _compile_sampler(kind: str, body: List[str], children: List[str],
+                     variates: List[str],
                      **params: object) -> Callable[[bytes], WeightVector]:
     """A sampler written out as straight-line source for one law and one b,
     the way ``collections.namedtuple`` writes its methods.
@@ -180,14 +193,22 @@ def _compile_sampler(kind: str, body: List[str], children: List[str],
     It runs the statements ``body``, which hash the weight blocks they read
     (``_hash``) through ``streams.uniforms_from`` as it finds it when
     called, and returns the tuple of the expressions ``children``, one per
-    child.  Only lane and block indices are written into the source; the
-    law's parameters are names in the function's namespace, so no float
-    goes through its repr.
+    child.  A gamma law's ``variates`` name the variates the children
+    read; the same expressions then make ``finish``, the map from those
+    variates to the weights, which the body's rejection exits call.  Only
+    lane and block indices are written into the source; the law's
+    parameters are names in the function's namespace, so no float goes
+    through its repr.
     """
-    lines = ["def sampler(digest):",
-             "    hash_block = streams.uniforms_from"]
+    weights = f"({''.join(c + ', ' for c in children)})"
+    lines = []
+    if variates:
+        lines += [f"def finish({', '.join(variates)}):",
+                  f"    return {weights}"]
+    lines += ["def sampler(digest):",
+              "    hash_block = streams.uniforms_from"]
     lines += [f"    {s}" for s in body]
-    lines.append(f"    return ({''.join(c + ', ' for c in children)})")
+    lines.append(f"    return {weights}")
     namespace = dict(params, streams=streams, log=math.log, sqrt=math.sqrt,
                      cos=math.cos, exp=math.exp, two53=streams.TWO53,
                      two54=streams.TWO54, two_pi=streams.TWO_PI)
@@ -202,69 +223,107 @@ def _hash_lanes(n_lanes: int) -> List[str]:
     return [_hash(m) for m in range((n_lanes + 7) // 8)]
 
 
-def _gamma_body(prepared: List[Tuple[float, float, float]]
-                ) -> Tuple[List[str], dict]:
-    """Statements drawing the gamma variates z0, z1, .. of ``prepared``
-    (each variate's ``streams._gamma_constants``) as
-    ``streams._gamma_rest`` draws them, when each variate's first proposal
-    is accepted, and the namespace of the constants they name.
+def _gamma_constants(shape: float) -> Tuple[float, float, float]:
+    """The Marsaglia-Tsang constants of one gamma shape: d, c and the
+    boost exponent, 0.0 for a shape of at least one (no boost draw)."""
+    power = 0.0
+    if shape < 1.0:
+        power = 1.0 / shape
+        shape += 1.0
+    d = shape - 1.0 / 3.0
+    return d, 1.0 / math.sqrt(9.0 * d), power
 
-    A block is hashed where the loop hashes it: before a boost lane that
-    lies past the blocks read so far, and before a proposal when fewer than
-    three of its lanes remain.  The first rejected proposal returns
-    ``rejected(digest, words, lane, done)``: the words hashed so far, the
-    variate's first lane and the variates finished before it.
+
+def _gamma_variates(prepared: List[Tuple[float, float, float]],
+                    prefix: bytes, words: Tuple[int, ...]) -> List[float]:
+    """The gamma variates of a weight vector by Marsaglia-Tsang rejection,
+    read from lane 0 of its weight stream.
+
+    ``prepared`` holds each variate's ``_gamma_constants``, ``prefix`` is
+    the digest followed by b"W", and ``words`` the words of the weight
+    blocks already hashed, from block 0 on.  A shape below one returns the
+    variate of shape + 1 times u ** (1 / shape), u its boost lane; other
+    shapes take the factor u ** 0.0 = 1.0 of their first lane.  Further
+    blocks are hashed only when a lane of them is read, through
+    ``streams.uniforms_from`` as this function finds it when called.
     """
-    distinct = list(dict.fromkeys(prepared))
+    log = math.log
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    pos = 0
+    out = []
+    for d, c, power in prepared:
+        boost_lane = pos
+        if power:
+            pos += 1
+        while True:
+            # Reading ahead when fewer than three lanes remain hashes no
+            # block early: the boost lane is read with the first proposal,
+            # and a proposal rejected after two lanes is followed by
+            # another, which reads at least two more.
+            if pos + 3 > len(words):
+                words += streams.uniforms_from(
+                    prefix + (len(words) >> 3).to_bytes(4, "little"))
+            u1 = (words[pos] >> 11) * two53 + two54
+            u2 = (words[pos + 1] >> 11) * two53 + two54
+            pos += 2
+            x = math.sqrt(-2.0 * log(u1)) * math.cos(streams.TWO_PI * u2)
+            t = 1.0 + c * x
+            if t <= 0.0:
+                continue
+            v = t * t * t
+            u = (words[pos] >> 11) * two53 + two54
+            pos += 1
+            x2 = x * x
+            if u < 1.0 - 0.0331 * x2 * x2:
+                break
+            if log(u) < 0.5 * x2 + d - d * v + d * log(v):
+                break
+        out.append(d * v * ((words[boost_lane] >> 11) * two53 + two54) ** power)
+    return out
+
+
+def _compile_gamma(kind: str, shapes: Tuple[float, ...], children: List[str],
+                   **params: float) -> Callable[[bytes], WeightVector]:
+    """The compiled sampler of a gamma law: the variates z0, z1, .. of
+    ``shapes`` mapped to the weights ``children``.
+
+    Its body reads each variate's first proposal as ``_gamma_variates``
+    reads it and hashes each block where the loop hashes it, before a
+    proposal (with its boost lane) when fewer than three of its lanes
+    remain.  A rejected first proposal returns
+    ``finish(*gamma_variates(prepared, digest + b"W", <words so far>))``.
+    """
+    prepared = [_gamma_constants(g) for g in shapes]
     body: List[str] = []
     n_words = pos = 0
-    for i, consts in enumerate(prepared):
-        k = distinct.index(consts)
-        first = pos
-        if consts[2]:
-            if pos == n_words:
-                body.append(_hash(n_words >> 3))
-                n_words += 8
-            body.append(f"boost = {_lane(pos)} ** p{k}")
+    for i, (_, _, power) in enumerate(prepared):
+        boost_lane = pos
+        if power:
             pos += 1
         if pos + 3 > n_words:
             body.append(_hash(n_words >> 3))
             n_words += 8
         words = " + ".join(f"w{m}" for m in range(n_words >> 3))
-        done = ", ".join(f"z{j}" for j in range(i))
         body += [
             f"x = {_normal(pos)}",
-            f"t = 1.0 + c{k} * x",
+            f"t = 1.0 + c{i} * x",
             "v = t * t * t",
             "x2 = x * x",
             f"u = {_lane(pos + 2)}",
             "if t <= 0.0 or not (u < 1.0 - 0.0331 * x2 * x2 or log(u) < "
-            f"0.5 * x2 + d{k} - d{k} * v + d{k} * log(v)):",
-            f"    return rejected(digest, {words}, {first}, [{done}])",
-            f"z{i} = d{k} * v" + (" * boost" if consts[2] else ""),
+            f"0.5 * x2 + d{i} - d{i} * v + d{i} * log(v)):",
+            "    return finish(*gamma_variates(prepared, digest + b'W', "
+            f"{words}))",
+            f"z{i} = d{i} * v"
+            + (f" * {_lane(boost_lane)} ** p{i}" if power else ""),
         ]
         pos += 3
-    return body, {f"{name}{k}": x for k, consts in enumerate(distinct)
-                  for name, x in zip("dcp", consts)}
-
-
-def _compile_gamma(kind: str, shapes: Tuple[float, ...],
-                   finish: Callable[[List[float]], WeightVector],
-                   children: List[str],
-                   **params: float) -> Callable[[bytes], WeightVector]:
-    """The compiled sampler of a gamma law: the variates of ``shapes``, by
-    ``_gamma_body``, mapped to the weights ``children`` (expressions in
-    z0, z1, ..).  Past the first rejected proposal it draws the rest of the
-    vector with ``streams._gamma_rest`` and maps it with ``finish``."""
-    prepared = [streams._gamma_constants(g) for g in shapes]
-
-    def rejected(digest: bytes, words: Tuple[int, ...], pos: int,
-                 done: List[float]) -> WeightVector:
-        return finish(streams._gamma_rest(prepared, digest + b"W", words,
-                                          pos, done))
-
-    body, names = _gamma_body(prepared)
-    return _compile_sampler(kind, body, children, rejected=rejected,
+    names = {f"{name}{i}": x for i, consts in enumerate(prepared)
+             for name, x in zip("dcp", consts)}
+    return _compile_sampler(kind, body, children,
+                            [f"z{i}" for i in range(len(prepared))],
+                            prepared=prepared, gamma_variates=_gamma_variates,
                             **names, **params)
 
 
@@ -284,23 +343,19 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
         lo, hi = args
         sampler = _compile_sampler(
             kind, _hash_lanes(b),
-            [f"lo + span * {_lane(c)}" for c in range(b)],
+            [f"lo + span * {_lane(c)}" for c in range(b)], [],
             lo=lo, span=hi - lo)
 
     elif name == "lognormal":
         mu, sd = args
         sampler = _compile_sampler(
             kind, _hash_lanes(2 * b),
-            [f"exp(mu + sd * {_normal(2 * c)})" for c in range(b)],
+            [f"exp(mu + sd * {_normal(2 * c)})" for c in range(b)], [],
             mu=mu, sd=sd)
 
     elif name == "gamma":
         shape, scale = args
-
-        def finish(z: List[float]) -> WeightVector:
-            return tuple([scale * x for x in z])
-
-        sampler = _compile_gamma(kind, (shape,) * b, finish,
+        sampler = _compile_gamma(kind, (shape,) * b,
                                  [f"scale * z{c}" for c in range(b)],
                                  scale=scale)
 
@@ -312,14 +367,10 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
             sampler = _compile_sampler(
                 kind, _hash_lanes(2 * b + 1) + [f"z0 = -log({_lane(0)})"]
                 + [f"x{c} = {_normal(2 * c + 1)}" for c in range(b)],
-                [f"0.5 * x{c} * x{c} / z0" for c in range(b)])
+                [f"0.5 * x{c} * x{c} / z0" for c in range(b)], [])
 
         else:
-            def finish(z: List[float]) -> WeightVector:
-                z0 = z[0]
-                return tuple([z[i] / z0 for i in range(1, b + 1)])
-
-            sampler = _compile_gamma(kind, (g0,) + (g,) * b, finish,
+            sampler = _compile_gamma(kind, (g0,) + (g,) * b,
                                      [f"z{c} / z0" for c in range(1, b + 1)])
 
     return sampler
@@ -358,6 +409,8 @@ def marginal_weight_moment(spec: EnvSpec, t: float) -> float:
             return 1.0
         if lo == 0 and t <= -1:
             return math.inf
+        if t == -1:
+            return (math.log(hi) - math.log(lo)) / (hi - lo)
         try:
             top = hi ** (t + 1)
         except OverflowError:

@@ -38,16 +38,8 @@ never see zero, by the single map
 and each consumer maps only the lanes it reads:
 
 * the weight stream of a vertex is the flat sequence of its weight
-  blocks, read front to back: ``lerrw:1.0`` reads one exponential and
-  then b cosine-branch Box-Muller normals (1 + 2b lanes), ``uniform``
-  reads b lanes, ``lognormal`` 2b lanes, and the gamma laws
-  (``gamma``, ``lerrw`` with delta != 1) draw their variates in order by
-  Marsaglia-Tsang rejection: a shape below one reads one boost lane, then
-  each proposal reads three lanes (two when 1 + c x <= 0 rejects it) until
-  one is accepted.  While every first proposal is accepted, the compiled
-  samplers of ``env`` read these lanes at constant indices (three per
-  variate, plus its boost lane); from the first rejected proposal on,
-  ``_gamma_rest`` reads them;
+  blocks, read front to back; ``env`` says which lanes each weight law
+  reads;
 * a k = 0 clock block serves slots 8m..8m+7 of one vertex, and the first
   race at a vertex reads the lanes of all its slots (a run's one-slot
   anchor never races);
@@ -59,14 +51,13 @@ and each consumer maps only the lanes it reads:
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import pickle
 import signal
 import struct
 import sys
 import traceback
-from typing import Callable, List, NoReturn, Sequence, Tuple, TypeVar
+from typing import Callable, List, NoReturn, Tuple, TypeVar
 
 from .errors import InvalidInputError, RwreError
 from .tree import VertexPath
@@ -144,76 +135,6 @@ def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[int, ...]
 def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> Tuple[int, ...]:
     """Words feeding exponentials k = 8*block+1 .. 8*block+8 of one slot."""
     return uniforms_from(digest + b"c" + walk8 + BYTE1[slot] + _b4(block))
-
-
-def _gamma_constants(shape: float) -> Tuple[float, float, float]:
-    """The Marsaglia-Tsang constants of one gamma shape: d, c and the
-    boost exponent, 0.0 for a shape of at least one (no boost draw)."""
-    power = 0.0
-    if shape < 1.0:
-        power = 1.0 / shape
-        shape += 1.0
-    d = shape - 1.0 / 3.0
-    return d, 1.0 / math.sqrt(9.0 * d), power
-
-
-def _gamma_rest(prepared: Sequence[Tuple[float, float, float]],
-                prefix: bytes, words: Tuple[int, ...], pos: int,
-                out: List[float]) -> List[float]:
-    """Finish a gamma weight vector by Marsaglia-Tsang rejection: append
-    the variates ``prepared[len(out):]`` to ``out``, the first of them read
-    from lane ``pos`` on, and return ``out``.
-
-    ``prepared`` holds each variate's ``_gamma_constants``, ``prefix`` is
-    the digest followed by b"W", and ``words`` the words of the weight
-    blocks hashed so far.  A shape below one draws one uniform u first and
-    returns the variate of shape + 1 times u ** (1 / shape).  Each proposal
-    reads a cosine-branch Box-Muller normal (two uniforms) and, unless
-    1 + c x <= 0 rejects it outright, one acceptance uniform.  Blocks are
-    hashed only when a lane of them is read, through ``uniforms_from`` as
-    this module finds it when called.
-
-    The compiled gamma samplers of ``env`` read each variate's first
-    proposal in straight-line code and call this from the start of the
-    first variate whose first proposal is rejected; it reads that
-    variate's lanes again, from its first.
-    """
-    log = math.log
-    sqrt = math.sqrt
-    cos = math.cos
-    n_blocks = len(words) >> 3
-    for d, c, power in prepared[len(out):]:
-        boost = 1.0
-        if power:
-            if pos == len(words):
-                words += uniforms_from(prefix + _b4(n_blocks))
-                n_blocks += 1
-            boost = ((words[pos] >> 11) * TWO53 + TWO54) ** power
-            pos += 1
-        while True:
-            # Reading ahead when fewer than three lanes remain hashes no
-            # block early: a proposal rejected after two lanes is followed
-            # by another proposal, which reads at least two more.
-            if pos + 3 > len(words):
-                words += uniforms_from(prefix + _b4(n_blocks))
-                n_blocks += 1
-            u1 = (words[pos] >> 11) * TWO53 + TWO54
-            u2 = (words[pos + 1] >> 11) * TWO53 + TWO54
-            pos += 2
-            x = sqrt(-2.0 * log(u1)) * cos(TWO_PI * u2)
-            t = 1.0 + c * x
-            if t <= 0.0:
-                continue
-            v = t * t * t
-            u = (words[pos] >> 11) * TWO53 + TWO54
-            pos += 1
-            x2 = x * x
-            if u < 1.0 - 0.0331 * x2 * x2:
-                break
-            if log(u) < 0.5 * x2 + d - d * v + d * log(v):
-                break
-        out.append(d * v * boost)
-    return out
 
 
 def walk_token(walk_index: int) -> bytes:

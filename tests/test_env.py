@@ -16,6 +16,8 @@ import pytest
 from rwre import streams
 from rwre.env import (
     EnvSpec,
+    _gamma_constants,
+    _gamma_variates,
     _lerrw_gamma_shapes,
     check_assumption_a,
     lerrw_negative_moment_cf,
@@ -323,6 +325,66 @@ def test_compiled_samplers_equal_their_loop_forms(monkeypatch, kind):
     assert (zeros > 0) == (kind == "gamma:0.005,1")
 
 
+def _first_rejected(prepared, digest):
+    """The index of the first variate whose first Marsaglia-Tsang proposal
+    is rejected, with every variate's first proposal (and boost lane) read
+    at the lanes it takes when all before it were accepted; None if none
+    is rejected."""
+    words = _weight_words(digest, (4 * len(prepared) + 7) // 8)
+    lanes = [(w >> 11) * streams.TWO53 + streams.TWO54 for w in words]
+    pos = 0
+    for i, (d, c, power) in enumerate(prepared):
+        pos += power > 0
+        u1, u2, u = lanes[pos:pos + 3]
+        pos += 3
+        x = math.sqrt(-2.0 * math.log(u1)) * math.cos(streams.TWO_PI * u2)
+        t = 1.0 + c * x
+        v = t * t * t
+        x2 = x * x
+        if t <= 0.0 or not (u < 1.0 - 0.0331 * x2 * x2 or math.log(u) <
+                            0.5 * x2 + d - d * v + d * math.log(v)):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("kind", ["gamma:2,0.5", "gamma:0.5,2", "lerrw:0.5",
+                                  "lerrw:2.0"])
+def test_the_rejection_loop_from_lane_0_equals_the_compiled_sampler(
+        monkeypatch, kind):
+    # The compiled samplers restart a rejected vector in _gamma_variates
+    # with the blocks they have hashed; called with none, the loop alone
+    # must give the same weights from the same blocks, hashed through
+    # uniforms_from as it is found when the loop is called.
+    blocks = []
+    hash_block = streams.uniforms_from
+    monkeypatch.setattr(streams, "uniforms_from",
+                        lambda msg: blocks.append(msg) or hash_block(msg))
+    name, args = parse_descriptor(kind)
+    for b in (1, 4, 9):
+        if name == "gamma":
+            shapes = (args[0],) * b
+            weights = lambda z: tuple([args[1] * x for x in z])
+        else:
+            g0, g = _lerrw_gamma_shapes(args[0])
+            shapes = (g0,) + (g,) * b
+            weights = lambda z: tuple([x / z[0] for x in z[1:]])
+        prepared = [_gamma_constants(g) for g in shapes]
+        compiled = make_weight_sampler(EnvSpec(b, kind, 0))
+        first = Counter()
+        for s in range(300):
+            d = streams.sample_digest(b, b"x", s)
+            first[_first_rejected(prepared, d)] += 1
+            blocks.clear()
+            want = compiled(d)
+            read = blocks[:]
+            blocks.clear()
+            assert weights(_gamma_variates(prepared, d + b"W", ())) == want
+            assert blocks == read
+        # digests whose first proposals are rejected at the first variate
+        # and at the last
+        assert first[0] > 0 and first[len(shapes) - 1] > 0, first
+
+
 class TestGammaRepresentation:
     def test_shape_pair_identity(self):
         g0, g = _lerrw_gamma_shapes(1.0)
@@ -374,6 +436,16 @@ class TestTransienceCriterion:
         # is a normal float
         spec = EnvSpec(b=4, kind=f"uniform:0,{hi}", seed=0)
         assert marginal_weight_moment(spec, 1.0) == hi / 2
+
+    def test_uniform_moment_at_t_minus_one_is_the_log_ratio(self):
+        # E[1/A] = log(hi / lo) / (hi - lo) for lo > 0, where the power
+        # formula divides by t + 1 = 0
+        spec = EnvSpec(b=4, kind="uniform:0.5,1.5", seed=0)
+        assert marginal_weight_moment(spec, -1.0) == pytest.approx(
+            math.log(3.0), rel=1e-15)
+        for t in (-1.0 - 1e-7, -1.0 + 1e-7):
+            assert marginal_weight_moment(spec, t) == pytest.approx(
+                math.log(3.0), rel=1e-6)
 
     def test_wide_lognormal_moment_past_the_largest_float_is_inf(self):
         # exp(s^2 / 2) at s = 40 is e^800: the moment at t = 1 is inf, not
