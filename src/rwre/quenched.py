@@ -73,19 +73,18 @@ def _children(parents: bytes, b: int, out: bytearray) -> Iterator[List[bytes]]:
     """The child digests of a level in order, in batches of 64 parents'
     children, each batch also written to its place in ``out``.
     ``parents`` holds the level's 16-byte digests end to end, and ``out``
-    has room for b times as many.
+    has room for b times as many.  Each parent is hashed once: one
+    ``streams.child_digests`` call gives its b children.
 
     Batches keep the hashing and the sampling in tight separate loops, as
     a list of the whole level would, while no per-node object outlives
     its batch.
     """
-    child_digest = streams.child_digest
-    ids = range(1, b + 1)
+    child_digests = streams.child_digests
     step = 16 * 64
     for start in range(0, len(parents), step):
-        batch = [parents[k:k + 16]
-                 for k in range(start, min(start + step, len(parents)), 16)]
-        kids = [child_digest(p, i) for p in batch for i in ids]
+        kids = [kid for k in range(start, min(start + step, len(parents)), 16)
+                for kid in child_digests(parents[k:k + 16], b)]
         out[start * b:(start + step) * b] = b"".join(kids)
         yield kids
 

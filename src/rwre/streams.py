@@ -46,6 +46,15 @@ and each consumer maps only the lanes it reads:
 * an advance block of one slot is read one lane per race that follows a
   jump along it, not one lane per jump: the engine adds a jump's next
   clock only when the walk races at that vertex again.
+
+Each hash starts from a copy of a module-level unkeyed BLAKE2b state of
+its digest size (8 bytes for derived seeds, 16 for digests, 64 for
+blocks), built once at import, and is updated with the message above; a
+one-shot ``hashlib.blake2b(msg, digest_size=k)`` gives the same bytes but
+parses its arguments and builds the parameter block on every call.
+``child_digests`` hashes a parent digest once and finishes each of its
+children from a copy of that state, which is how the β ladder of
+``quenched`` hashes a level.
 """
 
 from __future__ import annotations
@@ -64,7 +73,11 @@ from .tree import VertexPath
 
 _T = TypeVar("_T")
 
-_blake = hashlib.blake2b
+# Each returns a fresh copy of a prebuilt unkeyed state of digest size
+# 8, 16 or 64 bytes.
+_NEW8 = hashlib.blake2b(digest_size=8).copy
+_NEW16 = hashlib.blake2b(digest_size=16).copy
+_NEW64 = hashlib.blake2b().copy
 _U8 = struct.Struct("<8Q").unpack
 _U1 = struct.Struct("<Q").unpack
 
@@ -72,15 +85,9 @@ TWO53 = 2.0 ** -53
 TWO54 = 2.0 ** -54
 TWO_PI = 6.283185307179586
 
-# Small-integer byte tables keep the hot loops free of int.to_bytes calls.
+# The one-byte child and slot fields, so hot loops index a table instead
+# of building bytes.
 BYTE1 = [bytes([i]) for i in range(256)]
-_BLOCK4 = [i.to_bytes(4, "little") for i in range(4096)]
-
-
-def _b4(i: int) -> bytes:
-    if i < 4096:
-        return _BLOCK4[i]
-    return i.to_bytes(4, "little")
 
 
 def seed_bytes(seed: int) -> bytes:
@@ -92,29 +99,50 @@ def seed_bytes(seed: int) -> bytes:
 
 def derive_seed(seed: int, tag: bytes, index: int) -> int:
     """A reproducible 64-bit sub-seed for trial ``index`` of stream ``tag``."""
-    msg = b"T" + seed_bytes(seed) + tag + index.to_bytes(8, "little")
-    return _U1(_blake(msg, digest_size=8).digest())[0]
+    h = _NEW8()
+    h.update(b"T" + seed_bytes(seed) + tag + index.to_bytes(8, "little"))
+    return _U1(h.digest())[0]
 
 
 def sample_digest(seed: int, stream: bytes, index: int) -> bytes:
     """Digest of copy ``index`` of one vertex in sample stream ``stream``."""
-    return _blake(stream + seed_bytes(seed) + index.to_bytes(8, "little"),
-                  digest_size=16).digest()
+    h = _NEW16()
+    h.update(stream + seed_bytes(seed) + index.to_bytes(8, "little"))
+    return h.digest()
 
 
 def root_digest(seed: int) -> bytes:
-    return _blake(b"v" + seed_bytes(seed), digest_size=16).digest()
+    h = _NEW16()
+    h.update(b"v" + seed_bytes(seed))
+    return h.digest()
 
 
 def child_digest(digest: bytes, i: int) -> bytes:
-    return _blake(digest + BYTE1[i], digest_size=16).digest()
+    h = _NEW16()
+    h.update(digest + BYTE1[i])
+    return h.digest()
+
+
+def child_digests(digest: bytes, b: int) -> List[bytes]:
+    """``[child_digest(digest, i) for i in 1..b]``, hashing ``digest`` once:
+    each child finishes a copy of the state that has read its parent."""
+    h = _NEW16()
+    h.update(digest)
+    out = []
+    for i in range(1, b + 1):
+        c = h.copy()
+        c.update(BYTE1[i])
+        out.append(c.digest())
+    return out
 
 
 def vertex_digest(seed: int, v: VertexPath) -> bytes:
     """Digest of a vertex given by its full path."""
     d = root_digest(seed)
     for i in v:
-        d = _blake(d + BYTE1[i], digest_size=16).digest()
+        h = _NEW16()
+        h.update(d + BYTE1[i])
+        d = h.digest()
     return d
 
 
@@ -124,17 +152,20 @@ def uniforms_from(msg: bytes) -> Tuple[int, ...]:
     This is the only function that hashes a block.  Consumers map just the
     lanes they read to uniforms, each with ``(w >> 11) * TWO53 + TWO54``.
     """
-    return _U8(_blake(msg).digest())
+    h = _NEW64()
+    h.update(msg)
+    return _U8(h.digest())
 
 
 def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[int, ...]:
     """Words feeding the k = 0 exponentials of slots 8*block .. 8*block+7."""
-    return uniforms_from(digest + b"C" + walk8 + _b4(block))
+    return uniforms_from(digest + b"C" + walk8 + block.to_bytes(4, "little"))
 
 
 def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> Tuple[int, ...]:
     """Words feeding exponentials k = 8*block+1 .. 8*block+8 of one slot."""
-    return uniforms_from(digest + b"c" + walk8 + BYTE1[slot] + _b4(block))
+    return uniforms_from(digest + b"c" + walk8 + BYTE1[slot]
+                         + block.to_bytes(4, "little"))
 
 
 def walk_token(walk_index: int) -> bytes:

@@ -37,7 +37,7 @@ class _Counts:
         self.calls = Counter()
         self.in_sampler = False
         for name in ("uniforms_from", "clock_init_block",
-                     "clock_advance_block", "child_digest"):
+                     "clock_advance_block", "child_digest", "child_digests"):
             monkeypatch.setattr(streams, name, self._counted(name, getattr(streams, name)))
         for mod in (clocks, quenched):
             monkeypatch.setattr(mod, "make_weight_sampler",
@@ -136,7 +136,9 @@ def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
     c = counts.calls
     counts.assert_blocks_balance()
     assert c["sampler"] == nodes
-    assert c["child_digest"] == nodes - 1
+    # each parent is hashed once, for all B of its children
+    assert c["child_digests"] * B == nodes - 1
+    assert c["child_digest"] == 0
     assert c["sampler_blocks"] == 2 * nodes
     assert c["clock_init_block"] == c["clock_advance_block"] == 0
 

@@ -5,10 +5,15 @@ set to several standard errors at the pinned sample sizes, and every draw
 is reproducible by construction, so these never flake.
 """
 
+import ast
+import hashlib
 import math
 import os
+import random
+import struct
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,100 @@ class TestDigests:
         tokens = {streams.walk_token(i) for i in range(64)}
         assert len(tokens) == 64
         assert all(len(t) == 8 for t in tokens)
+
+
+def _one_shot(msg, k: int) -> bytes:
+    return hashlib.blake2b(msg, digest_size=k).digest()
+
+
+def _le(i: int, n: int) -> bytes:
+    return i.to_bytes(n, "little")
+
+
+def _one_shot_cases():
+    """(call, expected) pairs for every hashing primitive, each expected
+    value a one-shot hash of the message the module docstring gives."""
+    cases = []
+    for seed in (0, 1, 7, 2 ** 63 + 5, 2 ** 64 - 1):
+        s8 = _le(seed, 8)
+        root = _one_shot(b"v" + s8, 16)
+        cases.append((partial(streams.root_digest, seed), root))
+        for tag in (b"", b"T", b"beta-env"):
+            for index in (0, 1, 255, 2 ** 40):
+                msg = b"T" + s8 + tag + _le(index, 8)
+                cases.append((partial(streams.derive_seed, seed, tag, index),
+                              struct.unpack("<Q", _one_shot(msg, 8))[0]))
+        for stream in (b"s", b"m"):
+            for index in (0, 3, 2 ** 33):
+                cases.append((partial(streams.sample_digest, seed, stream, index),
+                              _one_shot(stream + s8 + _le(index, 8), 16)))
+        for path in ((), (1,), (4, 2, 3), (255,) * 5):
+            d = root
+            for i in path:
+                d = _one_shot(d + bytes([i]), 16)
+            cases.append((partial(streams.vertex_digest, seed, path), d))
+            for i in (1, 2, 255):
+                cases.append((partial(streams.child_digest, d, i),
+                              _one_shot(d + bytes([i]), 16)))
+            w8 = streams.walk_token(len(path))
+            for block in (0, 1, 4095, 4096, 2 ** 32 - 1):
+                init = d + b"C" + w8 + _le(block, 4)
+                cases.append((partial(streams.clock_init_block, d, w8, block),
+                              struct.unpack("<8Q", _one_shot(init, 64))))
+                for slot in (1, 5):
+                    adv = d + b"c" + w8 + bytes([slot]) + _le(block, 4)
+                    cases.append((partial(streams.clock_advance_block, d, w8,
+                                          slot, block),
+                                  struct.unpack("<8Q", _one_shot(adv, 64))))
+    for msg in (b"", b"x", bytes(range(129)), bytes(3000)):
+        cases.append((partial(streams.uniforms_from, msg),
+                      struct.unpack("<8Q", _one_shot(msg, 64))))
+    return cases
+
+
+class TestOneShotEquality:
+    """Each primitive hashes from a copy of a prebuilt state; the bytes are
+    those of a one-shot ``hashlib.blake2b`` over the documented message."""
+
+    def test_every_primitive_equals_its_one_shot_hash_in_any_order(self):
+        cases = _one_shot_cases()
+        shuffled = cases[:]
+        random.Random(5).shuffle(shuffled)
+        # the same calls in three orders: no prebuilt state is mutated
+        for order in (cases, cases[::-1], shuffled):
+            for call, want in order:
+                assert call() == want
+
+    @pytest.mark.parametrize("b", [1, 4, 255])
+    def test_child_digests_are_the_child_digests_in_order(self, b):
+        for seed in (0, 3, 2 ** 64 - 1):
+            d = streams.vertex_digest(seed, (2, 1))
+            want = [streams.child_digest(d, i) for i in range(1, b + 1)]
+            assert want == [_one_shot(d + bytes([i]), 16)
+                            for i in range(1, b + 1)]
+            # the ladder passes 16-byte slices of a bytearray
+            level = bytearray(16) + bytearray(d)
+            assert streams.child_digests(d, b) == want
+            assert streams.child_digests(level[16:32], b) == want
+            # interleaved with the one-child primitive, from either side
+            assert [streams.child_digest(d, b)] + streams.child_digests(d, b) \
+                == [want[-1]] + want
+            assert streams.child_digests(want[0], b)[0] \
+                == streams.child_digest(want[0], 1)
+
+
+def test_only_streams_names_blake2b():
+    # every keyed digest and block is hashed in streams; cli's sha256
+    # config hash is not one of them
+    namers = set()
+    for path in Path(streams.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None),
+                     getattr(node, "value", None))
+            if "blake2b" in names:
+                namers.add(path.name)
+    assert namers == {"streams.py"}
 
 
 def _lane_uniforms(words):
