@@ -39,11 +39,14 @@ the rates (1.0 toward the parent, so the parent slot needs no special case:
 y / 1.0 == y exactly), the jump counts, the advance block currently being
 read (jump k + 1 along a slot reads lane k mod 8 of its block k div 8), and
 the child vertex ids; then the pending slot, the one the walk last left
-through.  A jump's next clock is drawn only when the walk races at that
-vertex again: the race first adds it to the pending slot's sum, so every
-sum a race compares is the one an eager redraw at jump time would give,
-and a clock no race reads is never drawn.  A step is one ``min``, plus at
-most one deferred lane read and add.
+through.  The first race at a vertex builds its record: it is compiled
+once per slot count (``_first_race``) into one straight-line function
+that draws the weights, hashes the k = 0 blocks and races every slot's
+first clock.  A jump's next clock is drawn only when the walk races at
+that vertex again: the race first adds it to the pending slot's sum, so
+every sum a race compares is the one an eager redraw at jump time would
+give, and a clock no race reads is never drawn.  A later step is one
+``min``, plus at most one deferred lane read and add.
 
 The anchor has one open slot, so the walk leaves it toward ``nu`` (the
 root, for the sentinel) on every step from it without a race: the anchor
@@ -65,8 +68,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -161,6 +164,39 @@ class Trajectory:
         return [self.dgs[i] for i in self.ids]
 
 
+@lru_cache(maxsize=256)
+def _first_race(n_slots: int) -> Callable[..., list]:
+    """The k = 0 race of a vertex with ``n_slots`` slots, written out as
+    straight-line source like ``env._compile_sampler``'s samplers.
+    ``first_race(digest, w8, sampler, init_block)`` draws the weights,
+    hashes k = 0 blocks 0, 1, .. in order and returns the race-state
+    record.  Slot j's clock is lane j mod 8 of block j div 8 over its rate
+    (inf at a weight that underflowed to 0.0); ties go to the smaller slot.
+    """
+    # Blocks are blk0, blk1, ..: a name w8 would shadow the token.
+    sums = [f"-log((blk{j >> 3}[{j & 7}] >> 11) * two53 + two54)"
+            + (f" / rates[{j}] if rates[{j}] else inf" if j else "")
+            for j in range(n_slots)]
+    lines = ["def first_race(digest, w8, sampler, init_block):",
+             "    rates = (1.0,) + sampler(digest)"]
+    lines += [f"    blk{m} = init_block(digest, w8, {m})"
+              for m in range((n_slots + 7) // 8)]
+    lines += [f"    s = [{', '.join(sums)}]",
+              "    j = s.index(min(s))",
+              f"    jumps = [0] * {n_slots}",
+              "    jumps[j] = 1",
+              f"    return [s, rates, jumps, [()] * {n_slots}, [-1] * {n_slots}, j]"]
+    namespace = dict(log=math.log, inf=math.inf, two53=streams.TWO53,
+                     two54=streams.TWO54)
+    exec(compile("\n".join(lines), f"<first race, {n_slots} slots>", "exec"),
+         namespace)
+    return namespace["first_race"]
+
+
+# The clock-replica token of replica 0, the one the program runs.
+_TOKEN0 = streams.walk_token(0)
+
+
 def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
               walk_index: int = 0) -> Trajectory:
     """Run the clock-driven walk restricted to the subtree of ``nu``.
@@ -168,12 +204,12 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     Stops at the first of: absolute level == stop.max_level, or
     stop.max_steps steps (sets the truncated flag when a level target was
     set).  ``walk_index`` picks the clock replica (see ``streams``); the
-    program runs replica 0."""
+    program runs replica 0.  ``nu`` is not validated here: the public
+    entry points check it once per call."""
     b = spec.b
-    validate_path(nu, b)
     sampler = make_weight_sampler(spec)
     seed = spec.seed
-    w8 = streams.walk_token(walk_index)
+    w8 = _TOKEN0 if walk_index == 0 else streams.walk_token(walk_index)
 
     run = Trajectory(nu)
     log = math.log
@@ -182,7 +218,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     child_digest = streams.child_digest
     init_block = streams.clock_init_block
     adv_block = streams.clock_advance_block
-    n_slots = b + 1
+    first_race = _first_race(b + 1)
 
     # Discovery structure, indexed by vertex id (discovery order).
     par = run.par
@@ -197,7 +233,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     # Vertex 0, the anchor, has one open slot (slot 1 for the sentinel):
     # the walk always leaves it toward nu, vertex 1, without a race.
     anchor_slot = nu[-1] if nu else 1
-    anchor_kids = [-1] * n_slots
+    anchor_kids = [-1] * (b + 1)
     par.append(-1)
     dig.append(0)
     dep.append(len(nu) - 1)
@@ -242,23 +278,10 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
             st[5] = j
             jumps[j] += 1
         elif cur:
-            # The k = 0 race: each slot's first clock over its rate.  Ties
-            # go to the smaller slot, which is what s.index(min(s)) returns.
-            dg = dgs[cur]
-            rates = (1.0,) + sampler(dg)
-            s = []
-            for j in range(n_slots):
-                if not j & 7:
-                    blk = init_block(dg, w8, j >> 3)
-                try:
-                    s.append(-log((blk[j & 7] >> 11) * two53 + two54) / rates[j])
-                except ZeroDivisionError:  # a weight that underflowed to 0.0
-                    s.append(math.inf)
-            j = s.index(min(s))
-            jumps = [0] * n_slots
-            jumps[j] = 1
-            kids = [-1] * n_slots
-            state[cur] = [s, rates, jumps, [()] * n_slots, kids, j]
+            # The k = 0 race, compiled for b + 1 slots (``_first_race``).
+            st = state[cur] = first_race(dgs[cur], w8, sampler, init_block)
+            kids = st[4]
+            j = st[5]
         else:
             # The anchor: the walk leaves it toward nu, no race.
             j = anchor_slot
@@ -290,6 +313,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
 def run_extension(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> Trajectory:
     """Clock-driven walk on the subtree of ``nu``, from the parent of
     ``nu`` (from the root when ``nu`` is the root)."""
+    validate_path(nu, spec.b)
     return _simulate(spec, nu, stop)
 
 
@@ -344,6 +368,8 @@ def independence_check(
 
     if not nu_a or not nu_b:
         raise InvalidInputError("independence statistics need vertices below the root")
+    validate_path(nu_a, spec.b)
+    validate_path(nu_b, spec.b)
     if not edge_disjoint(nu_a, nu_b):
         raise InvalidInputError("subtrees share an edge")
     if trials < 100:

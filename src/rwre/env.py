@@ -243,11 +243,14 @@ def _gamma_variates(prepared: List[Tuple[float, float, float]],
     the digest followed by b"W", and ``words`` the words of the weight
     blocks already hashed, from block 0 on.  A shape below one returns the
     variate of shape + 1 times u ** (1 / shape), u its boost lane; other
-    shapes take the factor u ** 0.0 = 1.0 of their first lane.  Further
-    blocks are hashed only when a lane of them is read, through
-    ``streams.uniforms_from`` as this function finds it when called.
+    shapes read no boost lane.  Further blocks are hashed only when a lane
+    of them is read, through ``streams.uniforms_from`` as this function
+    finds it when called.
     """
     log = math.log
+    sqrt = math.sqrt
+    cos = math.cos
+    two_pi = streams.TWO_PI
     two53 = streams.TWO53
     two54 = streams.TWO54
     pos = 0
@@ -267,7 +270,7 @@ def _gamma_variates(prepared: List[Tuple[float, float, float]],
             u1 = (words[pos] >> 11) * two53 + two54
             u2 = (words[pos + 1] >> 11) * two53 + two54
             pos += 2
-            x = math.sqrt(-2.0 * log(u1)) * math.cos(streams.TWO_PI * u2)
+            x = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
             t = 1.0 + c * x
             if t <= 0.0:
                 continue
@@ -279,7 +282,10 @@ def _gamma_variates(prepared: List[Tuple[float, float, float]],
                 break
             if log(u) < 0.5 * x2 + d - d * v + d * log(v):
                 break
-        out.append(d * v * ((words[boost_lane] >> 11) * two53 + two54) ** power)
+        z = d * v
+        if power:
+            z *= ((words[boost_lane] >> 11) * two53 + two54) ** power
+        out.append(z)
     return out
 
 

@@ -1,6 +1,8 @@
 """Exponential-clock machinery: the clock values, subtree extensions, and
 the restriction/independence structure they support."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from rwre import streams
 from rwre.clocks import (
     IndependenceReport,
     StopRule,
+    _first_race,
     _simulate,
     edge_disjoint,
     independence_check,
     lambda_restriction_sequence,
     run_extension,
 )
-from rwre.env import EnvSpec
+from rwre.env import EnvSpec, make_weight_sampler
 from rwre.errors import InvalidInputError
 from rwre.tree import ROOT
 from rwre.walk import run_walk
@@ -163,3 +166,73 @@ class TestIndependence:
     def test_non_lambda_subtree_rejected(self):
         with pytest.raises(InvalidInputError):
             independence_check(SPEC, ROOT, (2,), trials=400, threads=1)
+
+    def test_bad_digit_rejected_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(streams, "keyed_map", no_trials)
+        for nu_a, nu_b in (((1,), (SPEC.b + 1,)), ((0, 1), (2,))):
+            with pytest.raises(InvalidInputError):
+                independence_check(SPEC, nu_a, nu_b, trials=100, threads=1)
+
+
+def _loop_first_race(n_slots, digest, w8, sampler, init_block):
+    """The k = 0 race as a per-slot loop, the engine's code before the race
+    was compiled: the oracle of ``_first_race``."""
+    rates = (1.0,) + sampler(digest)
+    s = []
+    for j in range(n_slots):
+        if not j & 7:
+            blk = init_block(digest, w8, j >> 3)
+        try:
+            s.append(-math.log((blk[j & 7] >> 11) * streams.TWO53
+                               + streams.TWO54) / rates[j])
+        except ZeroDivisionError:  # a weight that underflowed to 0.0
+            s.append(math.inf)
+    j = s.index(min(s))
+    jumps = [0] * n_slots
+    jumps[j] = 1
+    return [s, rates, jumps, [()] * n_slots, [-1] * n_slots, j]
+
+
+class TestFirstRace:
+    # b = 7, 8, 9, 15, 16 put the last slot on either side of a block edge
+    @pytest.mark.parametrize("b", [1, 2, 4, 7, 8, 9, 15, 16, 255])
+    def test_compiled_race_equals_the_slot_loop(self, b):
+        def init_block(digest, walk8, block):
+            made.append((digest, walk8, block))
+            return streams.clock_init_block(digest, walk8, block)
+
+        w8 = streams.walk_token(5)
+        race = _first_race(b + 1)
+        zero_rates = 0
+        for kind in ("lerrw:1.0", "gamma:0.005,1"):
+            sampler = make_weight_sampler(EnvSpec(b=b, kind=kind, seed=31))
+            for i in range(200):
+                dg = streams.sample_digest(31, b"r", i)
+                made = []
+                want = _loop_first_race(b + 1, dg, w8, sampler, init_block)
+                loop_blocks, made = made, []
+                got = race(dg, w8, sampler, init_block)
+                assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]]
+                assert got[1:] == want[1:]
+                # the k = 0 blocks 0, 1, .. in order, each hashed once
+                assert made == loop_blocks == [(dg, w8, m)
+                                               for m in range((b + 8) // 8)]
+                zero_rates += got[1].count(0.0)
+        # gamma:0.005,1 underflows some weights to 0.0, whose clocks are inf
+        assert zero_rates > 0
+
+    def test_ties_go_to_the_smaller_slot(self):
+        # one word in every lane and one rate for every child: slots 1 .. b
+        # tie, and with rate 1.0 slot 0 ties with them
+        words = (2 ** 63,) * 8
+        for rate, winner in ((1.0, 0), (2.0, 1)):
+            got = _first_race(10)(bytes(16), bytes(8), lambda d: (rate,) * 9,
+                                  lambda d, w8, m: words)
+            assert got[5] == winner and got[2][winner] == 1
+
+    def test_one_function_per_slot_count(self):
+        assert _first_race(5) is _first_race(5)
+        assert _first_race(5) is not _first_race(6)

@@ -96,13 +96,16 @@ def _advance_blocks(departures) -> int:
     return sum((k + 7) // 8 for k in jumps.values())
 
 
-@pytest.mark.parametrize("kind, subtree", [
-    ("lerrw:1.0", ROOT),
-    ("lerrw:0.5", (1,)),
+@pytest.mark.parametrize("kind, subtree, b", [
+    pytest.param("lerrw:1.0", ROOT, B, id="lerrw:1.0-subtree0"),
+    pytest.param("lerrw:0.5", (1,), B, id="lerrw:0.5-subtree1"),
+    # a lambda run starts at its anchor, so it always leaves vertex 0
+    pytest.param("lerrw:1.0", (1,), 9, id="lerrw:1.0-subtree1-b9"),
 ])
-def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subtree):
+def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind,
+                                                         subtree, b):
     counts = _Counts(monkeypatch)
-    spec = EnvSpec(b=B, kind=kind, seed=21)
+    spec = EnvSpec(b=b, kind=kind, seed=21)
     if subtree == ROOT:
         run = run_walk(spec, StopRule(max_steps=3000))
     else:
@@ -116,12 +119,15 @@ def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind, subt
     # toward nu, vertex 1, so the walk leaves it without a race: no weights
     # and no clocks there
     assert set(departures.pop(0)) == {run.dig[1]}
-    # b + 1 <= 8 slots: one k = 0 block and one weight draw per raced vertex
-    assert c["clock_init_block"] == c["sampler"] == len(departures) > 0
+    # one weight draw per raced vertex, and one k = 0 block per eight
+    # slots: one at b = 4, two at b = 9
+    assert c["sampler"] == len(departures) > 0
+    assert c["clock_init_block"] == (b + 8) // 8 * c["sampler"]
     assert c["clock_advance_block"] == _advance_blocks(departures) > 0
     if kind == "lerrw:1.0":
-        # one exponential and b normals: nine uniforms, two blocks
-        assert c["sampler_blocks"] == 2 * c["sampler"]
+        # one exponential and b normals: 2b + 1 uniforms, two blocks at
+        # b = 4 and three at b = 9
+        assert c["sampler_blocks"] == (2 * b + 8) // 8 * c["sampler"]
     else:
         assert c["sampler_blocks"] >= 2 * c["sampler"]
 
