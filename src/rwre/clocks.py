@@ -59,9 +59,11 @@ Both are looked up on the ``streams`` module when a run starts, so a
 wrapper installed there sees every block.
 
 Every run, full-tree walk or subtree extension alike, is recorded as one
-``Trajectory``: the per-step levels (an int64 array, built on its first
-read), the per-step vertex ids, and the per-vertex discovery structure
-from which vertex paths and digests are rebuilt on demand.
+``Trajectory``: the per-step vertex ids and the per-vertex discovery
+structure from which vertex paths and digests are rebuilt on demand.
+The engine records nothing else per step or per vertex: the per-step
+levels (an int64 array) and the first visits are derived from the ids
+when they are read.
 """
 
 from __future__ import annotations
@@ -111,16 +113,16 @@ class Trajectory:
     ``nu`` is the run's top vertex (``ROOT`` for the full tree) and vertex
     1 is ``nu`` itself; vertex 0 is the anchor above it, which for the full
     tree is the sentinel, at level -1 with a zero digest and no path.
-    ``fresh`` lists (step, vertex id) at first visits, the sentinel
-    excepted; ``stop_reason`` is ``level`` or ``steps``, and ``truncated``
-    marks a run that hit its step budget before a requested level.  The
-    engine records each step's vertex id only; ``levels``, the int64 array
-    of their depths, is built when it is first read, so a run whose levels
-    nobody reads builds none.
+    ``stop_reason`` is ``level`` or ``steps``, and ``truncated`` marks a
+    run that hit its step budget before a requested level.  The engine
+    records each step's vertex id only.  ``levels``, the int64 array of
+    their depths, is built when it is first read, so a run whose levels
+    nobody reads builds none; ``fresh``, the first visits, is derived
+    from the ids on every read.
     """
 
     __slots__ = ("nu", "_levels", "ids", "par", "dig", "dep",
-                 "dgs", "fresh", "stop_reason", "truncated")
+                 "dgs", "stop_reason", "truncated")
 
     def __init__(self, nu: VertexPath):
         self.nu = nu
@@ -130,7 +132,6 @@ class Trajectory:
         self.dig: List[int] = []
         self.dep: List[int] = []
         self.dgs: List[bytes] = []
-        self.fresh: List[Tuple[int, int]] = []
         self.stop_reason = ""
         self.truncated = False
 
@@ -140,6 +141,20 @@ class Trajectory:
         if self._levels is None:
             self._levels = np.asarray(self.dep, dtype=np.int64)[self.ids]
         return self._levels
+
+    @property
+    def fresh(self) -> List[Tuple[int, int]]:
+        """(first step, vertex id) of each first visit, the sentinel
+        excepted (a lambda run's anchor is visited at step 0).  Ids are
+        assigned in first-visit order, so vertex v is new at the first
+        step whose id is v while every smaller id has been seen."""
+        out = []
+        nxt = 0 if self.nu else 1
+        for t, v in enumerate(self.ids):
+            if v == nxt:
+                out.append((t, v))
+                nxt += 1
+        return out
 
     @property
     def steps_taken(self) -> int:
@@ -225,7 +240,6 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     dig = run.dig
     dep = run.dep
     dgs = run.dgs
-    fresh = run.fresh
     # Race state of each vertex, created at its first race:
     # [clock sums, rates, jump counts, current advance block, child ids],
     # each indexed by slot, then the pending slot.
@@ -247,22 +261,17 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
         dep.append(0)
         dgs.append(streams.vertex_digest(seed, ROOT))
         state.append(None)
-    fresh.append((0, cur))
 
     ids = run.ids
-    iap = ids.append
-
     lvl = dep[cur]
-    iap(cur)
+    ids.append(cur)
     # Levels never go below -1, so -2 stands for "no level target".
     target = -2 if stop.max_level is None else stop.max_level
     # A run anchored at its target level stops before its first step.
     reason = "level" if lvl == target else ""
     limit = 0 if reason else stop.max_steps
 
-    steps = 0
-    while steps < limit:
-        steps += 1
+    for _ in range(limit):
         st = state[cur]
         if st is not None:
             # Add the clock the last jump from here uncovered: jump k + 1
@@ -297,11 +306,10 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
                 dig.append(j)
                 dep.append(lvl + 1)
                 dgs.append(child_digest(dgs[cur], j))
-                fresh.append((steps, c))
                 state.append(None)
             cur = c
             lvl += 1
-        iap(cur)
+        ids.append(cur)
         if lvl == target:
             reason = "level"
             break

@@ -30,9 +30,11 @@ from .stats import (
 )
 from .walk import run_walk
 
-# Limits of one gap harvest: steps per walk and walks in all.
+# Limits of one gap harvest: steps per walk and walks in all.  A harvest
+# whose first FAIL_FAST_WALKS walks all give no gaps stops there.
 MAX_STEPS_PER_WALK = 2_000_000
 MAX_WALKS = 4096
+FAIL_FAST_WALKS = 8
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,11 @@ def harvest_gaps(
     at least ``n_gaps`` confirmed gaps are pooled.
 
     The first gap of every walk is dropped, so the pool is identically
-    distributed across walks and within each walk.
+    distributed across walks and within each walk.  If none of the first
+    ``FAIL_FAST_WALKS`` walks gives a gap, the harvest raises at once:
+    near the transience boundary a walk can use its whole step budget
+    without confirming a record, and the full ``MAX_WALKS`` would run
+    for hours.
     """
     if n_gaps < 16:
         raise InvalidInputError("need at least 16 gaps for batching")
@@ -62,6 +68,7 @@ def harvest_gaps(
         raise InvalidInputError("max_level must exceed twice the guard")
     parts: List[GapSample] = []
     total = 0
+    top = -1  # the highest level a walk without gaps reached
     for i in range(MAX_WALKS):
         sub = spec.subseed(tag, i)
         traj = run_walk(sub, StopRule(max_level=max_level,
@@ -69,6 +76,14 @@ def harvest_gaps(
         try:
             g = regeneration_gaps(traj, guard)
         except InsufficientDataError:  # too few confirmed records
+            top = max(top, traj.max_level_attained)
+            if not parts and i + 1 == FAIL_FAST_WALKS:
+                raise DataQualityError(
+                    f"none of the first {FAIL_FAST_WALKS} walks, each capped "
+                    f"at {MAX_STEPS_PER_WALK} steps, gave a gap; the highest "
+                    f"level reached was {top}, against a target of "
+                    f"{max_level}; the environment may be recurrent or too "
+                    "near the transience boundary")
             continue
         parts.append(g)
         total += len(g)
@@ -87,7 +102,11 @@ def ensemble_levels(spec: EnvSpec, n_walks: int, n_steps: int,
     out = np.empty((n_walks, len(FCLT_TIMES)), dtype=np.float64)
     stop = StopRule(max_steps=n_steps)
     for i in range(n_walks):
-        out[i] = run_walk(spec.subseed(tag, i), stop).levels[idx]
+        # Four reads of the depth table: a levels array of all the steps
+        # would cost about 40 times as much.
+        run = run_walk(spec.subseed(tag, i), stop)
+        dep, ids = run.dep, run.ids
+        out[i] = [dep[ids[k]] for k in idx]
     return out
 
 

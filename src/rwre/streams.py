@@ -55,6 +55,14 @@ parses its arguments and builds the parameter block on every call.
 ``child_digests`` hashes a parent digest once and finishes each of its
 children from a copy of that state, which is how the β ladder of
 ``quenched`` hashes a level.
+
+The clock blocks a walk reads most are block 0 of replica 0, the replica
+the program runs: the k = 0 block of every vertex it leaves, and the
+first advance block of every slot it leaves through more than once.
+Their message tails after the digest, ``b"C" + walk8 + block4`` and one
+``b"c" + walk8 + slot1 + block4`` per slot, are prebuilt at import, so
+such a block's message is one concatenation.  The bytes hashed are the
+same, and every block is still hashed by one ``uniforms_from`` call.
 """
 
 from __future__ import annotations
@@ -157,13 +165,24 @@ def uniforms_from(msg: bytes) -> Tuple[int, ...]:
     return _U8(h.digest())
 
 
+# The message tails of replica 0 at block 0, the blocks a walk reads most:
+# the k = 0 tail, and the advance tail of each slot.
+_WALK0 = bytes(8)
+_INIT_TAIL0 = b"C" + _WALK0 + bytes(4)
+_ADVANCE_TAILS0 = [b"c" + _WALK0 + s + bytes(4) for s in BYTE1]
+
+
 def clock_init_block(digest: bytes, walk8: bytes, block: int) -> Tuple[int, ...]:
     """Words feeding the k = 0 exponentials of slots 8*block .. 8*block+7."""
+    if block == 0 and walk8 == _WALK0:
+        return uniforms_from(digest + _INIT_TAIL0)
     return uniforms_from(digest + b"C" + walk8 + block.to_bytes(4, "little"))
 
 
 def clock_advance_block(digest: bytes, walk8: bytes, slot: int, block: int) -> Tuple[int, ...]:
     """Words feeding exponentials k = 8*block+1 .. 8*block+8 of one slot."""
+    if block == 0 and walk8 == _WALK0:
+        return uniforms_from(digest + _ADVANCE_TAILS0[slot])
     return uniforms_from(digest + b"c" + walk8 + BYTE1[slot]
                          + block.to_bytes(4, "little"))
 

@@ -19,8 +19,10 @@ from types import FunctionType
 
 import pytest
 
-from rwre import cli
+from rwre import cli, experiments
 from rwre.env import lerrw_negative_moment_cf
+
+from conftest import time_limit
 
 REPORT_KEYS = {"command", "config_hash", "seed", "version", "timestamp",
                "results"}
@@ -354,6 +356,23 @@ def test_clt_gate_on_a_huge_uniform_law_ends_in_a_report(tmp_path):
     assert rc == 1
     error, = [e for e in report["results"] if e["name"] == "runtime_error"]
     assert error["detail"]["message"] == "zero endpoint variance"
+
+
+def test_regen_near_the_transience_boundary_fails_fast(tmp_path,
+                                                       monkeypatch):
+    # b = 2, lerrw:3.0 passes Assumption A, but its walks climb so slowly
+    # that none confirms a record within its step cap: the harvest stops
+    # after its first 8 walks, not after MAX_WALKS
+    monkeypatch.setattr(experiments, "MAX_STEPS_PER_WALK", 2000)
+    with time_limit(60):
+        rc, report, _ = _run(tmp_path, "regen",
+                             {"env": {"b": 2, "kind": "lerrw:3.0"}})
+    assert rc == 1
+    error, = report["results"]
+    assert (error["name"], error["operation"]) == ("runtime_error",
+                                                   "DataQualityError")
+    message = error["detail"]["message"]
+    assert "first 8 walks" in message and "2000 steps" in message
 
 
 @pytest.mark.parametrize("command, sections", [

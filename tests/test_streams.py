@@ -91,7 +91,7 @@ def _one_shot_cases():
                 init = d + b"C" + w8 + _le(block, 4)
                 cases.append((partial(streams.clock_init_block, d, w8, block),
                               struct.unpack("<8Q", _one_shot(init, 64))))
-                for slot in (1, 5):
+                for slot in (0, 1, 5, 255):
                     adv = d + b"c" + w8 + bytes([slot]) + _le(block, 4)
                     cases.append((partial(streams.clock_advance_block, d, w8,
                                           slot, block),
