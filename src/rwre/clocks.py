@@ -33,24 +33,29 @@ on demand, and cumulative sums are advanced incrementally when a race
 reads them, so memory and time are proportional to the number of distinct
 visited vertices plus the number of steps.
 
-Each vertex the walk has raced at keeps one race-state record, indexed by
-slot (0 toward the parent, i toward child i): the rate-scaled clock sums,
-the rates (1.0 toward the parent, so the parent slot needs no special case:
-y / 1.0 == y exactly), the jump counts, the advance block currently being
-read (jump k + 1 along a slot reads lane k mod 8 of its block k div 8), and
-the child vertex ids; then the pending slot, the one the walk last left
-through.  The first race at a vertex builds its record: it is compiled
-once per slot count (``_first_race``) into one straight-line function
-that draws the weights, hashes the k = 0 blocks and races every slot's
-first clock.  A jump's next clock is drawn only when the walk races at
-that vertex again: the race first adds it to the pending slot's sum, so
-every sum a race compares is the one an eager redraw at jump time would
-give, and a clock no race reads is never drawn.  A later step is one
-``min``, plus at most one deferred lane read and add.
+Each vertex the walk has raced at keeps one race-state record, a flat
+list ``[s, j, k_0..k_b, blk_0..blk_b, kid_0..kid_b, 1.0, A_1..A_b]``
+indexed by slot (0 toward the parent, i toward child i): ``s`` is the
+list of rate-scaled clock sums and ``j`` the pending slot, the one the
+walk last left through.  With n = b + 1 slots, slot i's jump count sits
+at offset 2 + i, the advance block it is reading at 2 + n + i (jump
+k + 1 along a slot reads lane k mod 8 of its block k div 8), its child's
+vertex id at 2 + 2n + i and its rate at 2 + 3n + i (1.0 toward the
+parent, so the parent slot needs no special case: y / 1.0 == y exactly).
+The first race at a vertex builds its record: it is compiled once per
+slot count (``_first_race``) into one straight-line function that draws
+the weights, hashes the k = 0 blocks, races every slot's first clock and
+writes the record as one list display.  A jump's next clock is drawn
+only when the walk races at that vertex again: the race first adds it to
+the pending slot's sum, so every sum a race compares is the one an eager
+redraw at jump time would give, and a clock no race reads is never
+drawn.  A later step is one ``min``, plus at most one deferred lane read
+and add.
 
 The anchor has one open slot, so the walk leaves it toward ``nu`` (the
 root, for the sentinel) on every step from it without a race: the anchor
-draws no weights and no clocks.
+draws no weights and no clocks, and its record is a list of -1s that
+holds only its child's id, at the child-id offset.
 
 The engine is the only reader of the clock blocks: the k = 0 race when
 the walk first leaves a vertex reads ``streams.clock_init_block``, and a
@@ -183,33 +188,35 @@ class Trajectory:
 def _first_race(n_slots: int) -> Callable[..., list]:
     """The k = 0 race of a vertex with ``n_slots`` slots, written out as
     straight-line source like ``env._compile_sampler``'s samplers.
-    ``first_race(digest, w8, sampler, init_block)`` draws the weights,
-    hashes k = 0 blocks 0, 1, .. in order and returns the race-state
-    record.  Slot j's clock is lane j mod 8 of block j div 8 over its rate
-    (inf at a weight that underflowed to 0.0); ties go to the smaller slot.
+    ``first_race(digest, w8, sampler, init_block)`` draws the weights into
+    locals ``a1 ..``, hashes k = 0 blocks 0, 1, .. in order and returns
+    the race-state record ``[s, j, jump counts, advance blocks, child ids,
+    rates]`` (see the module docstring) as one list display: every jump
+    count 0 but the winner's 1, every block ``()``, every child -1.  Slot
+    j's clock is lane j mod 8 of block j div 8 over its rate (inf at a
+    weight that underflowed to 0.0); ties go to the smaller slot.
     """
     # Blocks are blk0, blk1, ..: a name w8 would shadow the token.
     sums = [f"-log((blk{j >> 3}[{j & 7}] >> 11) * two53 + two54)"
-            + (f" / rates[{j}] if rates[{j}] else inf" if j else "")
+            + (f" / a{j} if a{j} else inf" if j else "")
             for j in range(n_slots)]
+    weights = [f"a{j}" for j in range(1, n_slots)]
+    record = (["s", "j"] + ["0"] * n_slots + ["()"] * n_slots
+              + ["-1"] * n_slots + ["1.0"] + weights)
     lines = ["def first_race(digest, w8, sampler, init_block):",
-             "    rates = (1.0,) + sampler(digest)"]
+             f"    {', '.join(weights)}, = sampler(digest)"]
     lines += [f"    blk{m} = init_block(digest, w8, {m})"
               for m in range((n_slots + 7) // 8)]
     lines += [f"    s = [{', '.join(sums)}]",
               "    j = s.index(min(s))",
-              f"    jumps = [0] * {n_slots}",
-              "    jumps[j] = 1",
-              f"    return [s, rates, jumps, [()] * {n_slots}, [-1] * {n_slots}, j]"]
+              f"    st = [{', '.join(record)}]",
+              "    st[2 + j] = 1",
+              "    return st"]
     namespace = dict(log=math.log, inf=math.inf, two53=streams.TWO53,
                      two54=streams.TWO54)
     exec(compile("\n".join(lines), f"<first race, {n_slots} slots>", "exec"),
          namespace)
     return namespace["first_race"]
-
-
-# The clock-replica token of replica 0, the one the program runs.
-_TOKEN0 = streams.walk_token(0)
 
 
 def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
@@ -224,7 +231,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     b = spec.b
     sampler = make_weight_sampler(spec)
     seed = spec.seed
-    w8 = _TOKEN0 if walk_index == 0 else streams.walk_token(walk_index)
+    w8 = streams._WALK0 if walk_index == 0 else streams.walk_token(walk_index)
 
     run = Trajectory(nu)
     log = math.log
@@ -240,14 +247,18 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     dig = run.dig
     dep = run.dep
     dgs = run.dgs
-    # Race state of each vertex, created at its first race:
-    # [clock sums, rates, jump counts, current advance block, child ids],
-    # each indexed by slot, then the pending slot.
+    # Race state of each vertex, created at its first race: one flat
+    # record [s, j, jump counts, advance blocks, child ids, rates], the
+    # last four at these offsets plus the slot.
+    n = b + 1
+    blocks_at = 2 + n
+    kids_at = 2 + 2 * n
+    rates_at = 2 + 3 * n
     state: List[Optional[list]] = [None]
     # Vertex 0, the anchor, has one open slot (slot 1 for the sentinel):
     # the walk always leaves it toward nu, vertex 1, without a race.
     anchor_slot = nu[-1] if nu else 1
-    anchor_kids = [-1] * (b + 1)
+    anchor = [-1] * rates_at
     par.append(-1)
     dig.append(0)
     dep.append(len(nu) - 1)
@@ -255,7 +266,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     cur = 0
     if not nu:
         # A full-tree run starts at the root, below the sentinel.
-        cur = anchor_kids[anchor_slot] = 1
+        cur = anchor[kids_at + anchor_slot] = 1
         par.append(0)
         dig.append(anchor_slot)
         dep.append(0)
@@ -276,32 +287,31 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
         if st is not None:
             # Add the clock the last jump from here uncovered: jump k + 1
             # along slot j reads lane k mod 8 of j's advance block k div 8.
-            s, rates, jumps, blocks, kids, j = st
-            k = jumps[j] - 1
+            s = st[0]
+            j = st[1]
+            k = st[2 + j] - 1
             if k & 7:
-                blk = blocks[j]
+                blk = st[blocks_at + j]
             else:
-                blk = blocks[j] = adv_block(dgs[cur], w8, j, k >> 3)
-            s[j] += -log((blk[k & 7] >> 11) * two53 + two54) / rates[j]
-            j = s.index(min(s))
-            st[5] = j
-            jumps[j] += 1
+                blk = st[blocks_at + j] = adv_block(dgs[cur], w8, j, k >> 3)
+            s[j] += -log((blk[k & 7] >> 11) * two53 + two54) / st[rates_at + j]
+            j = st[1] = s.index(min(s))
+            st[2 + j] += 1
         elif cur:
             # The k = 0 race, compiled for b + 1 slots (``_first_race``).
             st = state[cur] = first_race(dgs[cur], w8, sampler, init_block)
-            kids = st[4]
-            j = st[5]
+            j = st[1]
         else:
             # The anchor: the walk leaves it toward nu, no race.
             j = anchor_slot
-            kids = anchor_kids
+            st = anchor
         if j == 0:
             cur = par[cur]
             lvl -= 1
         else:
-            c = kids[j]
+            c = st[kids_at + j]
             if c == -1:
-                c = kids[j] = len(par)
+                c = st[kids_at + j] = len(par)
                 par.append(cur)
                 dig.append(j)
                 dep.append(lvl + 1)

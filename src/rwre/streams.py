@@ -165,8 +165,9 @@ def uniforms_from(msg: bytes) -> Tuple[int, ...]:
     return _U8(h.digest())
 
 
-# The message tails of replica 0 at block 0, the blocks a walk reads most:
-# the k = 0 tail, and the advance tail of each slot.
+# The clock-replica token of replica 0, the one the program runs (the
+# engine's token too), and its message tails at block 0, the blocks a
+# walk reads most: the k = 0 tail, and the advance tail of each slot.
 _WALK0 = bytes(8)
 _INIT_TAIL0 = b"C" + _WALK0 + bytes(4)
 _ADVANCE_TAILS0 = [b"c" + _WALK0 + s + bytes(4) for s in BYTE1]

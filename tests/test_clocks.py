@@ -2,6 +2,7 @@
 the restriction/independence structure they support."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,25 @@ class TestExtensions:
         assert ups / trials == pytest.approx(1 / 7, abs=0.02)
 
 
+class TestMemory:
+    def test_a_visited_vertex_costs_under_a_kilobyte(self):
+        # A 4,000-step walk at (4, lerrw:1.0) allocates its trajectory and
+        # one race-state record and sum list per raced vertex; its peak
+        # traced allocation stays within 1,000 bytes per visited vertex.
+        for seed in (3, 11, 2024):
+            spec = EnvSpec(b=4, kind="lerrw:1.0", seed=seed)
+            # build the cached sampler and first race before tracing
+            _simulate(spec, ROOT, StopRule(max_steps=10))
+            tracemalloc.start()
+            try:
+                run = _simulate(spec, ROOT, StopRule(max_steps=4000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            visited = len(run.par) - 1  # the sentinel aside
+            assert peak <= 1000 * visited, (seed, peak / visited)
+
+
 class TestRestriction:
     def test_restriction_matches_extension_prefix(self):
         traj = run_walk(SPEC, StopRule(max_steps=3000))
@@ -178,8 +198,8 @@ class TestIndependence:
 
 
 def _loop_first_race(n_slots, digest, w8, sampler, init_block):
-    """The k = 0 race as a per-slot loop, the engine's code before the race
-    was compiled: the oracle of ``_first_race``."""
+    """The k = 0 race as a per-slot loop: the oracle of ``_first_race``,
+    returning the same flat race-state record."""
     rates = (1.0,) + sampler(digest)
     s = []
     for j in range(n_slots):
@@ -193,7 +213,15 @@ def _loop_first_race(n_slots, digest, w8, sampler, init_block):
     j = s.index(min(s))
     jumps = [0] * n_slots
     jumps[j] = 1
-    return [s, rates, jumps, [()] * n_slots, [-1] * n_slots, j]
+    return [s, j, *jumps, *[()] * n_slots, *[-1] * n_slots, *rates]
+
+
+def _fields(record, n_slots):
+    """A race-state record's fields: the clock sums, the pending slot, and
+    the jump counts, advance blocks, child ids and rates by slot."""
+    n = n_slots
+    return (record[0], record[1], record[2:2 + n], record[2 + n:2 + 2 * n],
+            record[2 + 2 * n:2 + 3 * n], record[2 + 3 * n:])
 
 
 class TestFirstRace:
@@ -215,12 +243,16 @@ class TestFirstRace:
                 want = _loop_first_race(b + 1, dg, w8, sampler, init_block)
                 loop_blocks, made = made, []
                 got = race(dg, w8, sampler, init_block)
-                assert [x.hex() for x in got[0]] == [x.hex() for x in want[0]]
-                assert got[1:] == want[1:]
+                assert len(got) == len(want) == 2 + 4 * (b + 1)
+                s, j, jumps, blocks, kids, rates = _fields(got, b + 1)
+                assert [x.hex() for x in s] == [x.hex() for x in want[0]]
+                assert (j, jumps, blocks, kids, rates) == \
+                    _fields(want, b + 1)[1:]
+                assert jumps[j] == 1 and sum(jumps) == 1
                 # the k = 0 blocks 0, 1, .. in order, each hashed once
                 assert made == loop_blocks == [(dg, w8, m)
                                                for m in range((b + 8) // 8)]
-                zero_rates += got[1].count(0.0)
+                zero_rates += rates.count(0.0)
         # gamma:0.005,1 underflows some weights to 0.0, whose clocks are inf
         assert zero_rates > 0
 
@@ -231,7 +263,9 @@ class TestFirstRace:
         for rate, winner in ((1.0, 0), (2.0, 1)):
             got = _first_race(10)(bytes(16), bytes(8), lambda d: (rate,) * 9,
                                   lambda d, w8, m: words)
-            assert got[5] == winner and got[2][winner] == 1
+            _, j, jumps, _, _, rates = _fields(got, 10)
+            assert j == winner and jumps[winner] == 1
+            assert rates == [1.0] + [rate] * 9
 
     def test_one_function_per_slot_count(self):
         assert _first_race(5) is _first_race(5)

@@ -130,6 +130,29 @@ def test_stream_layout_digest(kind):
     assert _kind_digest(kind) == GOLDEN[kind]
 
 
+# The ids and child digits of a 600-step walk and a 300-step extension at
+# (1,), on slot counts whose race state sits at other offsets than the
+# layout digests' b = 3 and 9: a single child, two children, and 256
+# slots over 32 clock blocks.
+GOLDEN_SLOTS = {
+    (1, "lerrw:0.2"): "4d91827db9df31b6a4be02af0f78105d",
+    (2, "gamma:0.5,2"): "fda12fc808cd993d85c6fb6ba03d70e9",
+    (255, "uniform:0,1"): "f26c031bd663549b6045c9b81b8de90e",
+}
+
+
+@pytest.mark.parametrize("b, kind", sorted(GOLDEN_SLOTS))
+def test_ids_and_digits_digest(b, kind):
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        spec = EnvSpec(b=b, kind=kind, seed=seed)
+        for nu, steps in ((ROOT, 600), ((1,), 300)):
+            run = _run(spec, nu, max_steps=steps)
+            _ints(h, run.ids)
+            _ints(h, run.dig)
+    assert h.hexdigest()[:32] == GOLDEN_SLOTS[b, kind]
+
+
 def test_first_step_matches_the_race():
     spec = EnvSpec(b=3, kind="lerrw:1.0", seed=404)
     for w in range(8):
