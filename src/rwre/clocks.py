@@ -33,10 +33,11 @@ on demand, and cumulative sums are advanced incrementally when a race
 reads them, so memory and time are proportional to the number of distinct
 visited vertices plus the number of steps.
 
-Each vertex the walk has raced at keeps one race-state record, a flat
-list ``[s, j, k_0..k_b, blk_0..blk_b, kid_0..kid_b, 1.0, A_1..A_b]``
-indexed by slot (0 toward the parent, i toward child i): ``s`` is the
-list of rate-scaled clock sums and ``j`` the pending slot, the one the
+In the Python loop each vertex the walk has raced at keeps one
+race-state record, a flat list
+``[s, j, k_0..k_b, blk_0..blk_b, kid_0..kid_b, 1.0, A_1..A_b]`` indexed
+by slot (0 toward the parent, i toward child i): ``s`` is the list of
+rate-scaled clock sums and ``j`` the pending slot, the one the
 walk last left through.  With n = b + 1 slots, slot i's jump count sits
 at offset 2 + i, the advance block it is reading at 2 + n + i (jump
 k + 1 along a slot reads lane k mod 8 of its block k div 8), its child's
@@ -63,6 +64,26 @@ race that follows a jump one lane of ``streams.clock_advance_block``.
 Both are looked up on the ``streams`` module when a run starts, so a
 wrapper installed there sees every block.
 
+``_simulate`` sets a run up (the anchor, the root and the
+``Trajectory``) and hands its steps to one of two loops with the same
+arguments and the same result.  The compiled loop, ``_engine.c``, keeps
+the race state above in C arrays instead of lists (sums, rates, jump
+counts, child ids, each slot's current advance block and the pending
+slot) and runs the k = 0 race, the deferred advance and the discovery
+appends in C.  It hashes and samples nothing itself: it calls back the
+objects ``_simulate`` bound when the run started, the weight sampler
+``make_weight_sampler(spec)``, ``streams.clock_init_block``,
+``streams.clock_advance_block`` and ``streams.child_digest``, with the
+same arguments and in the same order as the Python loop, so every count
+a wrapper takes of them is unchanged.  ``_python_loop`` is its
+reference in the tests, and the loop that runs wherever the compiled
+one cannot be built.  The compiled loop is built on the first run of a
+process that needs it (``_compiled_loop``), not at import, with the C
+compiler the interpreter was built with (``cc`` if it names none), into
+``$XDG_CACHE_HOME/rwre`` (``~/.cache/rwre`` by default), never into the
+package; a cached build is only loaded.  A process whose build fails
+runs the Python loop, to the same outputs.
+
 Every run, full-tree walk or subtree extension alike, is recorded as one
 ``Trajectory``: the per-step vertex ids and the per-vertex discovery
 structure from which vertex paths and digests are rebuilt on demand.
@@ -73,9 +94,12 @@ when they are read.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -219,6 +243,74 @@ def _first_race(n_slots: int) -> Callable[..., list]:
     return namespace["first_race"]
 
 
+# The compiler flags of the compiled loop: no fused multiply-add, so every
+# sum rounds as the Python loop's does.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _compiler() -> List[str]:
+    """The C compiler command: the interpreter's ``CC``, else ``cc``."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@lru_cache(maxsize=1)
+def _compiled_loop() -> Optional[Callable[..., bool]]:
+    """``walk`` of the compiled loop ``_engine.c``, built on this process's
+    first call, or None where it cannot be built or loaded.
+
+    The build goes to ``$XDG_CACHE_HOME/rwre`` (``~/.cache/rwre`` by
+    default), in a file named by the sha256 of the source, the flags and
+    the extension suffix, so a warm cache only loads it.  One attempt per
+    process: the result is cached."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    source = Path(__file__).with_name("_engine.c")
+    suffix = EXTENSION_SUFFIXES[0]
+    try:
+        text = source.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(b"\0".join(
+        [text, " ".join(_CFLAGS).encode(), suffix.encode()])).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "rwre"
+    built = cache / f"_engine-{key[:32]}{suffix}"
+    if not built.exists() and not _build(source, built):
+        return None
+    spec = spec_from_file_location("rwre._engine", built)
+    try:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    return module.walk
+
+
+def _build(source: Path, built: Path) -> bool:
+    """Compile ``source`` to ``built``; False if that failed.  The compiler
+    writes a name of this process's own, renamed into place, so processes
+    that build at once each leave a whole file."""
+    import subprocess
+    import sysconfig
+
+    partial_build = built.with_name(f"{built.name}.{os.getpid()}.tmp")
+    try:
+        built.parent.mkdir(parents=True, exist_ok=True)
+        subprocess.run([*_compiler(), *_CFLAGS,
+                        "-I" + sysconfig.get_paths()["include"], str(source),
+                        "-o", str(partial_build)],
+                       check=True, capture_output=True, timeout=300)
+        os.replace(partial_build, built)
+    except (OSError, subprocess.SubprocessError):
+        partial_build.unlink(missing_ok=True)
+        return False
+    return True
+
+
 def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
               walk_index: int = 0) -> Trajectory:
     """Run the clock-driven walk restricted to the subtree of ``nu``.
@@ -227,38 +319,19 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     stop.max_steps steps (sets the truncated flag when a level target was
     set).  ``walk_index`` picks the clock replica (see ``streams``); the
     program runs replica 0.  ``nu`` is not validated here: the public
-    entry points check it once per call."""
-    b = spec.b
+    entry points check it once per call.  The steps are run by the
+    compiled loop where it could be built, else by ``_python_loop``."""
     sampler = make_weight_sampler(spec)
     seed = spec.seed
     w8 = streams._WALK0 if walk_index == 0 else streams.walk_token(walk_index)
-
     run = Trajectory(nu)
-    log = math.log
-    two53 = streams.TWO53
-    two54 = streams.TWO54
-    child_digest = streams.child_digest
-    init_block = streams.clock_init_block
-    adv_block = streams.clock_advance_block
-    first_race = _first_race(b + 1)
-
-    # Discovery structure, indexed by vertex id (discovery order).
     par = run.par
     dig = run.dig
     dep = run.dep
     dgs = run.dgs
-    # Race state of each vertex, created at its first race: one flat
-    # record [s, j, jump counts, advance blocks, child ids, rates], the
-    # last four at these offsets plus the slot.
-    n = b + 1
-    blocks_at = 2 + n
-    kids_at = 2 + 2 * n
-    rates_at = 2 + 3 * n
-    state: List[Optional[list]] = [None]
     # Vertex 0, the anchor, has one open slot (slot 1 for the sentinel):
     # the walk always leaves it toward nu, vertex 1, without a race.
     anchor_slot = nu[-1] if nu else 1
-    anchor = [-1] * rates_at
     par.append(-1)
     dig.append(0)
     dep.append(len(nu) - 1)
@@ -266,22 +339,58 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
     cur = 0
     if not nu:
         # A full-tree run starts at the root, below the sentinel.
-        cur = anchor[kids_at + anchor_slot] = 1
+        cur = 1
         par.append(0)
         dig.append(anchor_slot)
         dep.append(0)
         dgs.append(streams.vertex_digest(seed, ROOT))
-        state.append(None)
-
-    ids = run.ids
-    lvl = dep[cur]
-    ids.append(cur)
+    run.ids.append(cur)
     # Levels never go below -1, so -2 stands for "no level target".
     target = -2 if stop.max_level is None else stop.max_level
     # A run anchored at its target level stops before its first step.
-    reason = "level" if lvl == target else ""
-    limit = 0 if reason else stop.max_steps
+    reached = dep[cur] == target
+    if not reached:
+        loop = _compiled_loop() or _python_loop
+        reached = loop(run.ids, par, dig, dep, dgs, spec.b + 1, anchor_slot,
+                       stop.max_steps, target, w8, sampler,
+                       streams.clock_init_block, streams.clock_advance_block,
+                       streams.child_digest)
+    run.stop_reason = "level" if reached else "steps"
+    run.truncated = not reached and stop.max_level is not None
+    return run
 
+
+def _python_loop(ids: List[int], par: List[int], dig: List[int],
+                 dep: List[int], dgs: List[bytes], n_slots: int,
+                 anchor_slot: int, limit: int, target: int, w8: bytes,
+                 sampler: Callable, init_block: Callable,
+                 adv_block: Callable, child_digest: Callable) -> bool:
+    """The engine's step loop, the reference of the compiled one
+    (``_engine.c``) and the loop that runs where it cannot be built.
+
+    Takes up to ``limit`` steps from ``ids[-1]``, appending each step's
+    vertex to ``ids`` and each new vertex to the discovery lists ``par``,
+    ``dig``, ``dep`` and ``dgs``, which hold the anchor, vertex 0, and
+    for a full-tree run the root, vertex 1.  Returns whether it stopped at
+    level ``target`` (-2 for none)."""
+    log = math.log
+    two53 = streams.TWO53
+    two54 = streams.TWO54
+    first_race = _first_race(n_slots)
+    # Race state of each vertex, created at its first race: one flat
+    # record [s, j, jump counts, advance blocks, child ids, rates], the
+    # last four at these offsets plus the slot.
+    n = n_slots
+    blocks_at = 2 + n
+    kids_at = 2 + 2 * n
+    rates_at = 2 + 3 * n
+    state: List[Optional[list]] = [None] * len(par)
+    # The anchor's record holds only its child, nu: vertex 1, when there.
+    anchor = [-1] * rates_at
+    if len(par) > 1:
+        anchor[kids_at + anchor_slot] = 1
+    cur = ids[-1]
+    lvl = dep[cur]
     for _ in range(limit):
         st = state[cur]
         if st is not None:
@@ -298,7 +407,7 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
             j = st[1] = s.index(min(s))
             st[2 + j] += 1
         elif cur:
-            # The k = 0 race, compiled for b + 1 slots (``_first_race``).
+            # The k = 0 race, compiled for n slots (``_first_race``).
             st = state[cur] = first_race(dgs[cur], w8, sampler, init_block)
             j = st[1]
         else:
@@ -321,11 +430,8 @@ def _simulate(spec: EnvSpec, nu: VertexPath, stop: StopRule,
             lvl += 1
         ids.append(cur)
         if lvl == target:
-            reason = "level"
-            break
-    run.stop_reason = reason or "steps"
-    run.truncated = reason == "" and stop.max_level is not None
-    return run
+            return True
+    return False
 
 
 def run_extension(spec: EnvSpec, nu: VertexPath, stop: StopRule) -> Trajectory:

@@ -1,8 +1,49 @@
 import os
+import shutil
 import signal
 from contextlib import contextmanager
 
 import pytest
+
+from rwre import clocks
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled step loop into a cache of this session's own, not
+    the user's; subprocesses the tests start inherit it."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+    clocks._compiled_loop.cache_clear()
+    yield
+    clocks._compiled_loop.cache_clear()
+    patch.undo()
+
+
+def compiled_loop():
+    """The compiled step loop, or None on a host without a C compiler.  A
+    host with one must build it, so a broken build fails the test instead
+    of passing on the Python loop alone."""
+    walk = clocks._compiled_loop()
+    if walk is None and shutil.which(clocks._compiler()[0]):
+        pytest.fail("a C compiler is on this host, "
+                    "but the compiled step loop did not build")
+    return walk
+
+
+@pytest.fixture
+def both_loops(monkeypatch):
+    """The engine's two step loops, to iterate over: the body of
+    ``for loop in both_loops:`` runs under the compiled loop, then under
+    ``clocks._python_loop``, forced by patching the private loader.  On a
+    host without a C compiler only the Python loop runs."""
+    def each():
+        if compiled_loop() is not None:
+            yield "compiled"
+        monkeypatch.setattr(clocks, "_compiled_loop", lambda: None)
+        yield "python"
+
+    return each()
 
 
 @pytest.fixture

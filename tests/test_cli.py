@@ -19,10 +19,10 @@ from types import FunctionType
 
 import pytest
 
-from rwre import cli, experiments
+from rwre import cli, clocks, experiments
 from rwre.env import lerrw_negative_moment_cf
 
-from conftest import time_limit
+from conftest import compiled_loop, time_limit
 
 REPORT_KEYS = {"command", "config_hash", "seed", "version", "timestamp",
                "results"}
@@ -115,6 +115,24 @@ def three_runs(tmp_path_factory):
     return get
 
 
+@pytest.fixture(scope="module")
+def python_loop_outputs(tmp_path_factory):
+    """One default run's outputs per command under the engine's Python
+    step loop, made once."""
+    made = {}
+
+    def get(command):
+        if command not in made:
+            tmp = tmp_path_factory.mktemp(f"{command}-python-loop")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(clocks, "_compiled_loop", lambda: None)
+                made[command] = _outputs(
+                    _run(tmp, command, CONFIGS[command])[2])
+        return made[command]
+
+    return get
+
+
 @pytest.fixture(params=sorted(CONFIGS))
 def runs(request, three_runs):
     return request.param, three_runs(request.param)
@@ -147,9 +165,13 @@ def test_outputs_reproducible_and_thread_invariant(runs):
     assert threaded == first
 
 
-def test_outputs_match_pinned_digest(runs):
+def test_outputs_match_pinned_digest(runs, python_loop_outputs):
+    # the default runs take the compiled step loop where it builds; the
+    # Python loop must give the same bytes
     command, got = runs
+    compiled_loop()
     assert _digest(_outputs(got[0][2])) == PINNED[command]
+    assert _digest(python_loop_outputs(command)) == PINNED[command]
 
 
 def test_clt_smoke_config_runs_the_fclt(three_runs):

@@ -128,22 +128,23 @@ class TestExtensions:
 
 
 class TestMemory:
-    def test_a_visited_vertex_costs_under_a_kilobyte(self):
+    def test_a_visited_vertex_costs_under_a_kilobyte(self, both_loops):
         # A 4,000-step walk at (4, lerrw:1.0) allocates its trajectory and
-        # one race-state record and sum list per raced vertex; its peak
-        # traced allocation stays within 1,000 bytes per visited vertex.
-        for seed in (3, 11, 2024):
-            spec = EnvSpec(b=4, kind="lerrw:1.0", seed=seed)
-            # build the cached sampler and first race before tracing
-            _simulate(spec, ROOT, StopRule(max_steps=10))
-            tracemalloc.start()
-            try:
-                run = _simulate(spec, ROOT, StopRule(max_steps=4000))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            visited = len(run.par) - 1  # the sentinel aside
-            assert peak <= 1000 * visited, (seed, peak / visited)
+        # the race state of each raced vertex; its peak traced allocation
+        # stays within 1,000 bytes per visited vertex.
+        for loop in both_loops:
+            for seed in (3, 11, 2024):
+                spec = EnvSpec(b=4, kind="lerrw:1.0", seed=seed)
+                # build the cached sampler and first race before tracing
+                _simulate(spec, ROOT, StopRule(max_steps=10))
+                tracemalloc.start()
+                try:
+                    run = _simulate(spec, ROOT, StopRule(max_steps=4000))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                visited = len(run.par) - 1  # the sentinel aside
+                assert peak <= 1000 * visited, (loop, seed, peak / visited)
 
 
 class TestRestriction:

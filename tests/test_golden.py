@@ -10,7 +10,9 @@ one.
 
 The eager reference walk at the end draws each clock at jump time and
 races at every vertex it leaves; the engine, which draws a clock only
-when a race reads it, must reproduce its runs step for step.
+when a race reads it, must reproduce its runs step for step.  The walk
+digests and the eager comparison hold under both of the engine's step
+loops, the compiled one and ``clocks._python_loop`` (``both_loops``).
 
 The sampler and clock digests hash raw float64 bytes, and the ladder
 values are pinned as ``float.hex``, so a sampler, a clock read or a ladder
@@ -126,8 +128,9 @@ def _kind_digest(kind: str) -> str:
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_stream_layout_digest(kind):
-    assert _kind_digest(kind) == GOLDEN[kind]
+def test_stream_layout_digest(kind, both_loops):
+    for loop in both_loops:
+        assert _kind_digest(kind) == GOLDEN[kind], loop
 
 
 # The ids and child digits of a 600-step walk and a 300-step extension at
@@ -142,15 +145,16 @@ GOLDEN_SLOTS = {
 
 
 @pytest.mark.parametrize("b, kind", sorted(GOLDEN_SLOTS))
-def test_ids_and_digits_digest(b, kind):
-    h = hashlib.sha256()
-    for seed in SEEDS:
-        spec = EnvSpec(b=b, kind=kind, seed=seed)
-        for nu, steps in ((ROOT, 600), ((1,), 300)):
-            run = _run(spec, nu, max_steps=steps)
-            _ints(h, run.ids)
-            _ints(h, run.dig)
-    assert h.hexdigest()[:32] == GOLDEN_SLOTS[b, kind]
+def test_ids_and_digits_digest(b, kind, both_loops):
+    for loop in both_loops:
+        h = hashlib.sha256()
+        for seed in SEEDS:
+            spec = EnvSpec(b=b, kind=kind, seed=seed)
+            for nu, steps in ((ROOT, 600), ((1,), 300)):
+                run = _run(spec, nu, max_steps=steps)
+                _ints(h, run.ids)
+                _ints(h, run.dig)
+        assert h.hexdigest()[:32] == GOLDEN_SLOTS[b, kind], loop
 
 
 def test_first_step_matches_the_race():
@@ -307,15 +311,15 @@ def _eager_walk(spec, nu, walk_index, steps):
 
 @pytest.mark.parametrize("kind, b", [
     ("const:0.3", 2), ("lerrw:1.0", 3), ("lerrw:0.5", 4), ("gamma:0.5,2", 3)])
-def test_engine_matches_the_eager_reference_walk(kind, b):
+def test_engine_matches_the_eager_reference_walk(kind, b, both_loops):
     spec = EnvSpec(b=b, kind=kind, seed=77)
-    deepest = 0
-    for nu in (ROOT, (2, 1)):
-        for w in range(8):
+    eager = {(nu, w): _eager_walk(spec, nu, w, 300)
+             for nu in (ROOT, (2, 1)) for w in range(8)}
+    for loop in both_loops:
+        for (nu, w), (ids, levels, fresh, _) in eager.items():
             run = _run(spec, nu, walk_index=w, max_steps=300)
-            ids, levels, fresh, read = _eager_walk(spec, nu, w, 300)
-            assert (run.ids, run.levels.tolist(), run.fresh) == (ids, levels, fresh)
-            deepest = max(deepest, read)
+            assert (run.ids, run.levels.tolist(), run.fresh) == \
+                (ids, levels, fresh), loop
     if kind == "const:0.3":
         # some race read a clock from a slot's second advance block
-        assert deepest >= 1
+        assert max(read for *_, read in eager.values()) >= 1

@@ -103,33 +103,36 @@ def _advance_blocks(departures) -> int:
     pytest.param("lerrw:1.0", (1,), 9, id="lerrw:1.0-subtree1-b9"),
 ])
 def test_engine_draws_every_block_through_the_primitives(monkeypatch, kind,
-                                                         subtree, b):
+                                                         subtree, b,
+                                                         both_loops):
     counts = _Counts(monkeypatch)
     spec = EnvSpec(b=b, kind=kind, seed=21)
-    if subtree == ROOT:
-        run = run_walk(spec, StopRule(max_steps=3000))
-    else:
-        run = run_extension(spec, subtree, StopRule(max_steps=3000))
-    c = counts.calls
-    assert run.steps_taken == 3000
-    counts.assert_blocks_balance()
-    assert c["child_digest"] == len(run.fresh) - 1
-    departures = _departures(run)
-    # vertex 0, the anchor (nu's parent or the sentinel), has one open slot,
-    # toward nu, vertex 1, so the walk leaves it without a race: no weights
-    # and no clocks there
-    assert set(departures.pop(0)) == {run.dig[1]}
-    # one weight draw per raced vertex, and one k = 0 block per eight
-    # slots: one at b = 4, two at b = 9
-    assert c["sampler"] == len(departures) > 0
-    assert c["clock_init_block"] == (b + 8) // 8 * c["sampler"]
-    assert c["clock_advance_block"] == _advance_blocks(departures) > 0
-    if kind == "lerrw:1.0":
-        # one exponential and b normals: 2b + 1 uniforms, two blocks at
-        # b = 4 and three at b = 9
-        assert c["sampler_blocks"] == (2 * b + 8) // 8 * c["sampler"]
-    else:
-        assert c["sampler_blocks"] >= 2 * c["sampler"]
+    for loop in both_loops:
+        counts.calls.clear()
+        if subtree == ROOT:
+            run = run_walk(spec, StopRule(max_steps=3000))
+        else:
+            run = run_extension(spec, subtree, StopRule(max_steps=3000))
+        c = counts.calls
+        assert run.steps_taken == 3000
+        counts.assert_blocks_balance()
+        assert c["child_digest"] == len(run.fresh) - 1
+        departures = _departures(run)
+        # vertex 0, the anchor (nu's parent or the sentinel), has one open
+        # slot, toward nu, vertex 1, so the walk leaves it without a race:
+        # no weights and no clocks there
+        assert set(departures.pop(0)) == {run.dig[1]}
+        # one weight draw per raced vertex, and one k = 0 block per eight
+        # slots: one at b = 4, two at b = 9
+        assert c["sampler"] == len(departures) > 0
+        assert c["clock_init_block"] == (b + 8) // 8 * c["sampler"]
+        assert c["clock_advance_block"] == _advance_blocks(departures) > 0
+        if kind == "lerrw:1.0":
+            # one exponential and b normals: 2b + 1 uniforms, two blocks at
+            # b = 4 and three at b = 9
+            assert c["sampler_blocks"] == (2 * b + 8) // 8 * c["sampler"]
+        else:
+            assert c["sampler_blocks"] >= 2 * c["sampler"]
 
 
 def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
@@ -149,7 +152,7 @@ def test_ladder_draws_every_block_through_the_primitives(monkeypatch):
     assert c["clock_init_block"] == c["clock_advance_block"] == 0
 
 
-def test_benchmark_tracer_identities_hold(monkeypatch):
+def test_benchmark_tracer_identities_hold(monkeypatch, both_loops):
     # The benchmark's tracer checks from outside that every hash block,
     # engine step and child digest went through a binding it wraps, and
     # that child digests number the fresh vertices less one anchor or root
@@ -158,20 +161,22 @@ def test_benchmark_tracer_identities_hold(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT_DIR / "bench"))
     from tracer import Tracer
 
-    tracer = Tracer()
-    tracer.install()
-    try:
-        spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
-        walk.run_walk(spec, clocks.StopRule(max_steps=2000))
-        clocks.run_extension(spec, (2, 1), clocks.StopRule(max_steps=2000))
-        clocks.independence_check(spec, (1,), (2,), trials=100, threads=1)
-    finally:
-        tracer.uninstall()
-    assert tracer.engine_runs == 2 + 2 * 100
-    assert tracer.identity_failures() == []
+    for loop in both_loops:
+        tracer = Tracer()
+        tracer.install()
+        try:
+            spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
+            walk.run_walk(spec, clocks.StopRule(max_steps=2000))
+            clocks.run_extension(spec, (2, 1), clocks.StopRule(max_steps=2000))
+            clocks.independence_check(spec, (1,), (2,), trials=100, threads=1)
+        finally:
+            tracer.uninstall()
+        assert tracer.engine_runs == 2 + 2 * 100, loop
+        assert tracer.identity_failures() == [], loop
 
 
-def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
+def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus,
+                                                    both_loops):
     # A forked worker inherits the tracer's rebound names, but what they
     # count stays in the worker's memory: the tracer sees only the
     # parent's chunk, and its identities still hold there.
@@ -179,17 +184,19 @@ def test_benchmark_tracer_survives_worker_processes(monkeypatch, two_cpus):
     from tracer import Tracer
 
     spec = EnvSpec(b=B, kind="lerrw:1.0", seed=23)
-    want = clocks.independence_check(spec, (1,), (2,), trials=100, threads=1)
-    tracer = Tracer()
-    tracer.install()
-    try:
-        got = clocks.independence_check(spec, (1,), (2,), trials=100,
-                                        threads=2)
-    finally:
-        tracer.uninstall()
-    assert got.table.tobytes() == want.table.tobytes()
-    assert tracer.engine_runs == 2 * 50
-    assert tracer.identity_failures() == []
+    for loop in both_loops:
+        want = clocks.independence_check(spec, (1,), (2,), trials=100,
+                                         threads=1)
+        tracer = Tracer()
+        tracer.install()
+        try:
+            got = clocks.independence_check(spec, (1,), (2,), trials=100,
+                                            threads=2)
+        finally:
+            tracer.uninstall()
+        assert got.table.tobytes() == want.table.tobytes(), loop
+        assert tracer.engine_runs == 2 * 50, loop
+        assert tracer.identity_failures() == [], loop
 
 
 @pytest.mark.parametrize("kind", ["lerrw:0.5", "lerrw:2.0", "gamma:0.5,2",
@@ -222,20 +229,28 @@ def test_a_sampler_built_before_a_wrapper_reports_through_it(monkeypatch,
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_a_first_traced_run_is_correct(name):
+def test_a_first_traced_run_is_correct(name, both_loops):
     # The benchmark's traced run compares the counts of every traced pass
     # with those of its first, so work done only on a process's first run
     # of a law (a cache filled through a traced function) makes it
     # incorrect.  Each run gets a fresh interpreter: in one shared with
     # an earlier run, the first pass finds every cache already filled.
-    code = ("import json, sys; sys.path.insert(0, 'bench'); "
-            "from run import execute; "
-            f"result, info = execute({name!r}, seed=1, seconds=0, "
-            "trace=True, tiny=True); "
-            "print(json.dumps([result['correct'], result['failed'], "
-            "[line for line in info if list(line) == ['errors']]]))")
-    got = subprocess.run([sys.executable, "-c", code], cwd=ROOT_DIR,
-                         capture_output=True, text=True, timeout=300)
-    assert got.returncode == 0, got.stderr
-    correct, failed, errors = json.loads(got.stdout.strip().splitlines()[-1])
-    assert correct and not failed, errors
+    # The Python loop's run patches the private loader first.
+    for loop in both_loops:
+        force = ("sys.path.insert(0, 'src'); from rwre import clocks; "
+                 + ("clocks._compiled_loop = lambda: None; "
+                    if loop == "python" else ""))
+        code = ("import json, sys; sys.path.insert(0, 'bench'); " + force
+                + "from run import execute; "
+                f"result, info = execute({name!r}, seed=1, seconds=0, "
+                "trace=True, tiny=True); "
+                "print(json.dumps([result['correct'], result['failed'], "
+                "[line for line in info if list(line) == ['errors']], "
+                "clocks._compiled_loop() is not None]))")
+        got = subprocess.run([sys.executable, "-c", code], cwd=ROOT_DIR,
+                             capture_output=True, text=True, timeout=300)
+        assert got.returncode == 0, got.stderr
+        correct, failed, errors, compiled = json.loads(
+            got.stdout.strip().splitlines()[-1])
+        assert correct and not failed, (loop, errors)
+        assert compiled == (loop == "compiled")
