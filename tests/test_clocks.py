@@ -1,7 +1,6 @@
 """Exponential-clock machinery: the clock values, subtree extensions, and
 the restriction/independence structure they support."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -11,14 +10,13 @@ from rwre import streams
 from rwre.clocks import (
     IndependenceReport,
     StopRule,
-    _first_race,
     _simulate,
     edge_disjoint,
     independence_check,
     lambda_restriction_sequence,
     run_extension,
 )
-from rwre.env import EnvSpec, make_weight_sampler
+from rwre.env import EnvSpec
 from rwre.errors import InvalidInputError
 from rwre.tree import ROOT
 from rwre.walk import run_walk
@@ -135,7 +133,7 @@ class TestMemory:
         for loop in both_loops:
             for seed in (3, 11, 2024):
                 spec = EnvSpec(b=4, kind="lerrw:1.0", seed=seed)
-                # build the cached sampler and first race before tracing
+                # build the cached sampler and load the loop before tracing
                 _simulate(spec, ROOT, StopRule(max_steps=10))
                 tracemalloc.start()
                 try:
@@ -197,77 +195,3 @@ class TestIndependence:
             with pytest.raises(InvalidInputError):
                 independence_check(SPEC, nu_a, nu_b, trials=100, threads=1)
 
-
-def _loop_first_race(n_slots, digest, w8, sampler, init_block):
-    """The k = 0 race as a per-slot loop: the oracle of ``_first_race``,
-    returning the same flat race-state record."""
-    rates = (1.0,) + sampler(digest)
-    s = []
-    for j in range(n_slots):
-        if not j & 7:
-            blk = init_block(digest, w8, j >> 3)
-        try:
-            s.append(-math.log((blk[j & 7] >> 11) * streams.TWO53
-                               + streams.TWO54) / rates[j])
-        except ZeroDivisionError:  # a weight that underflowed to 0.0
-            s.append(math.inf)
-    j = s.index(min(s))
-    jumps = [0] * n_slots
-    jumps[j] = 1
-    return [s, j, *jumps, *[()] * n_slots, *[-1] * n_slots, *rates]
-
-
-def _fields(record, n_slots):
-    """A race-state record's fields: the clock sums, the pending slot, and
-    the jump counts, advance blocks, child ids and rates by slot."""
-    n = n_slots
-    return (record[0], record[1], record[2:2 + n], record[2 + n:2 + 2 * n],
-            record[2 + 2 * n:2 + 3 * n], record[2 + 3 * n:])
-
-
-class TestFirstRace:
-    # b = 7, 8, 9, 15, 16 put the last slot on either side of a block edge
-    @pytest.mark.parametrize("b", [1, 2, 4, 7, 8, 9, 15, 16, 255])
-    def test_compiled_race_equals_the_slot_loop(self, b):
-        def init_block(digest, walk8, block):
-            made.append((digest, walk8, block))
-            return streams.clock_init_block(digest, walk8, block)
-
-        w8 = streams.walk_token(5)
-        race = _first_race(b + 1)
-        zero_rates = 0
-        for kind in ("lerrw:1.0", "gamma:0.005,1"):
-            sampler = make_weight_sampler(EnvSpec(b=b, kind=kind, seed=31))
-            for i in range(200):
-                dg = streams.sample_digest(31, b"r", i)
-                made = []
-                want = _loop_first_race(b + 1, dg, w8, sampler, init_block)
-                loop_blocks, made = made, []
-                got = race(dg, w8, sampler, init_block)
-                assert len(got) == len(want) == 2 + 4 * (b + 1)
-                s, j, jumps, blocks, kids, rates = _fields(got, b + 1)
-                assert [x.hex() for x in s] == [x.hex() for x in want[0]]
-                assert (j, jumps, blocks, kids, rates) == \
-                    _fields(want, b + 1)[1:]
-                assert jumps[j] == 1 and sum(jumps) == 1
-                # the k = 0 blocks 0, 1, .. in order, each hashed once
-                assert made == loop_blocks == [(dg, w8, m)
-                                               for m in range((b + 8) // 8)]
-                zero_rates += rates.count(0.0)
-        # gamma:0.005,1 underflows some weights to 0.0, whose clocks are inf
-        assert zero_rates > 0
-
-    def test_ties_go_to_the_smaller_slot(self):
-        # one word in every lane and one rate for every child: slots 1 .. b
-        # tie, and with rate 1.0 slot 0 ties with them
-        words = (2 ** 63,) * 8
-        for rate, winner in ((1.0, 0), (2.0, 1)):
-            got = _first_race(10)(bytes(16), bytes(8), lambda d: (rate,) * 9,
-                                  lambda d, w8, m: words)
-            _, j, jumps, _, _, rates = _fields(got, 10)
-            assert j == winner and jumps[winner] == 1
-            assert rates == [1.0] + [rate] * 9
-
-    def test_one_function_per_slot_count(self):
-        assert _first_race(5) is _first_race(5)
-        assert _first_race(5) is not _first_race(6)

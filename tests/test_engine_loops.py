@@ -3,7 +3,8 @@ its reference, ``clocks._python_loop``.
 
 Both must give the same trajectory, field for field, on any run; the
 compiled loop is built once per process into the user's cache, and where
-it cannot be built the Python loop runs and writes the same outputs.
+it cannot be built, or no cache directory is known, the Python loop runs
+and writes the same outputs.
 Inside the compiled loop, an exception a callback raises comes out
 unchanged, a callback's malformed result raises before it is read, the
 loop's own memory is freed on every exit, and a long walk stays
@@ -116,40 +117,56 @@ def test_both_loops_give_the_same_trajectory(kind, monkeypatch, walk):
         assert sum(zero_weights) > 0
 
 
-def test_the_compiled_loop_takes_the_callables_it_is_handed(walk):
-    # the loop reads no hash or weight of its own: with one block word in
-    # every lane and equal weights, every race is a tie, and ties go to
-    # the smaller slot
-    words = (2 ** 63,) * 8
-    calls = []
-
-    def record(name, value):
-        return lambda *args: calls.append((name, args[2:])) or value
-
-    ids, par, dig, dep, dgs = [1], [-1, 0], [0, 1], [-1, 0], [b"s", b"r"]
-    reached = walk(ids, par, dig, dep, dgs, 3, 1, 5, -2, b"w8",
-                   record("sampler", (1.0, 1.0)), record("init", words),
-                   record("advance", words), record("child", b"c"))
+SENTINEL_THEN_CHILDREN = ([1, 0, 1, 2, 1, 3], [-1, 0, 1, 1], [0, 1, 1, 2],
+                          [-1, 0, 1, 1], [b"s", b"r", b"c", b"c"])
+# (slots, child weight, the lists after 5 steps, the callbacks' calls)
+HANDED = [
     # every first clock is y: the root's race ties and goes up; the
     # sentinel steps back down; the root's parent sum is then 2y against y
     # below, so the walk goes down to child 1, whose own race ties and
     # goes up; the root's sums are then 2y, 2y, y, so it goes to child 2
-    assert not reached
-    assert ids == [1, 0, 1, 2, 1, 3]
-    assert (par, dig, dep, dgs) == ([-1, 0, 1, 1], [0, 1, 1, 2],
-                                    [-1, 0, 1, 1], [b"s", b"r", b"c", b"c"])
-    assert calls == [("sampler", ()), ("init", (0,)), ("advance", (0, 0)),
-                     ("child", ()), ("sampler", ()), ("init", (0,)),
-                     ("advance", (1, 0)), ("child", ())]
-    # the Python loop makes the same calls and the same lists
-    lists = ([1], [-1, 0], [0, 1], [-1, 0], [b"s", b"r"])
-    calls.clear()
-    assert not clocks._python_loop(
-        *lists, 3, 1, 5, -2, b"w8", record("sampler", (1.0, 1.0)),
-        record("init", words), record("advance", words),
-        record("child", b"c"))
-    assert lists == (ids, par, dig, dep, dgs)
-    assert len(calls) == 8
+    (3, 1.0, SENTINEL_THEN_CHILDREN,
+     [("sampler", ()), ("init", (0,)), ("advance", (0, 0)), ("child", ()),
+      ("sampler", ()), ("init", (0,)), ("advance", (1, 0)), ("child", ())]),
+    # the same walk at ten slots: each race hashes k = 0 blocks 0 and 1,
+    # in that order, each once
+    (10, 1.0, SENTINEL_THEN_CHILDREN,
+     [("sampler", ()), ("init", (0,)), ("init", (1,)), ("advance", (0, 0)),
+      ("child", ()), ("sampler", ()), ("init", (0,)), ("init", (1,)),
+      ("advance", (1, 0)), ("child", ())]),
+    # children at rate 2.0 sum y / 2 against the parent's y: the children
+    # tie, so every race goes down to child 1
+    (10, 2.0, ([1, 2, 3, 4, 5, 6], [-1, 0, 1, 2, 3, 4, 5], [0] + [1] * 6,
+               [-1, 0, 1, 2, 3, 4, 5], [b"s", b"r"] + [b"c"] * 5),
+     [("sampler", ()), ("init", (0,)), ("init", (1,)), ("child", ())] * 5),
+]
+
+
+def test_the_compiled_loop_takes_the_callables_it_is_handed(walk):
+    # the loop reads no hash or weight of its own: with one block word in
+    # every lane and equal child weights, every race ends in a tie, among
+    # all its slots or among the children, and ties go to the smaller slot
+    words = (2 ** 63,) * 8
+
+    def run(loop, n_slots, weight):
+        calls = []
+
+        def record(name, value):
+            return lambda *args: calls.append((name, args[2:])) or value
+
+        lists = ([1], [-1, 0], [0, 1], [-1, 0], [b"s", b"r"])
+        reached = loop(*lists, n_slots, 1, 5, -2, b"w8",
+                       record("sampler", (weight,) * (n_slots - 1)),
+                       record("init", words), record("advance", words),
+                       record("child", b"c"))
+        return reached, lists, calls
+
+    for n_slots, weight, lists, calls in HANDED:
+        compiled = run(walk, n_slots, weight)
+        assert compiled == (False, lists, calls), (n_slots, weight)
+        # the Python loop makes the same calls, call for call, and the
+        # same lists
+        assert run(clocks._python_loop, n_slots, weight) == compiled
 
 
 def _clt(tmp_path: Path, name: str) -> dict:
@@ -212,6 +229,21 @@ def test_the_build_is_cached_in_the_user_cache(tmp_path, monkeypatch,
 
     monkeypatch.setattr(clocks, "_compiler", no_build)
     assert clocks._compiled_loop() is not None
+
+
+def test_a_host_with_no_home_runs_the_python_loop(monkeypatch, fresh_loader):
+    # With HOME unset and no passwd entry for the uid, Path.home raises;
+    # without XDG_CACHE_HOME there is then no cache to build into
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(Path, "home", no_home)
+    stop = StopRule(max_steps=500)
+    assert clocks._compiled_loop() is None
+    ids = _simulate(SPEC, ROOT, stop).ids
+    _python_loop_only(monkeypatch)
+    assert ids == _simulate(SPEC, ROOT, stop).ids
 
 
 def test_two_processes_build_a_cold_cache_at_once(tmp_path, monkeypatch,
