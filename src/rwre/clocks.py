@@ -147,7 +147,8 @@ class Trajectory:
     records each step's vertex id only.  ``levels``, the int64 array of
     their depths, is built when it is first read, so a run whose levels
     nobody reads builds none; ``fresh``, the first visits, is derived
-    from the ids on every read.
+    from the ids on every read.  ``levels_at`` reads a few steps' levels
+    without that array, so no other module reads the storage lists.
     """
 
     __slots__ = ("nu", "_levels", "ids", "par", "dig", "dep",
@@ -170,6 +171,10 @@ class Trajectory:
         if self._levels is None:
             self._levels = np.asarray(self.dep, dtype=np.int64)[self.ids]
         return self._levels
+
+    def levels_at(self, steps: List[int]) -> List[int]:
+        """The levels of the given steps, read off the depth table."""
+        return [self.dep[self.ids[k]] for k in steps]
 
     @property
     def fresh(self) -> List[Tuple[int, int]]:

@@ -18,9 +18,9 @@ from .clocks import (
     run_extension,
 )
 from .env import EnvSpec, sample_weights, transition_probs
-from .errors import DataQualityError, InsufficientDataError, InvalidInputError
+from .errors import DataQualityError, InvalidInputError
 from .tree import ROOT
-from .regen import GapSample, concat_gaps, detect_regenerations, regeneration_gaps
+from .regen import GapSample, summarize
 from .streams import keyed_map
 from .stats import (
     FCLT_TIMES,
@@ -68,27 +68,27 @@ def harvest_gaps(
         raise InvalidInputError("max_level must exceed twice the guard")
     parts: List[GapSample] = []
     total = 0
-    top = -1  # the highest level a walk without gaps reached
+    top = -1  # the highest level any walk has reached
     for i in range(MAX_WALKS):
         sub = spec.subseed(tag, i)
-        traj = run_walk(sub, StopRule(max_level=max_level,
-                                      max_steps=MAX_STEPS_PER_WALK))
-        try:
-            g = regeneration_gaps(traj, guard)
-        except InsufficientDataError:  # too few confirmed records
-            top = max(top, traj.max_level_attained)
-            if not parts and i + 1 == FAIL_FAST_WALKS:
-                raise DataQualityError(
-                    f"none of the first {FAIL_FAST_WALKS} walks, each capped "
-                    f"at {MAX_STEPS_PER_WALK} steps, gave a gap; the highest "
-                    f"level reached was {top}, against a target of "
-                    f"{max_level}; the environment may be recurrent or too "
-                    "near the transience boundary")
-            continue
-        parts.append(g)
-        total += len(g)
+        summary = summarize(run_walk(sub, StopRule(
+            max_level=max_level, max_steps=MAX_STEPS_PER_WALK)), guard)
+        top = max(top, summary.top)
+        if len(summary.gaps):
+            parts.append(summary.gaps)
+            total += len(summary.gaps)
+        elif not parts and i + 1 == FAIL_FAST_WALKS:
+            raise DataQualityError(
+                f"none of the first {FAIL_FAST_WALKS} walks, each capped "
+                f"at {MAX_STEPS_PER_WALK} steps, gave a gap; the highest "
+                f"level reached was {top}, against a target of "
+                f"{max_level}; the environment may be recurrent or too "
+                "near the transience boundary")
         if total >= n_gaps:
-            return HarvestResult(gaps=concat_gaps(parts), walks=i + 1)
+            return HarvestResult(gaps=GapSample(
+                level_gaps=np.concatenate([g.level_gaps for g in parts]),
+                time_gaps=np.concatenate([g.time_gaps for g in parts])),
+                walks=i + 1)
     raise DataQualityError(
         f"collected {total} gaps from {MAX_WALKS} walks, wanted {n_gaps}; "
         "the environment may be recurrent or nearly so")
@@ -104,9 +104,7 @@ def ensemble_levels(spec: EnvSpec, n_walks: int, n_steps: int,
     for i in range(n_walks):
         # Four reads of the depth table: a levels array of all the steps
         # would cost about 40 times as much.
-        run = run_walk(spec.subseed(tag, i), stop)
-        dep, ids = run.dep, run.ids
-        out[i] = [dep[ids[k]] for k in idx]
+        out[i] = run_walk(spec.subseed(tag, i), stop).levels_at(idx)
     return out
 
 
@@ -199,9 +197,9 @@ def _moment_trial(spec: EnvSpec, epsilon: float, t: int) -> Tuple[float, float]:
         raise DataQualityError(
             "walk exhausted its step cap before the cutoff depth; "
             "the environment may be recurrent or nearly so")
-    cuts = detect_regenerations(traj, guard=60)
-    cuts = cuts[cuts > 0]
-    return (float((traj.levels == 0).sum()),
+    summary = summarize(traj, guard=60)
+    cuts = summary.times[summary.times > 0]
+    return (float(summary.root_visits),
             float(cuts[0]) if len(cuts) else math.nan)
 
 

@@ -15,16 +15,19 @@ but a cut level may be visited again later, from above: on b=4 trees under
 A finite trajectory cannot certify "never afterward" for levels near its
 endpoint, so only records at least ``guard`` levels below the maximum
 attained level are confirmed, and only confirmed records enter gap samples.
+
+``summarize`` is the gap pipelines' one read of a walk: its confirmed
+(cut, not visited-once) record times, their gaps with the first dropped,
+its steps at level 0 and its highest level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import InvalidInputError
 from .clocks import Trajectory
 
 
@@ -70,29 +73,23 @@ def detect_regenerations(traj: Trajectory, guard: int) -> np.ndarray:
     return np.flatnonzero(fresh & never_below & (lv <= lv.max() - guard))
 
 
-def regeneration_gaps(traj: Trajectory, guard: int) -> GapSample:
-    """Consecutive (level, time) differences over the confirmed records of
-    ``detect_regenerations(traj, guard)``, first gap dropped.
+@dataclass(frozen=True)
+class WalkSummary:
+    """What the gap pipelines read of one walk; ``gaps`` is empty below
+    three confirmed records."""
 
-    The gap between the origin record and the first regeneration has a
-    different law from the rest, so dropping the first gap leaves an
-    identically distributed sample.
-    """
+    times: np.ndarray
+    gaps: GapSample
+    root_visits: int
+    top: int
+
+
+def summarize(traj: Trajectory, guard: int) -> WalkSummary:
+    """The records ``detect_regenerations(traj, guard)`` confirms, their
+    (level, time) gaps with the first dropped (the gap from the origin
+    record has a law of its own), the steps at level 0 and the top level."""
     times = detect_regenerations(traj, guard)
-    if len(times) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 confirmed records, have {len(times)}")
-    return GapSample(
-        level_gaps=np.diff(traj.levels[times])[1:],
-        time_gaps=np.diff(times)[1:],
-    )
-
-
-def concat_gaps(samples: Sequence[GapSample]) -> GapSample:
-    """Pool gap samples from independent walks into one sample."""
-    if not samples:
-        raise InsufficientDataError("no gap samples to pool")
-    return GapSample(
-        level_gaps=np.concatenate([s.level_gaps for s in samples]),
-        time_gaps=np.concatenate([s.time_gaps for s in samples]),
-    )
+    lv = traj.levels
+    return WalkSummary(
+        times, GapSample(np.diff(lv[times])[1:], np.diff(times)[1:]),
+        root_visits=int((lv == 0).sum()), top=int(lv.max()))

@@ -38,6 +38,11 @@ a default that every such call overrides is read only by tests, so the
 parameter should have none.
 
 No package module imports scipy, at module level or inside a function.
+
+No package module but ``clocks`` touches a ``Trajectory``'s storage lists
+(``ids``, ``par``, ``dig``, ``dep``, ``dgs``): the rest of the package
+reads a walk through its properties and methods, so the storage can change
+without them.
 """
 import ast
 from pathlib import Path
@@ -340,3 +345,15 @@ def test_no_module_imports_scipy():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if n.split(".")[0] == "scipy"]
     assert not found, f"scipy imports in the package: {found}"
+
+
+TRAJECTORY_STORAGE = {"ids", "par", "dig", "dep", "dgs"}
+
+
+def test_only_clocks_touches_trajectory_storage():
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "clocks"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in TRAJECTORY_STORAGE]
+    assert not found, f"Trajectory storage read outside clocks: {found}"

@@ -1,5 +1,5 @@
-"""Regeneration detection on hand-traced level sequences and the gap
-machinery built on it."""
+"""Regeneration detection on hand-traced level sequences, the walk summary
+built on it, and the abstract's visited-once levels on real walks."""
 
 from types import SimpleNamespace
 
@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from rwre.env import EnvSpec
-from rwre.errors import InsufficientDataError, InvalidInputError
-from rwre.regen import (
-    GapSample,
-    concat_gaps,
-    detect_regenerations,
-    regeneration_gaps,
-)
+from rwre.errors import InvalidInputError
+from rwre.regen import GapSample, detect_regenerations, summarize
 from rwre.clocks import StopRule
 from rwre.walk import run_walk
 
@@ -56,13 +51,15 @@ class TestGaps:
     def test_gaps_drop_the_first(self):
         # confirmed records at (level, time) (0, 0), (2, 4), (3, 5): the
         # origin-to-first gap (2, 4) is dropped
-        g = regeneration_gaps(fake_traj([0, 1, 0, 1, 2, 3]), guard=0)
+        g = summarize(fake_traj([0, 1, 0, 1, 2, 3]), guard=0).gaps
         assert list(g.level_gaps) == [1]
         assert list(g.time_gaps) == [1]
 
     def test_insufficient_confirmed_records(self):
-        with pytest.raises(InsufficientDataError):
-            regeneration_gaps(fake_traj([0, 1, 0, 1, 2, 3]), guard=1)
+        # two confirmed records give one gap, the dropped first; none
+        # give none
+        assert len(summarize(fake_traj([0, 1, 0, 1, 2, 3]), guard=1).gaps) == 0
+        assert len(summarize(fake_traj([0, 1]), guard=4).gaps) == 0
 
     def test_gap_sample_validation(self):
         with pytest.raises(InvalidInputError):
@@ -71,15 +68,6 @@ class TestGaps:
             GapSample(level_gaps=np.array([1, 1]), time_gaps=np.array([3]))
         with pytest.raises(InvalidInputError):
             GapSample(level_gaps=np.array([0]), time_gaps=np.array([2]))
-
-    def test_concat_pools_in_order(self):
-        a = GapSample(np.array([1, 2]), np.array([1, 4]))
-        b = GapSample(np.array([3]), np.array([5]))
-        pool = concat_gaps([a, b])
-        assert list(pool.level_gaps) == [1, 2, 3]
-        assert list(pool.time_gaps) == [1, 4, 5]
-        with pytest.raises(InsufficientDataError):
-            concat_gaps([])
 
 
 class TestOnRealWalks:
@@ -111,6 +99,48 @@ class TestOnRealWalks:
         assert (visits[traj.levels[times]] > 1).any()
 
     def test_gap_consistency_on_real_walk(self):
-        g = regeneration_gaps(run_walk(self.SPEC, self.STOP), guard=60)
+        g = summarize(run_walk(self.SPEC, self.STOP), guard=60).gaps
         assert (g.level_gaps <= g.time_gaps).all()
         assert (np.asarray(g.time_gaps) % 2 == np.asarray(g.level_gaps) % 2).all()
+
+    def test_summary_holds_what_the_pipelines_read(self):
+        traj = run_walk(self.SPEC, self.STOP)
+        summary = summarize(traj, guard=60)
+        times = detect_regenerations(traj, guard=60)
+        assert np.array_equal(summary.times, times)
+        assert np.array_equal(summary.gaps.level_gaps,
+                              np.diff(traj.levels[times])[1:])
+        assert np.array_equal(summary.gaps.time_gaps, np.diff(times)[1:])
+        assert len(summary.gaps) == len(times) - 2 > 50
+        assert summary.root_visits == (traj.levels == 0).sum() > 0
+        assert summary.top == traj.max_level_attained == 400
+
+
+# Reinforced walks of two strengths and the simple walk at b = 4, and a
+# gamma law at b = 3: the rule holds for every law on every tree.
+VISITED_ONCE_LAWS = [(4, "lerrw:1.0"), (4, "const:1.0"), (4, "lerrw:2.0"),
+                     (3, "gamma:0.3,3.3333333333333335")]
+
+
+@pytest.mark.parametrize("b, kind", VISITED_ONCE_LAWS)
+def test_no_two_consecutive_visited_once_levels_differ_by_two(b, kind):
+    # The abstract's regenerative levels, those a walk visits exactly
+    # once, are never two apart.  A walk that ends above level n + 2 and
+    # visits n and n + 2 once each is below n before its visit to n, then
+    # steps up to n + 1 (a step down would bring it back to n), then to
+    # n + 2, and stays above n + 2 afterwards: so it visits n + 1 once
+    # too, and n and n + 2 are not consecutive visited-once levels.  Cut
+    # records (``detect_regenerations``) obey no such rule, and their gaps
+    # of 2 show that the test tells the two notions apart.
+    once_gaps_of_2 = cut_gaps_of_2 = 0
+    for seed in range(3):
+        traj = run_walk(EnvSpec(b=b, kind=kind, seed=seed),
+                        StopRule(max_steps=10 ** 8, max_level=400))
+        visits = np.bincount(traj.levels[traj.levels >= 0])
+        once = np.flatnonzero(visits[:traj.max_level_attained - 60 + 1] == 1)
+        assert len(once) > 10
+        once_gaps_of_2 += int((np.diff(once) == 2).sum())
+        cut_gaps_of_2 += int(
+            (summarize(traj, guard=60).gaps.level_gaps == 2).sum())
+    assert once_gaps_of_2 == 0
+    assert cut_gaps_of_2 > 0
