@@ -107,6 +107,7 @@ import numpy as np
 from . import streams
 from .env import EnvSpec, make_weight_sampler
 from .errors import DegenerateDataError, InvalidInputError
+from .stats import chi_square_independence
 from .tree import ROOT, VertexPath, is_ancestor_or_self, validate_path
 
 
@@ -471,8 +472,6 @@ def independence_check(
     Both vertices lie below the root, and edge-disjointness is required;
     exactness of the independence claim is what the p-value probes.
     """
-    from .stats import chi_square_independence
-
     if not nu_a or not nu_b:
         raise InvalidInputError("independence statistics need vertices below the root")
     validate_path(nu_a, spec.b)

@@ -159,9 +159,11 @@ def make_weight_sampler(spec: EnvSpec) -> Callable[[bytes], WeightVector]:
     Every law but ``const`` is compiled, once per (b, kind), into one
     straight-line function that reads each lane by a constant index: the
     fixed-lane laws all of their lanes, the gamma laws the first proposal
-    of each variate.  When one of those is rejected, a gamma sampler draws
-    the whole vector again from lane 0 in ``_gamma_variates``, reusing the
-    blocks it has hashed; the restart repeats the operations of the
+    of each variate.  A compiled sampler hashes the blocks of the lanes it
+    reads up front, and a rejection restarts from lane 0 on those blocks:
+    when a first proposal is rejected, a gamma sampler draws the whole
+    vector again in ``_gamma_variates``, which hashes further blocks only
+    as it reads past them.  The restart repeats the operations of the
     variates accepted so far, so values and blocks match the loop's.
     """
     return _weight_sampler(spec.b, spec.kind)
@@ -178,27 +180,23 @@ def _normal(i: int) -> str:
     return f"(sqrt(-2.0 * log({_lane(i)})) * cos(two_pi * {_lane(i + 1)}))"
 
 
-def _hash(m: int) -> str:
-    """Source of the statement hashing weight block m into ``w{m}``."""
-    key = b"W" + m.to_bytes(4, "little")  # see the streams layout
-    return f"w{m} = hash_block(digest + {key!r})"
-
-
-def _compile_sampler(kind: str, body: List[str], children: List[str],
-                     variates: List[str],
+def _compile_sampler(kind: str, n_lanes: int, body: List[str],
+                     children: List[str], variates: List[str],
                      **params: object) -> Callable[[bytes], WeightVector]:
     """A sampler written out as straight-line source for one law and one b,
     the way ``collections.namedtuple`` writes its methods.
 
-    It runs the statements ``body``, which hash the weight blocks they read
-    (``_hash``) through ``streams.uniforms_from`` as it finds it when
-    called, and returns the tuple of the expressions ``children``, one per
-    child.  A gamma law's ``variates`` name the variates the children
-    read; the same expressions then make ``finish``, the map from those
-    variates to the weights, which the body's rejection exits call.  Only
-    lane and block indices are written into the source; the law's
-    parameters are names in the function's namespace, so no float goes
-    through its repr.
+    It hashes the weight blocks of lanes 0 .. ``n_lanes`` - 1 up front, in
+    order, into ``w0``, ``w1``, .. through ``streams.uniforms_from`` as it
+    finds it when called: every lane the body reads lies in those blocks.
+    Then it runs the statements ``body`` and returns the tuple of the
+    expressions ``children``, one per child.  A gamma law's ``variates``
+    name the variates the children read; the same expressions then make
+    ``finish``, the map from those variates to the weights, which the
+    body's rejection exits call on a restart from lane 0 on those blocks.
+    Only lane and block indices are written
+    into the source; the law's parameters are names in the function's
+    namespace, so no float goes through its repr.
     """
     weights = f"({''.join(c + ', ' for c in children)})"
     lines = []
@@ -207,6 +205,9 @@ def _compile_sampler(kind: str, body: List[str], children: List[str],
                   f"    return {weights}"]
     lines += ["def sampler(digest):",
               "    hash_block = streams.uniforms_from"]
+    for m in range((n_lanes + 7) >> 3):
+        key = b"W" + m.to_bytes(4, "little")  # see the streams layout
+        lines.append(f"    w{m} = hash_block(digest + {key!r})")
     lines += [f"    {s}" for s in body]
     lines.append(f"    return {weights}")
     namespace = dict(params, streams=streams, log=math.log, sqrt=math.sqrt,
@@ -215,12 +216,6 @@ def _compile_sampler(kind: str, body: List[str], children: List[str],
     exec(compile("\n".join(lines), f"<{kind} sampler, b={len(children)}>",
                  "exec"), namespace)
     return namespace["sampler"]
-
-
-def _hash_lanes(n_lanes: int) -> List[str]:
-    """The statements hashing the blocks of lanes 0 .. ``n_lanes`` - 1, in
-    order."""
-    return [_hash(m) for m in range((n_lanes + 7) // 8)]
 
 
 def _gamma_constants(shape: float) -> Tuple[float, float, float]:
@@ -294,23 +289,23 @@ def _compile_gamma(kind: str, shapes: Tuple[float, ...], children: List[str],
     """The compiled sampler of a gamma law: the variates z0, z1, .. of
     ``shapes`` mapped to the weights ``children``.
 
-    Its body reads each variate's first proposal as ``_gamma_variates``
-    reads it and hashes each block where the loop hashes it, before a
-    proposal (with its boost lane) when fewer than three of its lanes
-    remain.  A rejected first proposal returns
-    ``finish(*gamma_variates(prepared, digest + b"W", <words so far>))``.
+    It hashes up front the blocks of each variate's boost lane and first
+    proposal, and reads those lanes as ``_gamma_variates`` reads them.  A
+    rejected first proposal returns ``finish(*gamma_variates(prepared,
+    digest + b"W", <all those blocks' words>))``: a restart from lane 0,
+    which reads every lane of those blocks before it hashes another, since
+    each variate takes its boost lane and at least one three-lane
+    proposal.  So every path hashes the loop's blocks in the loop's order.
     """
     prepared = [_gamma_constants(g) for g in shapes]
+    n_lanes = sum(4 if power else 3 for _, _, power in prepared)
+    words = " + ".join(f"w{m}" for m in range((n_lanes + 7) >> 3))
     body: List[str] = []
-    n_words = pos = 0
+    pos = 0
     for i, (_, _, power) in enumerate(prepared):
         boost_lane = pos
         if power:
             pos += 1
-        if pos + 3 > n_words:
-            body.append(_hash(n_words >> 3))
-            n_words += 8
-        words = " + ".join(f"w{m}" for m in range(n_words >> 3))
         body += [
             f"x = {_normal(pos)}",
             f"t = 1.0 + c{i} * x",
@@ -327,7 +322,7 @@ def _compile_gamma(kind: str, shapes: Tuple[float, ...], children: List[str],
         pos += 3
     names = {f"{name}{i}": x for i, consts in enumerate(prepared)
              for name, x in zip("dcp", consts)}
-    return _compile_sampler(kind, body, children,
+    return _compile_sampler(kind, n_lanes, body, children,
                             [f"z{i}" for i in range(len(prepared))],
                             prepared=prepared, gamma_variates=_gamma_variates,
                             **names, **params)
@@ -348,14 +343,13 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
     elif name == "uniform":
         lo, hi = args
         sampler = _compile_sampler(
-            kind, _hash_lanes(b),
-            [f"lo + span * {_lane(c)}" for c in range(b)], [],
+            kind, b, [], [f"lo + span * {_lane(c)}" for c in range(b)], [],
             lo=lo, span=hi - lo)
 
     elif name == "lognormal":
         mu, sd = args
         sampler = _compile_sampler(
-            kind, _hash_lanes(2 * b),
+            kind, 2 * b, [],
             [f"exp(mu + sd * {_normal(2 * c)})" for c in range(b)], [],
             mu=mu, sd=sd)
 
@@ -371,7 +365,7 @@ def _weight_sampler(b: int, kind: str) -> Callable[[bytes], WeightVector]:
             # Reinforcement one: the parent variate is Exp(1) and each
             # child variate is half a squared standard normal.
             sampler = _compile_sampler(
-                kind, _hash_lanes(2 * b + 1) + [f"z0 = -log({_lane(0)})"]
+                kind, 2 * b + 1, [f"z0 = -log({_lane(0)})"]
                 + [f"x{c} = {_normal(2 * c + 1)}" for c in range(b)],
                 [f"0.5 * x{c} * x{c} / z0" for c in range(b)], [])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .regen import GapSample
+
+if TYPE_CHECKING:
+    from .regen import GapSample
 
 _T15_995 = 2.946712883475238  # 0.995 quantile of Student's t, 15 dof
 _Z995 = 2.5758293035489004  # 0.995 quantile of the standard normal

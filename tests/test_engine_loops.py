@@ -18,6 +18,8 @@ import operator
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -245,6 +247,38 @@ def test_a_host_with_no_home_runs_the_python_loop(monkeypatch, fresh_loader):
     ids = _simulate(SPEC, ROOT, stop).ids
     _python_loop_only(monkeypatch)
     assert ids == _simulate(SPEC, ROOT, stop).ids
+
+
+def test_a_build_that_does_not_load_runs_the_python_loop(tmp_path, monkeypatch,
+                                                       walk, fresh_loader):
+    # A file at the built name that is no extension fails to load: the
+    # loader returns None, compiles nothing and leaves the file as it is.
+    # It is moved onto the name, not written in place, because this process
+    # has mapped the real build; a fresh process runs the loader.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert clocks._compiled_loop() is not None
+    built, = (tmp_path / "cache" / "rwre").iterdir()
+    junk = tmp_path / "junk"
+    junk.write_bytes(b"not an extension\n")
+    os.replace(junk, built)
+    code = ("import json; from rwre import clocks; "
+            "from rwre.clocks import StopRule, _simulate; "
+            "from rwre.env import EnvSpec; "
+            "clocks._compiler = lambda: 1 / 0; "
+            "loaded = clocks._compiled_loop() is not None; "
+            "run = _simulate(EnvSpec(b=4, kind='lerrw:1.0', seed=3), (), "
+            "StopRule(max_steps=500)); "
+            "print(json.dumps([loaded, run.ids]))")
+    got = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True, timeout=300)
+    assert got.returncode == 0, got.stderr
+    loaded, ids = json.loads(got.stdout)
+    assert not loaded
+    assert built.read_bytes() == b"not an extension\n"
+    assert [p.name for p in built.parent.iterdir()] == [built.name]
+    _python_loop_only(monkeypatch)
+    assert ids == _simulate(SPEC, ROOT, StopRule(max_steps=500)).ids
 
 
 def test_two_processes_build_a_cold_cache_at_once(tmp_path, monkeypatch,

@@ -393,10 +393,14 @@ class TestGammaRepresentation:
         assert (g0, g) == (1.5, 1.0)
         assert g0 == pytest.approx(g + 0.5)
 
-    def test_marginal_moment_closed_form_vs_mc(self):
+    @pytest.mark.parametrize("kind", [
+        "lerrw:1.0", "gamma:0.3,3.3333333333333335", "gamma:2,0.5"])
+    def test_marginal_moment_closed_form_vs_mc(self, kind):
         # inf over the t grid of the Monte Carlo E[A_1^t], from the first
-        # weight of independently keyed copies of one vertex (stream b"m")
-        spec = EnvSpec(b=4, kind="lerrw:1.0", seed=6)
+        # weight of independently keyed copies of one vertex (stream b"m");
+        # the gamma laws check the closed form check_assumption_a reads
+        # for every gamma:k,theta
+        spec = EnvSpec(b=4, kind=kind, seed=6)
         sampler = make_weight_sampler(spec)
         loga = np.log([sampler(streams.sample_digest(spec.seed, b"m", i))[0]
                        for i in range(40000)])
@@ -424,6 +428,14 @@ class TestTransienceCriterion:
         assert check_assumption_a(
             EnvSpec(b=b, kind="lerrw:1.0", seed=0)) > 1.0 / b
 
+    @pytest.mark.parametrize("k", [1, 0.5, 0.3, 0.2, 0.15, 0.125, 0.1])
+    def test_unit_mean_gamma_laws_pass_at_four_children(self, k):
+        # gamma:k,1/k has mean one for every k; the small shapes put
+        # weights near zero, and the infimum falls from 0.886 at k = 1 to
+        # 0.463 at k = 0.1, still above 1/b
+        spec = EnvSpec(b=4, kind=f"gamma:{k},{1 / k}", seed=0)
+        assert check_assumption_a(spec) > 1.0 / 4
+
     def test_uniform_moment_of_a_huge_law_is_finite(self):
         # hi ** 2 overflows, but E[A] = hi / 2 does not
         spec = EnvSpec(b=4, kind="uniform:0,1e200", seed=0)
@@ -446,6 +458,10 @@ class TestTransienceCriterion:
         for t in (-1.0 - 1e-7, -1.0 + 1e-7):
             assert marginal_weight_moment(spec, t) == pytest.approx(
                 math.log(3.0), rel=1e-6)
+        # from lo = 0, E[A^t] diverges at every t <= -1
+        spec = EnvSpec(b=4, kind="uniform:0,1", seed=0)
+        for t in (-1.0, -2.0):
+            assert marginal_weight_moment(spec, t) == math.inf
 
     def test_wide_lognormal_moment_past_the_largest_float_is_inf(self):
         # exp(s^2 / 2) at s = 40 is e^800: the moment at t = 1 is inf, not

@@ -43,6 +43,10 @@ No package module but ``clocks`` touches a ``Trajectory``'s storage lists
 (``ids``, ``par``, ``dig``, ``dep``, ``dgs``): the rest of the package
 reads a walk through its properties and methods, so the storage can change
 without them.
+
+No package module imports from the package inside a function body: such
+an import hides a cycle between modules, which their imports at the top
+would show.
 """
 import ast
 from pathlib import Path
@@ -357,3 +361,19 @@ def test_only_clocks_touches_trajectory_storage():
              if isinstance(node, ast.Attribute)
              and node.attr in TRAJECTORY_STORAGE]
     assert not found, f"Trajectory storage read outside clocks: {found}"
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or (node.module or "").split(".")[0] == "rwre"
+    return isinstance(node, ast.Import) and any(
+        a.name.split(".")[0] == "rwre" for a in node.names)
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    found = sorted({f"{path.name}:{node.lineno}"
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn) if _imports_the_package(node)})
+    assert not found, f"package imports inside functions: {found}"
